@@ -10,16 +10,9 @@ the cross-definition verdict.  The full run takes a couple of minutes; pass
 
 import argparse
 import sys
-import time
 
-from entro import (
-    bd_count_table,
-    compacta_estimate,
-    entropy_estimate,
-    friedland_estimate,
-    inequality_report,
-)
-from entro.gallery import default_suite
+from entro import inequality_report
+from entro.gallery import default_suite, run_bundle
 
 
 def main() -> int:
@@ -44,27 +37,13 @@ def main() -> int:
     print("-" * len(header))
     all_ok = True
     for bundle in bundles:
-        start = time.monotonic()
-        table = bd_count_table(
-            bundle.system, bundle.cloud, bundle.metric,
-            bundle.eps_list, bundle.n_max,
-        )
-        bd = entropy_estimate(table)
-        bc = compacta_estimate(
-            bundle.system, bundle.metric, bundle.family,
-            bundle.eps_list, bundle.n_max,
-        )
-        fr = friedland_estimate(
-            bundle.system, bundle.cloud, bundle.eps_list,
-            bundle.n_max, rho=bundle.rho,
-        )
-        elapsed = time.monotonic() - start
-        verdict = inequality_report(bd, bc, fr, slack=args.slack)
+        run = run_bundle(bundle)
+        verdict = inequality_report(run.bd, run.bc, run.fr, slack=args.slack)
         all_ok = all_ok and verdict.passed
         target = f"{bundle.target:.4f}" if bundle.target is not None else "-"
         print(
-            f"{bundle.name:<18} {bd.headline:>8.4f} {bc.headline:>9.4f}"
-            f" {fr.headline:>8.4f} {target:>8} {elapsed:>5.1f}s  {verdict.line()}"
+            f"{bundle.name:<18} {run.bd.headline:>8.4f} {run.bc.headline:>9.4f}"
+            f" {run.fr.headline:>8.4f} {target:>8} {run.elapsed:>5.1f}s  {verdict.line()}"
         )
     return 0 if all_ok else 3
 

@@ -5,12 +5,17 @@ Subcommands:
 * ``estimate <config.json>``: run the requested estimators on a gallery
   system; write a combined counts CSV, per-method estimate CSVs, and a
   plain-text report.  The config may be one object or an array of them.
-* ``gallery <name> [flags]``: same pipeline, configured from flags.
+* ``gallery <name> [flags]``: same pipeline, configured from flags.  Flags
+  pass through the same validation as a config file.
 * ``verify <config.json>``: run the consistency checks (subsample counts,
   orbit-metric comparison, factor counts, inverse transport) plus the
   three-estimator comparison; exit 3 if any verdict fails.
 * ``coding --alpha p/q --lmax L``: factor-count table for the coded
   interval exchange.
+
+``estimate``, ``gallery`` and ``verify`` all run the estimators through
+``gallery.run_bundle`` and render its record, so they report the same
+numbers for the same system and settings.
 
 Exit codes: 0 success, 1 bad configuration, 2 runtime or io failure,
 3 a verdict line reported a failure.  All outputs are deterministic for a
@@ -33,28 +38,17 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .coding import coded_entropy, symbol_frequency, word_complexity
-from .dynamics import bd_count_table, inverse_transport_check
+from .dynamics import inverse_transport_check
 from .errors import ConfigError, EntroError, MeshError
-from .estimators import (
-    EntropyEstimate,
-    compacta_estimate,
-    entropy_estimate,
-    inequality_report,
-    write_estimate_csv,
-)
-from .gallery import GalleryBundle, build_bundle
+from .estimators import EntropyEstimate, estimate_csv_text
+from .gallery import ALL_METHODS, GalleryBundle, build_bundle, run_bundle
 from .metric_core import (
     EXACT_CAP,
     CountTable,
-    cloud_diameter,
     dense_subsample,
     subsample_count_check,
 )
-from .orbit_space import (
-    friedland_count_table,
-    metric_comparison_check,
-    semiconj_check,
-)
+from .orbit_space import metric_comparison_check, semiconj_check
 
 _METHOD_ALIASES = {
     "bd": "bowen_dinaburg",
@@ -63,7 +57,6 @@ _METHOD_ALIASES = {
     "compacta": "compacta",
     "friedland": "friedland",
 }
-_ALL_METHODS = ("bowen_dinaburg", "compacta", "friedland")
 
 
 @dataclass
@@ -76,7 +69,7 @@ class RunConfig:
     n_max: int | None = None
     rho: float | None = None
     mode: str | None = None
-    methods: tuple[str, ...] = _ALL_METHODS
+    methods: tuple[str, ...] = ALL_METHODS
     allow_coarse_mesh: bool = False
     out_dir: str | None = None
     label: str | None = None
@@ -150,7 +143,7 @@ def _validate_eps(value: object, where: str = "") -> tuple[float, ...]:
 
 def _validate_methods(value: object, where: str = "") -> tuple[str, ...]:
     if value is None:
-        return _ALL_METHODS
+        return ALL_METHODS
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"config: {where}methods must be a non-empty list")
     out = []
@@ -187,21 +180,25 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _check_mesh(bundle: GalleryBundle, eps_list: tuple[float, ...], allow: bool) -> None:
-    if allow or bundle.mesh_exempt or not eps_list:
-        return
+def _checked_bundle(cfg: RunConfig) -> GalleryBundle:
+    """The configured bundle with the run's settings, after the mesh guard."""
+    bundle = build_bundle(cfg.system, **cfg.params).with_settings(
+        cfg.eps_list, cfg.n_max, cfg.rho
+    )
+    eps_list = bundle.eps_list
+    if cfg.allow_coarse_mesh or bundle.mesh_exempt or not eps_list:
+        return bundle
     limit = min(eps_list) / 4.0
     if bundle.cloud.mesh > limit + 1e-12:
         raise MeshError(
             f"mesh: cloud mesh {bundle.cloud.mesh:g} exceeds min(eps)/4 = {limit:g};"
             " set allow_coarse_mesh to run anyway"
         )
+    return bundle
 
 
 @dataclass
 class RunResult:
-    config: RunConfig
-    bundle: GalleryBundle
     report: str
     verdict_passed: bool | None
 
@@ -239,73 +236,46 @@ def _estimate_block(name: str, est: EntropyEstimate, extra: str = "") -> list[st
 
 
 def run_single(cfg: RunConfig) -> RunResult:
-    bundle = build_bundle(cfg.system, **cfg.params)
-    eps_list = cfg.eps_list if cfg.eps_list is not None else bundle.eps_list
-    n_max = cfg.n_max or bundle.n_max
-    rho = cfg.rho or bundle.rho
-    _check_mesh(bundle, eps_list, cfg.allow_coarse_mesh)
-
+    bundle = _checked_bundle(cfg)
     lines = [f"== {bundle.name} =="]
     lines.append(
         f"cloud: {bundle.cloud.size} points, mesh {bundle.cloud.mesh:g},"
         f" metric {bundle.metric.describe()}"
     )
-    tables: list[tuple[str, CountTable, EntropyEstimate | None]] = []
-    verdict_passed: bool | None = None
-
-    if not eps_list:
+    if not bundle.eps_list:
         lines.append("no scales requested; counts CSV is header-only")
-        bd_table = bd_count_table(
-            bundle.system, bundle.cloud, bundle.metric, (), n_max, mode=cfg.mode
-        )
-        tables.append((bundle.metric.describe(), bd_table, None))
         report = "\n".join(lines) + "\n"
-        _write_outputs(cfg, bundle, tables, report)
-        return RunResult(cfg, bundle, report, None)
+        _write_outputs(cfg, bundle, [], report)
+        return RunResult(report, None)
 
     lines.append(
-        "scales: " + " ".join(f"{e:g}" for e in eps_list) + f"   orders: 1..{n_max}"
+        "scales: " + " ".join(f"{e:g}" for e in bundle.eps_list)
+        + f"   orders: 1..{bundle.n_max}"
     )
-
-    bd_table = bd_count_table(
-        bundle.system, bundle.cloud, bundle.metric, eps_list, n_max, mode=cfg.mode
-    )
-    bd = entropy_estimate(bd_table)
-    tables.append((bundle.metric.describe(), bd_table, bd))
-    lines.extend(_estimate_block("bowen-dinaburg", bd))
-
-    bc = fr = None
-    if "compacta" in cfg.methods:
-        bc = compacta_estimate(
-            bundle.system, bundle.metric, bundle.family, eps_list, n_max, mode=cfg.mode
-        )
+    run = run_bundle(bundle, mode=cfg.mode, methods=cfg.methods)
+    tables = [(bundle.metric.describe(), run.bd_table, run.bd)]
+    lines.extend(_estimate_block("bowen-dinaburg", run.bd))
+    if run.bc is not None:
         lines.extend(
-            _estimate_block("compacta", bc, f"  ({len(bundle.family.members)} members)")
+            _estimate_block("compacta", run.bc, f"  ({len(bundle.family.members)} members)")
         )
-    if "friedland" in cfg.methods:
-        fr_table = friedland_count_table(
-            bundle.system, bundle.cloud, eps_list, n_max, rho=rho, mode=cfg.mode
-        )
-        fr = entropy_estimate(fr_table, method="friedland")
-        tables.append((f"dhat(rho={rho:g})", fr_table, fr))
-        lines.extend(_estimate_block("friedland", fr, f"  (rho={rho:g})"))
-
-    if bc is not None and fr is not None:
-        verdict = inequality_report(bd, bc, fr)
-        lines.append(verdict.line())
-        verdict_passed = verdict.passed
+    if run.fr is not None:
+        tables.append((f"dhat(rho={bundle.rho:g})", run.fr_table, run.fr))
+        lines.extend(_estimate_block("friedland", run.fr, f"  (rho={bundle.rho:g})"))
+    if run.verdict is not None:
+        lines.append(run.verdict.line())
     if bundle.target is not None:
         lines.append(f"target: {bundle.target:.6f} nats")
 
     report = "\n".join(lines) + "\n"
     _write_outputs(cfg, bundle, tables, report)
-    return RunResult(cfg, bundle, report, verdict_passed)
+    return RunResult(report, run.verdict.passed if run.verdict is not None else None)
 
 
 def _write_outputs(
     cfg: RunConfig,
     bundle: GalleryBundle,
-    tables: list[tuple[str, CountTable, EntropyEstimate | None]],
+    tables: list[tuple[str, CountTable, EntropyEstimate]],
     report: str,
 ) -> None:
     if cfg.out_dir is None:
@@ -314,15 +284,9 @@ def _write_outputs(
     prefix = cfg.label or bundle.name
     _atomic_write(out / f"{prefix}_counts.csv", _counts_csv_text(bundle, tables))
     _atomic_write(out / f"{prefix}_report.txt", report)
-    for metric_name, table, est in tables:
-        if est is None:
-            continue
+    for _, table, est in tables:
         kind = "friedland" if est.method == "friedland" else "bd"
-        target = out / f"{prefix}_{kind}_estimate.csv"
-        tmp = target.with_name(target.name + ".tmp")
-        target.parent.mkdir(parents=True, exist_ok=True)
-        write_estimate_csv(table, est, tmp)
-        os.replace(tmp, target)
+        _atomic_write(out / f"{prefix}_{kind}_estimate.csv", estimate_csv_text(table, est))
 
 
 def _run_batch(cfgs: list[RunConfig]) -> list[RunResult]:
@@ -356,29 +320,31 @@ def cmd_gallery(args: argparse.Namespace) -> int:
         params["variant"] = args.variant
     if args.mesh is not None:
         params["mesh"] = args.mesh
-    cfg = RunConfig(
-        system=args.name,
-        params=params,
-        eps_list=_validate_eps([float(t) for t in args.eps.split(",")]) if args.eps else None,
-        n_max=args.n_max,
-        rho=args.rho,
-        mode=args.mode,
-        methods=_validate_methods(args.methods.split(",")) if args.methods else _ALL_METHODS,
-        allow_coarse_mesh=args.allow_coarse_mesh,
-        out_dir=args.out_dir,
-        label=args.label,
-    )
-    result = run_single(cfg)
+    raw = {
+        "system": args.name,
+        "params": params,
+        "n_max": args.n_max,
+        "rho": args.rho,
+        "mode": args.mode,
+        "allow_coarse_mesh": args.allow_coarse_mesh,
+        "out_dir": args.out_dir,
+        "label": args.label,
+    }
+    if args.eps:
+        try:
+            raw["eps_list"] = [float(t) for t in args.eps.split(",")]
+        except ValueError:
+            raise ConfigError(f"config: --eps {args.eps!r} is not a list of numbers") from None
+    if args.methods:
+        raw["methods"] = args.methods.split(",")
+    result = run_single(RunConfig.from_dict(raw))
     print(result.report.rstrip("\n"))
     return 3 if result.verdict_passed is False else 0
 
 
 def _verify_bundle(cfg: RunConfig, pairs: int, seed: int) -> tuple[str, bool]:
-    bundle = build_bundle(cfg.system, **cfg.params)
-    eps_list = cfg.eps_list if cfg.eps_list is not None else bundle.eps_list
-    n_max = cfg.n_max or bundle.n_max
-    rho = cfg.rho or bundle.rho
-    _check_mesh(bundle, eps_list, cfg.allow_coarse_mesh)
+    bundle = _checked_bundle(cfg)
+    eps_list, n_max, rho = bundle.eps_list, bundle.n_max, bundle.rho
     if not eps_list:
         raise ConfigError("config: eps_list must be non-empty for verify")
     mid_eps = eps_list[len(eps_list) // 2]
@@ -436,24 +402,13 @@ def _verify_bundle(cfg: RunConfig, pairs: int, seed: int) -> tuple[str, bool]:
         lines.append("inverse-transport: skipped (system not invertible)")
 
     # the three estimators against each other
-    bd_table = bd_count_table(
-        bundle.system, bundle.cloud, bundle.metric, eps_list, n_max, mode=cfg.mode
-    )
-    bd = entropy_estimate(bd_table)
-    bc = compacta_estimate(
-        bundle.system, bundle.metric, bundle.family, eps_list, n_max, mode=cfg.mode
-    )
-    fr_table = friedland_count_table(
-        bundle.system, bundle.cloud, eps_list, n_max, rho=rho, mode=cfg.mode
-    )
-    fr = entropy_estimate(fr_table, method="friedland")
-    verdict = inequality_report(bd, bc, fr)
-    flags.append(verdict.passed)
+    run = run_bundle(bundle, mode=cfg.mode)
+    flags.append(run.verdict.passed)
     lines.append(
-        f"estimates: bd={bd.headline:.4f} compacta={bc.headline:.4f}"
-        f" friedland={fr.headline:.4f} (nats)"
+        f"estimates: bd={run.bd.headline:.4f} compacta={run.bc.headline:.4f}"
+        f" friedland={run.fr.headline:.4f} (nats)"
     )
-    lines.append(verdict.line())
+    lines.append(run.verdict.line())
     return "\n".join(lines) + "\n", all(flags)
 
 

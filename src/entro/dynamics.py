@@ -12,7 +12,7 @@ running-max distance matrix per n, shared by all epsilon values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,8 +26,8 @@ from .metric_core import (
     PointCloud,
     SeparationResult,
     counts_from_matrix,
-    distance_matrix,
     farthest_point_order,
+    orbit_metric_matrices,
     pairwise_dist,
 )
 
@@ -55,7 +55,6 @@ class DynSystem:
     step_batch: Callable[[np.ndarray], np.ndarray] | None = None
     domain_batch: Callable[[np.ndarray], np.ndarray] | None = None
     inverse_batch: Callable[[np.ndarray], np.ndarray] | None = None
-    singular_hints: tuple[str, ...] = ()
 
     @property
     def invertible(self) -> bool:
@@ -148,6 +147,7 @@ def bd_dist(system: DynSystem, spec: MetricSpec, x, y, n: int) -> float:
 
 
 def _auto_mode(cloud_size: int, mode: str | None) -> str:
+    """The counting mode: as given, else exact within ``EXACT_CAP`` and greedy above."""
     if mode is None:
         return "exact" if cloud_size <= EXACT_CAP else "greedy"
     return mode
@@ -179,14 +179,7 @@ def bd_count_table(
     notes = (f"truncated({table.depth})",) if truncated else ()
 
     counts: dict[tuple[float, int], tuple[SeparationResult, SeparationResult]] = {}
-    dmat = np.zeros((cloud.size, cloud.size))
-    seed = np.zeros(cloud.size)
-    for k in range(table.depth):
-        sl = table.orbits[:, k, :]
-        np.maximum(dmat, distance_matrix(sl, sl, spec), out=dmat)
-        centroid = sl.mean(axis=0)
-        np.maximum(seed, distance_matrix(sl, centroid[None, :], spec)[:, 0], out=seed)
-        n = k + 1
+    for n, dmat, seed in orbit_metric_matrices(table.orbits, spec):
         order = None
         if use_mode == "greedy":
             order = farthest_point_order(dmat, seed)
@@ -239,13 +232,8 @@ def inverse_transport_check(
         raise ConfigError(f"config: system {system.name!r} has no inverse")
     use_mode = _auto_mode(cloud.size, mode)
     table = build_orbit_table(system, cloud, n)
-    dmat = np.zeros((cloud.size, cloud.size))
-    seed = np.zeros(cloud.size)
-    for k in range(n):
-        sl = table.orbits[:, k, :]
-        np.maximum(dmat, distance_matrix(sl, sl, spec), out=dmat)
-        centroid = sl.mean(axis=0)
-        np.maximum(seed, distance_matrix(sl, centroid[None, :], spec)[:, 0], out=seed)
+    for _, dmat, seed in orbit_metric_matrices(table.orbits, spec):
+        pass
     order = farthest_point_order(dmat, seed) if use_mode == "greedy" else None
     sep, _ = counts_from_matrix(dmat, eps, use_mode, order=order)
     witness = np.array(sep.witness, dtype=np.intp)
@@ -259,10 +247,8 @@ def inverse_transport_check(
         cur = system._inverse_many(cur)
         back[:, k, :] = cur
 
-    bmat = np.zeros((len(witness), len(witness)))
-    for k in range(n):
-        sl = back[:, k, :]
-        np.maximum(bmat, distance_matrix(sl, sl, spec), out=bmat)
+    for _, bmat, _ in orbit_metric_matrices(back, spec):
+        pass
     iu = np.triu_indices(len(witness), k=1)
     min_sep = float(bmat[iu].min()) if len(iu[0]) else float("inf")
     return TransportVerdict(

@@ -10,8 +10,9 @@ agrees with the next coarser one.  All rates are in nats.
 from __future__ import annotations
 
 import csv
+import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -30,6 +31,7 @@ __all__ = [
     "compacta_estimate",
     "InequalityVerdict",
     "inequality_report",
+    "estimate_csv_text",
     "write_estimate_csv",
 ]
 
@@ -269,14 +271,24 @@ def inequality_report(bd, bc, fr, slack: float = 0.15) -> InequalityVerdict:
     )
 
 
-def write_estimate_csv(table: CountTable, estimate: EntropyEstimate, path: str) -> None:
-    """Counts with the per-epsilon fitted rate attached to each row."""
+def estimate_csv_text(table: CountTable, estimate: EntropyEstimate) -> str:
+    """Counts with the per-epsilon fitted rate attached to each row.
+
+    Rows end in CRLF, the ``csv.writer`` default.
+    """
     rate_by_eps = {p.epsilon: p.rate for p in estimate.per_eps}
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["epsilon", "n", "sep", "span", "rate"])
+    for r in table.rows:
+        writer.writerow(
+            [repr(r.epsilon), r.n, r.sep_count, r.span_count,
+             repr(rate_by_eps.get(r.epsilon, float("nan")))]
+        )
+    return buf.getvalue()
+
+
+def write_estimate_csv(table: CountTable, estimate: EntropyEstimate, path: str) -> None:
+    """Write ``estimate_csv_text`` to ``path``."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epsilon", "n", "sep", "span", "rate"])
-        for r in table.rows:
-            writer.writerow(
-                [repr(r.epsilon), r.n, r.sep_count, r.span_count,
-                 repr(rate_by_eps.get(r.epsilon, float("nan")))]
-            )
+        fh.write(estimate_csv_text(table, estimate))

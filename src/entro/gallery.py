@@ -16,19 +16,31 @@ samples, and the entropy value the construction is known to realize:
   is a property of the metric, not the abstract map.
 * ``doubling``: angle doubling on the unit circle, the compact baseline.
 * ``interval-homeo``: the crumple base map alone on (0, 1]; entropy zero.
+
+``run_bundle`` runs the three estimators on a bundle and returns one record
+that every front end reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import DynSystem
+from .dynamics import DynSystem, bd_count_table
 from .errors import ConfigError, MeshError, UndefinedPointError
-from .estimators import CompactFamily
-from .metric_core import MetricSpec, PointCloud
+from .estimators import (
+    CompactFamily,
+    EntropyEstimate,
+    InequalityVerdict,
+    compacta_estimate,
+    entropy_estimate,
+    inequality_report,
+)
+from .metric_core import CountTable, MetricSpec, PointCloud
+from .orbit_space import friedland_count_table
 
 __all__ = [
     "GalleryBundle",
@@ -50,6 +62,9 @@ __all__ = [
     "build_interval_homeo",
     "build_bundle",
     "default_suite",
+    "ALL_METHODS",
+    "BundleRun",
+    "run_bundle",
 ]
 
 
@@ -68,6 +83,20 @@ class GalleryBundle:
     rho: float = 2.0
     mesh_exempt: bool = False
     notes: tuple[str, ...] = ()
+
+    def with_settings(
+        self,
+        eps_list: tuple[float, ...] | None = None,
+        n_max: int | None = None,
+        rho: float | None = None,
+    ) -> "GalleryBundle":
+        """This bundle with the scales, orders and rho given; None keeps its own."""
+        return replace(
+            self,
+            eps_list=self.eps_list if eps_list is None else tuple(eps_list),
+            n_max=self.n_max if n_max is None else n_max,
+            rho=self.rho if rho is None else rho,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +203,6 @@ def crumple_system(N: int, direction: str = "forward") -> DynSystem:
         step=step,
         domain=domain,
         inverse=inverse,
-        singular_hints=("base point 0 is the accumulation end of the laps",),
     )
 
 
@@ -373,7 +401,6 @@ def build_escape(
         step=step,
         domain=domain,
         inverse=inverse,
-        singular_hints=("index 0 has no predecessor", "materialized window ends"),
     )
     idx = np.arange(concat_len)
     pts = np.column_stack([1.0 / (1.0 + idx), heights[:concat_len]])
@@ -530,7 +557,6 @@ def build_annulus(
             domain=domain,
             step_batch=step_batch,
             domain_batch=domain_batch,
-            singular_hints=("origin and rim are completion points, not samples",),
         )
         cloud = PointCloud(pts, mesh, f"annulus-{variant}|polar")
         radii = (0.5, 0.6, 0.7)
@@ -594,7 +620,6 @@ def build_annulus(
         dim=3,
         step=sphere_step,
         domain=sphere_domain,
-        singular_hints=("poles absorb every orbit",),
     )
     cloud = PointCloud(pts, mesh, "annulus-sphere|latlong")
     lat = np.arccos(np.clip(pts[:, 2], -1, 1))
@@ -753,3 +778,60 @@ def default_suite() -> tuple[GalleryBundle, ...]:
         build_escape(3),
         build_interval_homeo(),
     )
+
+
+# ---------------------------------------------------------------------------
+# the three-estimator pipeline
+
+ALL_METHODS = ("bowen_dinaburg", "compacta", "friedland")
+
+
+@dataclass(frozen=True)
+class BundleRun:
+    """The three estimates on one bundle and the verdict across them.
+
+    ``bundle`` carries the scales, orders and rho the run used.  An estimate
+    that was not asked for is None, and so is its table; ``verdict`` is None
+    unless all three ran.  ``elapsed`` is the wall time of the run in seconds.
+    """
+
+    bundle: GalleryBundle
+    bd_table: CountTable | None
+    bd: EntropyEstimate | None
+    bc: EntropyEstimate | None
+    fr_table: CountTable | None
+    fr: EntropyEstimate | None
+    verdict: InequalityVerdict | None
+    elapsed: float
+
+
+def run_bundle(
+    bundle: GalleryBundle,
+    eps_list: tuple[float, ...] | None = None,
+    n_max: int | None = None,
+    rho: float | None = None,
+    mode: str | None = None,
+    methods: tuple[str, ...] = ALL_METHODS,
+) -> BundleRun:
+    """Direct counts, compact exhaustion and the lifted shift, in that order.
+
+    Scales, orders and rho left as None come from the bundle; ``methods``
+    names the estimators to run (see ``ALL_METHODS``).  The verdict uses the
+    default slack of ``inequality_report``.
+    """
+    start = time.perf_counter()
+    b = bundle.with_settings(eps_list, n_max, rho)
+    bd_table = bd = bc = fr_table = fr = verdict = None
+    if "bowen_dinaburg" in methods:
+        bd_table = bd_count_table(b.system, b.cloud, b.metric, b.eps_list, b.n_max, mode=mode)
+        bd = entropy_estimate(bd_table)
+    if "compacta" in methods:
+        bc = compacta_estimate(b.system, b.metric, b.family, b.eps_list, b.n_max, mode=mode)
+    if "friedland" in methods:
+        fr_table = friedland_count_table(
+            b.system, b.cloud, b.eps_list, b.n_max, rho=b.rho, mode=mode
+        )
+        fr = entropy_estimate(fr_table, method="friedland")
+    if bd is not None and bc is not None and fr is not None:
+        verdict = inequality_report(bd, bc, fr)
+    return BundleRun(b, bd_table, bd, bc, fr_table, fr, verdict, time.perf_counter() - start)

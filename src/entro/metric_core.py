@@ -17,10 +17,9 @@ is capped at ``EXACT_CAP`` points.  Separation uses the closed condition
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -48,14 +47,10 @@ __all__ = [
     "min_spanning",
     "counts_from_matrix",
     "farthest_point_order",
+    "orbit_metric_matrices",
     "dense_subsample",
     "SubsampleCountReport",
     "subsample_count_check",
-    "save_cloud_csv",
-    "load_cloud_csv",
-    "save_count_table_csv",
-    "load_count_table_csv",
-    "validate_count_table",
 ]
 
 EXACT_CAP = 24
@@ -438,12 +433,31 @@ def counts_from_matrix(
     )
 
 
+def orbit_metric_matrices(orbits: np.ndarray, spec: MetricSpec):
+    """Order-n orbit-metric matrices for n = 1 .. depth, built in one buffer.
+
+    ``orbits[i, k]`` is the k-th iterate of point i.  After each iterate this
+    yields ``(n, dmat, seed)``: ``dmat`` is the max over k < n of the base
+    distance matrices of slice k, and ``seed`` the running max of each
+    orbit's distance to the slice centroids (the farthest-point start).  Both
+    arrays are updated in place on the next step, so one N x N matrix is
+    held whatever the depth; copy them to keep an order.
+    """
+    size = orbits.shape[0]
+    dmat = np.zeros((size, size))
+    seed = np.zeros(size)
+    for k in range(orbits.shape[1]):
+        sl = orbits[:, k, :]
+        np.maximum(dmat, distance_matrix(sl, sl, spec), out=dmat)
+        centroid = sl.mean(axis=0)
+        np.maximum(seed, distance_matrix(sl, centroid[None, :], spec)[:, 0], out=seed)
+        yield k + 1, dmat, seed
+
+
 def _cloud_matrix_and_order(
     cloud: PointCloud, spec: MetricSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    dmat = distance_matrix(cloud.points, cloud.points, spec)
-    centroid = cloud.points.mean(axis=0)
-    seed = distance_matrix(cloud.points, centroid[None, :], spec)[:, 0]
+    _, dmat, seed = next(orbit_metric_matrices(cloud.points[:, None, :], spec))
     return dmat, farthest_point_order(dmat, seed)
 
 
@@ -515,39 +529,8 @@ class CountTable:
         return sorted(rows)
 
 
-def validate_count_table(table: CountTable) -> list[str]:
-    """Invariant violations, empty when clean.
-
-    Monotonicity in eps/n and the half-scale sandwich are theorems for exact
-    counts; greedy counts are only required to keep ``span <= sep`` per row.
-    """
-    bad: list[str] = []
-    for r in table.rows:
-        if r.sep_count < 1 or r.span_count < 1:
-            bad.append(f"counts below 1 at (eps={r.epsilon}, n={r.n})")
-        if r.span_count > r.sep_count:
-            bad.append(f"span > sep at (eps={r.epsilon}, n={r.n})")
-    exact = [r for r in table.rows if r.mode == "exact"]
-    by_key = {(r.epsilon, r.n): r for r in exact}
-    for r in exact:
-        twin = by_key.get((r.epsilon / 2, r.n))
-        if twin is not None and r.sep_count > twin.span_count:
-            bad.append(f"sandwich fails at (eps={r.epsilon}, n={r.n})")
-        for q in exact:
-            if q.n == r.n and q.epsilon < r.epsilon and q.sep_count < r.sep_count:
-                bad.append(
-                    f"sep not nonincreasing in eps at n={r.n}: "
-                    f"{r.epsilon}->{q.epsilon}"
-                )
-            if q.epsilon == r.epsilon and q.n > r.n and q.sep_count < r.sep_count:
-                bad.append(
-                    f"sep not nondecreasing in n at eps={r.epsilon}: {r.n}->{q.n}"
-                )
-    return bad
-
-
 # ---------------------------------------------------------------------------
-# subsampling and serialization
+# subsampling
 
 
 def dense_subsample(cloud: PointCloud, keep_fraction: float, seed: int) -> PointCloud:
@@ -630,58 +613,3 @@ def subsample_count_check(
         span_parent=span_parent,
         span_sub=span_sub,
     )
-
-
-def save_cloud_csv(cloud: PointCloud, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(cloud.dim)])
-        for row in cloud.points:
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def load_cloud_csv(path: str, mesh: float, label: str = "") -> PointCloud:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not all(h.startswith("x") for h in header):
-            raise ConfigError(f"config: {path} lacks an x0..x(d-1) header row")
-        pts = [[float(v) for v in row] for row in reader if row]
-    return PointCloud(np.asarray(pts, dtype=float), mesh, label)
-
-
-def save_count_table_csv(table: CountTable, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# cloud_size={table.cloud_size}\n")
-        fh.write(f"# truncated_at={table.truncated_at}\n")
-        for note in table.notes:
-            fh.write(f"# note={note}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["epsilon", "n", "sep", "span", "mode"])
-        for r in table.rows:
-            writer.writerow([repr(r.epsilon), r.n, r.sep_count, r.span_count, r.mode])
-
-
-def load_count_table_csv(path: str) -> CountTable:
-    cloud_size = 0
-    truncated_at: int | None = None
-    notes: list[str] = []
-    rows: list[CountRow] = []
-    with open(path, newline="") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("# cloud_size="):
-                cloud_size = int(line.split("=", 1)[1])
-            elif line.startswith("# truncated_at="):
-                val = line.split("=", 1)[1]
-                truncated_at = None if val == "None" else int(val)
-            elif line.startswith("# note="):
-                notes.append(line.split("=", 1)[1])
-            elif line.startswith("epsilon,"):
-                continue
-            elif line:
-                eps_s, n_s, sep_s, span_s, mode = line.split(",")
-                rows.append(
-                    CountRow(float(eps_s), int(n_s), int(sep_s), int(span_s), mode)
-                )
-    return CountTable(tuple(rows), cloud_size, truncated_at, tuple(notes))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .dynamics import DynSystem, build_orbit_table
+from .dynamics import DynSystem, _auto_mode, build_orbit_table
 from .errors import ConfigError, NotSemiconjugateError, ShapeError, TooLargeError
 from .estimators import EntropyEstimate, ExtrapolationRule, entropy_estimate
 from .metric_core import (
@@ -28,8 +28,8 @@ from .metric_core import (
     PointCloud,
     cloud_diameter,
     counts_from_matrix,
-    distance_matrix,
     farthest_point_order,
+    orbit_metric_matrices,
 )
 
 __all__ = [
@@ -211,7 +211,7 @@ def friedland_count_table(
     depth = m + n_max - 1
     table = build_orbit_table(system, cloud, depth)
     orbits = table.orbits
-    use_mode = mode or ("exact" if cloud.size <= EXACT_CAP else "greedy")
+    use_mode = _auto_mode(cloud.size, mode)
 
     def slice_dm(k: int) -> np.ndarray:
         pts = orbits[:, k, :]
@@ -329,6 +329,8 @@ def metric_comparison_check(
         raise ConfigError("config: eps must be > 0")
     if rho <= 1:
         raise ConfigError("config: rho must be > 1")
+    if sample_pairs < 1:
+        raise ConfigError("config: sample_pairs must be >= 1")
     diam = cloud_diameter(cloud)
     n_tail = choose_truncation(rho, max(diam, 1e-12), tail_tol=eps)
     m = max(choose_truncation(rho, max(diam, 1e-12)), n_tail + 1)
@@ -403,10 +405,8 @@ def _exact_bd_matrix(
     system: DynSystem, cloud: PointCloud, spec: MetricSpec, n: int
 ) -> np.ndarray:
     table = build_orbit_table(system, cloud, n)
-    dmat = np.zeros((cloud.size, cloud.size))
-    for k in range(n):
-        sl = table.orbits[:, k, :]
-        np.maximum(dmat, distance_matrix(sl, sl, spec), out=dmat)
+    for _, dmat, _ in orbit_metric_matrices(table.orbits, spec):
+        pass
     return dmat
 
 

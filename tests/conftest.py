@@ -5,19 +5,11 @@ between the acceptance criteria that consume them.
 """
 
 import math
-import time
 
 import numpy as np
 import pytest
 
-from entro import (
-    bd_count_table,
-    compacta_estimate,
-    entropy_estimate,
-    friedland_estimate,
-    inequality_report,
-)
-from entro.gallery import default_suite
+from entro.gallery import default_suite, run_bundle
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -35,39 +27,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(line)
 
 
-class SuiteResult:
-    def __init__(self, bundle, bd, bc, fr, elapsed):
-        self.bundle = bundle
-        self.bd = bd
-        self.bc = bc
-        self.fr = fr
-        self.elapsed = elapsed
-        self.verdict = inequality_report(bd, bc, fr)
-
-
 @pytest.fixture(scope="session")
 def suite_results():
     """Three-estimator results for every gallery bundle, computed once."""
-    out = {}
-    for bundle in default_suite():
-        start = time.monotonic()
-        table = bd_count_table(
-            bundle.system,
-            bundle.cloud,
-            bundle.metric,
-            eps_list=list(bundle.eps_list),
-            n_max=bundle.n_max,
-        )
-        bd = entropy_estimate(table)
-        bc = compacta_estimate(
-            bundle.system, bundle.metric, bundle.family, list(bundle.eps_list), bundle.n_max
-        )
-        fr = friedland_estimate(
-            bundle.system, bundle.cloud, list(bundle.eps_list), bundle.n_max, rho=bundle.rho
-        )
-        elapsed = time.monotonic() - start
-        out[bundle.name] = SuiteResult(bundle, bd, bc, fr, elapsed)
-    return out
+    return {b.name: run_bundle(b) for b in default_suite()}
 
 
 @pytest.fixture()

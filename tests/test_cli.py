@@ -128,6 +128,18 @@ class TestGalleryCommand:
         capsys.readouterr()
         assert rc == 0
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--n-max", "0"], ["--rho", "0"], ["--rho", "1"], ["--eps", "0.8,x"]],
+    )
+    def test_bad_flags_exit_1(self, flags, capsys):
+        argv = ["gallery", "doubling", "--grid", "256", "--eps", "0.8,0.4,0.2"]
+        rc = main(argv + ["--methods", "bd"] + flags)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: config:")
+        assert captured.out == ""
+
     def test_methods_must_include_the_baseline(self, capsys):
         rc = main(
             ["gallery", "doubling", "--grid", "256", "--methods", "compacta"]
@@ -237,6 +249,24 @@ class TestVerifyCommand:
         assert rc == 0
         assert "inverse-transport" in out
         assert "skipped" not in out
+
+    def test_headlines_match_the_gallery_command(self, tmp_path, capsys):
+        cfg = {"system": "doubling", "params": {"grid": 256}, "eps_list": [0.8, 0.4, 0.2]}
+        assert main(["verify", write_config(tmp_path, cfg), "--pairs", "50"]) == 0
+        verify_out = capsys.readouterr().out
+        assert main(["gallery", "doubling", "--grid", "256", "--eps", "0.8,0.4,0.2"]) == 0
+        gallery_out = capsys.readouterr().out
+        headlines = {
+            line.split()[0]: float(line.split()[1])
+            for line in gallery_out.splitlines()
+            if line.split()[:1] in (["bowen-dinaburg"], ["compacta"], ["friedland"])
+        }
+        want = (
+            f"estimates: bd={headlines['bowen-dinaburg']:.4f}"
+            f" compacta={headlines['compacta']:.4f}"
+            f" friedland={headlines['friedland']:.4f} (nats)"
+        )
+        assert want in verify_out.splitlines()
 
     def test_empty_eps_rejected(self, tmp_path, capsys):
         cfg = dict(FAST_DOUBLING, eps_list=[])

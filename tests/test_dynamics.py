@@ -17,6 +17,7 @@ from entro import (
     iterate_orbit,
 )
 from entro.gallery import build_doubling, crumple_system, interval_step
+from entro.metric_core import orbit_metric_matrices
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +90,17 @@ class TestBdDist:
             oy = iterate_orbit(doubling.system, y, n)
             want = max(np.linalg.norm(a - b) for a, b in zip(ox, oy))
             assert math.isclose(bd_dist(doubling.system, spec, x, y, n), want)
+
+    def test_orbit_metric_matrices_match_on_sampled_pairs(self, doubling, rng):
+        spec = MetricSpec.euclidean()
+        cloud = doubling.cloud
+        table = build_orbit_table(doubling.system, cloud, 6)
+        ii = rng.integers(0, cloud.size, size=40)
+        jj = rng.integers(0, cloud.size, size=40)
+        for n, dmat, _ in orbit_metric_matrices(table.orbits, spec):
+            for i, j in zip(ii, jj):
+                want = bd_dist(doubling.system, spec, cloud.points[i], cloud.points[j], n)
+                assert math.isclose(dmat[i, j], want, rel_tol=1e-12, abs_tol=1e-12)
 
     def test_n1_is_base_distance(self, doubling):
         spec = MetricSpec.euclidean()

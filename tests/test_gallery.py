@@ -29,6 +29,7 @@ from entro.gallery import (
     lap_endpoint,
     lap_image,
     lap_start_index,
+    run_bundle,
     word_concatenation,
 )
 
@@ -465,3 +466,19 @@ class TestRegistry:
             )
             assert bundle.n_max >= 6
             assert bundle.rho > 1.0
+
+
+class TestRunBundle:
+    def test_methods_pick_the_estimators(self, monkeypatch):
+        def no_lift(*args, **kwargs):
+            raise AssertionError("lifted table built for a direct-only run")
+
+        monkeypatch.setattr("entro.gallery.friedland_count_table", no_lift)
+        run = run_bundle(
+            build_doubling(grid=256), eps_list=(0.8, 0.4, 0.2), n_max=6,
+            methods=("bowen_dinaburg",),
+        )
+        assert run.bd is not None and run.bd_table is not None
+        assert run.bc is None and run.fr is None and run.fr_table is None
+        assert run.verdict is None
+        assert run.bundle.eps_list == (0.8, 0.4, 0.2) and run.bundle.n_max == 6

@@ -245,6 +245,8 @@ class TestMetricComparison:
             metric_comparison_check(doubling.system, doubling.cloud, eps=0.0)
         with pytest.raises(ConfigError):
             metric_comparison_check(doubling.system, doubling.cloud, rho=1.0)
+        with pytest.raises(ConfigError):
+            metric_comparison_check(doubling.system, doubling.cloud, sample_pairs=-3)
 
 
 class TestSemiconjCheck:
