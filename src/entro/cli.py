@@ -104,9 +104,9 @@ class RunConfig:
             raise ConfigError(f"config: {where}n_max must be a positive integer")
         rho = raw.get("rho")
         if rho is not None:
+            if not isinstance(rho, (int, float)) or isinstance(rho, bool) or not rho > 1.0:
+                raise ConfigError(f"config: {where}rho must be a number > 1")
             rho = float(rho)
-            if not rho > 1.0:
-                raise ConfigError(f"config: {where}rho must be > 1")
         mode = raw.get("mode")
         if mode not in (None, "greedy", "exact"):
             raise ConfigError(f"config: {where}mode must be greedy or exact")
@@ -114,6 +114,9 @@ class RunConfig:
         params = raw.get("params") or {}
         if not isinstance(params, dict):
             raise ConfigError(f"config: {where}params must be an object")
+        allow_coarse_mesh = raw.get("allow_coarse_mesh", False)
+        if not isinstance(allow_coarse_mesh, bool):
+            raise ConfigError(f"config: {where}allow_coarse_mesh must be true or false")
         return cls(
             system=raw["system"],
             params=params,
@@ -122,7 +125,7 @@ class RunConfig:
             rho=rho,
             mode=mode,
             methods=methods,
-            allow_coarse_mesh=bool(raw.get("allow_coarse_mesh", False)),
+            allow_coarse_mesh=allow_coarse_mesh,
             out_dir=raw.get("out_dir"),
             label=raw.get("label"),
         )

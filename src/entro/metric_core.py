@@ -8,8 +8,10 @@ Three metric families cover everything the estimators need:
 * ``sequence_rho`` -- geometrically weighted sum over blocks, the metric of a
   truncated orbit sequence with weight rho^(-i) on block i.
 
-Counts come in two modes.  Greedy mode scans the cloud in farthest-point
-order and is valid at any size; exact mode runs branch-and-bound searches
+Counts come in two modes.  Greedy mode thresholds the distance matrix once
+per scale into eps-neighbour lists, then scans the cloud in farthest-point
+order (separation) and runs a lazy greedy set cover (spanning) over those
+lists; it is valid at any size.  Exact mode runs branch-and-bound searches
 (maximum independent set for separation, minimum set cover for spanning) and
 is capped at ``EXACT_CAP`` points.  Separation uses the closed condition
 ``d >= eps``; spanning uses the strict ``d < eps``.
@@ -252,36 +254,46 @@ def farthest_point_order(dmat: np.ndarray, seed_dists: np.ndarray) -> np.ndarray
     return order
 
 
-def _greedy_separated(dmat: np.ndarray, order: np.ndarray, eps: float) -> list[int]:
-    blocked = np.zeros(dmat.shape[0], dtype=bool)
+def _eps_neighbours(dmat: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise lists of the entries ``dmat < eps``: row i is ``cols[ptr[i]:ptr[i+1]]``."""
+    n = dmat.shape[0]
+    cols = np.flatnonzero(dmat < eps)
+    ptr = np.searchsorted(cols, np.arange(0, n * n + 1, n))
+    cols %= n
+    return ptr, cols
+
+
+def _greedy_separated(ptr: np.ndarray, cols: np.ndarray, order: np.ndarray) -> list[int]:
+    blocked = np.zeros(len(ptr) - 1, dtype=bool)
     chosen: list[int] = []
-    for i in order:
+    for i in order.tolist():
         if not blocked[i]:
-            chosen.append(int(i))
-            blocked |= dmat[i] < eps
+            chosen.append(i)
+            blocked[cols[ptr[i]:ptr[i + 1]]] = True
     return chosen
 
 
-def _greedy_cover(dmat: np.ndarray, eps: float) -> list[int]:
+def _greedy_cover(ptr: np.ndarray, cols: np.ndarray) -> list[int]:
     """Lazy-evaluation greedy set cover over eps-balls centered at cloud points."""
-    n = dmat.shape[0]
+    n = len(ptr) - 1
     uncovered = np.ones(n, dtype=bool)
-    counts = (dmat < eps).sum(axis=1)
-    heap = [(-int(c), i) for i, c in enumerate(counts)]
+    heap = [(-c, i) for i, c in enumerate(np.diff(ptr).tolist())]
     heapq.heapify(heap)
+    bounds = ptr.tolist()
     chosen: list[int] = []
     remaining = n
     while remaining > 0:
         negc, i = heapq.heappop(heap)
-        ball = dmat[i] < eps
-        now = int(np.count_nonzero(uncovered & ball))
+        ball = cols[bounds[i]:bounds[i + 1]]
+        fresh = ball[uncovered[ball]]
+        now = len(fresh)
         if now == 0:
             continue
         if now < -negc:
             heapq.heappush(heap, (-now, i))
             continue
         chosen.append(i)
-        uncovered &= ~ball
+        uncovered[fresh] = False
         remaining -= now
     return chosen
 
@@ -351,7 +363,7 @@ def _exact_min_spanning(dmat: np.ndarray, eps: float) -> list[int]:
         cover.append(m)
     full = (1 << n) - 1
 
-    best: list[int] = _greedy_cover(dmat, eps)
+    best: list[int] = _greedy_cover(*_eps_neighbours(dmat, eps))
     best_size = len(best)
 
     def search(uncov: int, chosen: list[int]) -> None:
@@ -412,9 +424,11 @@ def counts_from_matrix(
 ) -> tuple[SeparationResult, SeparationResult]:
     """Separated and spanning counts from a precomputed distance matrix.
 
-    Greedy spanning returns the smaller of the lazy set-cover witness and the
-    maximal separated witness (which always spans), so ``span <= sep`` holds
-    row by row in greedy mode as well as exact.
+    Greedy mode builds the eps-neighbour lists of ``dmat < eps`` once and
+    runs both scans over them.  Greedy spanning returns the smaller of the
+    lazy set-cover witness and the maximal separated witness (which always
+    spans), so ``span <= sep`` holds row by row in greedy mode as well as
+    exact.
     """
     _check_eps_mode(eps, mode)
     if mode == "exact":
@@ -423,8 +437,9 @@ def counts_from_matrix(
     else:
         if order is None:
             order = farthest_point_order(dmat, dmat.mean(axis=1))
-        sep = _greedy_separated(dmat, order, eps)
-        span = _greedy_cover(dmat, eps)
+        ptr, cols = _eps_neighbours(dmat, eps)
+        sep = _greedy_separated(ptr, cols, order)
+        span = _greedy_cover(ptr, cols)
         if len(span) > len(sep):
             span = sep
     return (
@@ -474,7 +489,7 @@ def max_separated(
     if mode == "exact":
         chosen = _exact_max_separated(dmat, eps)
     else:
-        chosen = _greedy_separated(dmat, order, eps)
+        chosen = _greedy_separated(*_eps_neighbours(dmat, eps), order)
     return SeparationResult(len(chosen), tuple(chosen), mode)
 
 

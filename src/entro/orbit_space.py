@@ -191,7 +191,9 @@ def friedland_count_table(
     sums S_i = sum_{j<M} rho^(-j) d(x_{i+j}, y_{i+j}).  Rather than hold M
     distance matrices, S advances by the identity
     S_{i+1} = rho * (S_i - D_i) + rho^(1-M) * D_{i+M}, with each per-iterate
-    matrix D_k recomputed on demand.  Base metric is euclidean.
+    matrix D_k recomputed on demand and S updated in place, so the table
+    holds two N x N matrices (S and its running max) plus one slice matrix.
+    Base metric is euclidean.
     """
     if n_max < 1:
         raise ConfigError("config: n_max must be >= 1")
@@ -244,7 +246,12 @@ def friedland_count_table(
         for eps in eps_list:
             counts[(eps, n)] = counts_from_matrix(run_mat, eps, use_mode, order=order)
         if n < n_max:
-            s_mat = rho * (s_mat - slice_dm(i)) + tail_w * slice_dm(i + m)
+            s_mat -= slice_dm(i)
+            s_mat *= rho
+            d_next = slice_dm(i + m)
+            d_next *= tail_w
+            s_mat += d_next
+            del d_next
             np.maximum(s_mat, 0.0, out=s_mat)
             s_seed = rho * (s_seed - slice_seed(i)) + tail_w * slice_seed(i + m)
             np.maximum(s_seed, 0.0, out=s_seed)

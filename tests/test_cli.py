@@ -2,8 +2,10 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -217,6 +219,16 @@ class TestEstimateCommand:
         assert rc == 1
         assert "unknown keys" in err
 
+    @pytest.mark.parametrize(
+        "extra", [{"rho": "abc"}, {"rho": True}, {"allow_coarse_mesh": "false"}]
+    )
+    def test_bad_config_values_exit_1(self, extra, tmp_path, capsys):
+        rc = main(["estimate", write_config(tmp_path, dict(FAST_DOUBLING, **extra))])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: config:")
+        assert captured.out == ""
+
     def test_unwritable_out_dir_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
@@ -312,6 +324,8 @@ class TestCodingCommand:
 
 class TestEntryPoint:
     def test_module_is_runnable(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [
                 sys.executable, "-m", "entro.cli",
@@ -320,6 +334,7 @@ class TestEntryPoint:
             capture_output=True,
             text=True,
             timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "bowen-dinaburg" in proc.stdout

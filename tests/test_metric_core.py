@@ -4,6 +4,7 @@ The oracles enumerate subsets directly, so they are independent of the
 branch-and-bound and greedy code paths they certify.
 """
 
+import heapq
 import math
 from itertools import combinations
 
@@ -27,6 +28,7 @@ from entro import (
     pairwise_dist,
     subsample_count_check,
 )
+from entro.metric_core import counts_from_matrix, farthest_point_order
 
 
 def brute_max_separated(dists: np.ndarray, eps: float) -> int:
@@ -50,6 +52,41 @@ def brute_min_spanning(dists: np.ndarray, eps: float) -> int:
             if np.all(dists[:, centers].min(axis=1) < eps):
                 return size
     return m
+
+
+def dense_greedy_separated(dmat: np.ndarray, order: np.ndarray, eps: float) -> list[int]:
+    """Farthest-point separated scan that ORs a dense ball row per choice."""
+    blocked = np.zeros(dmat.shape[0], dtype=bool)
+    chosen: list[int] = []
+    for i in order:
+        if not blocked[i]:
+            chosen.append(int(i))
+            blocked |= dmat[i] < eps
+    return chosen
+
+
+def dense_greedy_cover(dmat: np.ndarray, eps: float) -> list[int]:
+    """Lazy greedy set cover that rescans a dense ball row on every heap pop."""
+    n = dmat.shape[0]
+    uncovered = np.ones(n, dtype=bool)
+    counts = (dmat < eps).sum(axis=1)
+    heap = [(-int(c), i) for i, c in enumerate(counts)]
+    heapq.heapify(heap)
+    chosen: list[int] = []
+    remaining = n
+    while remaining > 0:
+        negc, i = heapq.heappop(heap)
+        ball = dmat[i] < eps
+        now = int(np.count_nonzero(uncovered & ball))
+        if now == 0:
+            continue
+        if now < -negc:
+            heapq.heappush(heap, (-now, i))
+            continue
+        chosen.append(i)
+        uncovered &= ~ball
+        remaining -= now
+    return chosen
 
 
 def random_cloud(rng, size, dim=2):
@@ -98,6 +135,48 @@ class TestExactCountsMatchOracle:
         d = distance_matrix(pts, pts, spec)
         off = d[~np.eye(len(pts), dtype=bool)]
         assert off.size == 0 or off.min() >= 0.3
+
+
+def oracle_matrix(kind: str, seed: int) -> np.ndarray:
+    """Seeded distance-like matrix with a zero diagonal."""
+    rng = np.random.default_rng(seed)
+    pts = rng.random((int(rng.integers(2, 120)), 2))
+    dmat = distance_matrix(pts, pts, MetricSpec.euclidean())
+    if kind == "asymmetric":
+        dmat = dmat + 0.2 * rng.random(dmat.shape)
+    elif kind == "integer":
+        dmat = np.floor(dmat * 6)
+    np.fill_diagonal(dmat, 0.0)
+    return dmat
+
+
+class TestGreedyCountsMatchDenseScans:
+    """Greedy counts over eps-neighbour lists equal the dense-row scans."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric", "integer"])
+    def test_counts_and_witnesses(self, kind, seed):
+        dmat = oracle_matrix(kind, seed)
+        off = dmat[dmat > 0]
+        lo = off.min() if off.size else 1.0
+        scales = [lo / 2, lo, 0.3, 1.0, 2.0, 3.0, 2 * dmat.max() + 1]
+        order = farthest_point_order(dmat, dmat.mean(axis=1))
+        for eps in scales:
+            sep, span = counts_from_matrix(dmat, eps, "greedy")
+            want_sep = dense_greedy_separated(dmat, order, eps)
+            want_span = dense_greedy_cover(dmat, eps)
+            if len(want_span) > len(want_sep):
+                want_span = want_sep
+            assert sep.witness == tuple(want_sep)
+            assert span.witness == tuple(want_span)
+            assert (sep.count, span.count) == (len(want_sep), len(want_span))
+
+    def test_scale_extremes(self):
+        dmat = oracle_matrix("symmetric", 11)
+        sep, span = counts_from_matrix(dmat, 1e-9, "greedy")
+        assert sep.count == span.count == len(dmat)
+        sep, span = counts_from_matrix(dmat, 2 * dmat.max() + 1, "greedy")
+        assert sep.count == span.count == 1
 
 
 @settings(max_examples=60, deadline=None)

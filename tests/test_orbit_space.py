@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from entro import (
     ConfigError,
@@ -15,6 +16,7 @@ from entro import (
     ShapeError,
     TooLargeError,
     bd_count_table,
+    build_orbit_table,
     choose_truncation,
     dhat_dist,
     entropy_estimate,
@@ -28,6 +30,7 @@ from entro import (
     shift_system,
 )
 from entro.gallery import build_doubling
+from entro.metric_core import counts_from_matrix, farthest_point_order
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +204,36 @@ class TestFriedlandCounts:
         )
         assert abs(fr.headline - bd.headline) <= 0.15
         assert 0.5 < bd.headline < 0.9
+
+    def test_recurrence_matches_from_scratch_sums(self, doubling):
+        """The in-place update S_{i+1} = rho (S_i - D_i) + rho^(1-M) D_{i+M}
+        gives the counts of summing each S_i afresh."""
+        theta = np.sort(np.random.default_rng(5).random(60)) * 2.0 * math.pi
+        cloud = PointCloud(np.column_stack([np.cos(theta), np.sin(theta)]), 0.2)
+        eps_list, n_max, rho, m = [0.8, 0.4, 0.2], 5, 3.0, 6
+        table = friedland_count_table(
+            doubling.system, cloud, eps_list, n_max, rho=rho, truncation=m
+        )
+        orbits = build_orbit_table(doubling.system, cloud, m + n_max - 1).orbits
+        weights = rho ** -np.arange(m, dtype=float)
+        run_mat = np.zeros((cloud.size, cloud.size))
+        run_seed = np.zeros(cloud.size)
+        want = {}
+        for i in range(n_max):
+            s_mat = sum(w * cdist(orbits[:, i + j], orbits[:, i + j])
+                        for j, w in enumerate(weights))
+            s_seed = sum(
+                w * np.linalg.norm(orbits[:, i + j] - orbits[:, i + j].mean(axis=0), axis=1)
+                for j, w in enumerate(weights)
+            )
+            np.maximum(run_mat, s_mat, out=run_mat)
+            np.maximum(run_seed, s_seed, out=run_seed)
+            order = farthest_point_order(run_mat, run_seed)
+            for eps in eps_list:
+                sep, span = counts_from_matrix(run_mat, eps, "greedy", order=order)
+                want[(eps, i + 1)] = (sep.count, span.count)
+        got = {(r.epsilon, r.n): (r.sep_count, r.span_count) for r in table.rows}
+        assert got == want
 
     def test_bad_args(self, doubling):
         cloud = circle_cloud(6)
