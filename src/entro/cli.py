@@ -29,7 +29,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -68,7 +67,6 @@ class RunConfig:
     eps_list: tuple[float, ...] | None = None
     n_max: int | None = None
     rho: float | None = None
-    mode: str | None = None
     methods: tuple[str, ...] = ALL_METHODS
     allow_coarse_mesh: bool = False
     out_dir: str | None = None
@@ -80,7 +78,6 @@ class RunConfig:
         "eps_list",
         "n_max",
         "rho",
-        "mode",
         "methods",
         "allow_coarse_mesh",
         "out_dir",
@@ -107,9 +104,6 @@ class RunConfig:
             if not isinstance(rho, (int, float)) or isinstance(rho, bool) or not rho > 1.0:
                 raise ConfigError(f"config: {where}rho must be a number > 1")
             rho = float(rho)
-        mode = raw.get("mode")
-        if mode not in (None, "greedy", "exact"):
-            raise ConfigError(f"config: {where}mode must be greedy or exact")
         methods = _validate_methods(raw.get("methods"), where)
         params = raw.get("params") or {}
         if not isinstance(params, dict):
@@ -123,7 +117,6 @@ class RunConfig:
             eps_list=eps_list,
             n_max=n_max,
             rho=rho,
-            mode=mode,
             methods=methods,
             allow_coarse_mesh=allow_coarse_mesh,
             out_dir=raw.get("out_dir"),
@@ -255,7 +248,7 @@ def run_single(cfg: RunConfig) -> RunResult:
         "scales: " + " ".join(f"{e:g}" for e in bundle.eps_list)
         + f"   orders: 1..{bundle.n_max}"
     )
-    run = run_bundle(bundle, mode=cfg.mode, methods=cfg.methods)
+    run = run_bundle(bundle, methods=cfg.methods)
     tables = [(bundle.metric.describe(), run.bd_table, run.bd)]
     lines.extend(_estimate_block("bowen-dinaburg", run.bd))
     if run.bc is not None:
@@ -292,20 +285,8 @@ def _write_outputs(
         _atomic_write(out / f"{prefix}_{kind}_estimate.csv", estimate_csv_text(table, est))
 
 
-def _run_batch(cfgs: list[RunConfig]) -> list[RunResult]:
-    workers_raw = os.environ.get("ENTRO_THREADS", "1")
-    try:
-        workers = max(1, int(workers_raw))
-    except ValueError:
-        raise ConfigError("config: ENTRO_THREADS must be an integer") from None
-    if len(cfgs) > 1 and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_single, cfgs))
-    return [run_single(c) for c in cfgs]
-
-
 def cmd_estimate(args: argparse.Namespace) -> int:
-    results = _run_batch(_load_configs(Path(args.config)))
+    results = [run_single(cfg) for cfg in _load_configs(Path(args.config))]
     print("\n".join(r.report.rstrip("\n") for r in results))
     failed = any(r.verdict_passed is False for r in results)
     return 3 if failed else 0
@@ -328,7 +309,6 @@ def cmd_gallery(args: argparse.Namespace) -> int:
         "params": params,
         "n_max": args.n_max,
         "rho": args.rho,
-        "mode": args.mode,
         "allow_coarse_mesh": args.allow_coarse_mesh,
         "out_dir": args.out_dir,
         "label": args.label,
@@ -405,7 +385,7 @@ def _verify_bundle(cfg: RunConfig, pairs: int, seed: int) -> tuple[str, bool]:
         lines.append("inverse-transport: skipped (system not invertible)")
 
     # the three estimators against each other
-    run = run_bundle(bundle, mode=cfg.mode)
+    run = run_bundle(bundle)
     flags.append(run.verdict.passed)
     lines.append(
         f"estimates: bd={run.bd.headline:.4f} compacta={run.bc.headline:.4f}"
@@ -485,7 +465,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gal.add_argument("--eps", default=None, help="comma-separated decreasing scales")
     gal.add_argument("--n-max", dest="n_max", type=int, default=None)
     gal.add_argument("--rho", type=float, default=None)
-    gal.add_argument("--mode", choices=("greedy", "exact"), default=None)
     gal.add_argument("--methods", default=None, help="comma list: bd,compacta,friedland")
     gal.add_argument("--allow-coarse-mesh", action="store_true")
     gal.add_argument("--out-dir", default=None)

@@ -20,11 +20,10 @@ import numpy as np
 from .errors import ConfigError, EscapeError
 from .metric_core import (
     EXACT_CAP,
-    CountRow,
     CountTable,
     MetricSpec,
     PointCloud,
-    SeparationResult,
+    count_table,
     counts_from_matrix,
     farthest_point_order,
     orbit_metric_matrices,
@@ -146,52 +145,26 @@ def bd_dist(system: DynSystem, spec: MetricSpec, x, y, n: int) -> float:
     return max(pairwise_dist(ox[i], oy[i], spec) for i in range(n))
 
 
-def _auto_mode(cloud_size: int, mode: str | None) -> str:
-    """The counting mode: as given, else exact within ``EXACT_CAP`` and greedy above."""
-    if mode is None:
-        return "exact" if cloud_size <= EXACT_CAP else "greedy"
-    return mode
-
-
 def bd_count_table(
     system: DynSystem,
     cloud: PointCloud,
     spec: MetricSpec,
     eps_list: list[float],
     n_max: int,
-    mode: str | None = None,
 ) -> CountTable:
     """Separated/spanning counts over the (eps, n) grid under orbit metrics.
 
-    Mode defaults to exact for clouds within the exhaustive cap and greedy
-    above it.  If some orbit escapes at step t < n_max the table is truncated
-    there and carries a ``truncated(t)`` note.
+    Counts are exact for clouds within ``EXACT_CAP`` points and greedy above
+    (see ``count_table``).  If some orbit escapes at step t < n_max the table
+    is truncated there and carries a ``truncated(t)`` note.
     """
     if n_max < 1:
         raise ConfigError("config: n_max must be >= 1")
-    if not eps_list:
-        return CountTable((), cloud.size)
-    if any(not e > 0 for e in eps_list):
-        raise ConfigError("config: eps values must be > 0")
-    use_mode = _auto_mode(cloud.size, mode)
     table = build_orbit_table(system, cloud, n_max, allow_truncation=True)
     truncated = table.depth if table.depth < n_max else None
     notes = (f"truncated({table.depth})",) if truncated else ()
-
-    counts: dict[tuple[float, int], tuple[SeparationResult, SeparationResult]] = {}
-    for n, dmat, seed in orbit_metric_matrices(table.orbits, spec):
-        order = None
-        if use_mode == "greedy":
-            order = farthest_point_order(dmat, seed)
-        for eps in eps_list:
-            counts[(eps, n)] = counts_from_matrix(dmat, eps, use_mode, order=order)
-
-    rows = []
-    for eps in eps_list:
-        for n in range(1, table.depth + 1):
-            sep, span = counts[(eps, n)]
-            rows.append(CountRow(eps, n, sep.count, span.count, use_mode))
-    return CountTable(tuple(rows), cloud.size, truncated, notes)
+    matrices = orbit_metric_matrices(table.orbits, spec)
+    return count_table(matrices, eps_list, cloud.size, truncated, notes)
 
 
 @dataclass(frozen=True)
@@ -219,23 +192,22 @@ def inverse_transport_check(
     spec: MetricSpec,
     eps: float,
     n: int,
-    mode: str | None = None,
 ) -> TransportVerdict:
     """Check that f^(n-1) of an (n,eps)-separated set is separated under f^(-1).
 
-    Takes the greedy (or exact) witness, maps it forward n-1 steps, rebuilds
-    backward orbits with the inverse rule, and verifies every pair clears eps
-    at some backward step.  Index reversal makes this an identity on the set
-    of step distances, so it must pass with no slack.
+    Takes the separated witness (exact within ``EXACT_CAP`` points, greedy
+    above), maps it forward n-1 steps, rebuilds backward orbits with the
+    inverse rule, and verifies every pair clears eps at some backward step.
+    Index reversal makes this an identity on the set of step distances, so
+    it must pass with no slack.
     """
     if system.inverse is None:
         raise ConfigError(f"config: system {system.name!r} has no inverse")
-    use_mode = _auto_mode(cloud.size, mode)
     table = build_orbit_table(system, cloud, n)
     for _, dmat, seed in orbit_metric_matrices(table.orbits, spec):
         pass
-    order = farthest_point_order(dmat, seed) if use_mode == "greedy" else None
-    sep, _ = counts_from_matrix(dmat, eps, use_mode, order=order)
+    order = farthest_point_order(dmat, seed) if cloud.size > EXACT_CAP else None
+    sep, _ = counts_from_matrix(dmat, eps, order=order)
     witness = np.array(sep.witness, dtype=np.intp)
 
     # backward orbits of the transported set, recomputed through the inverse

@@ -200,7 +200,6 @@ def compacta_estimate(
     eps_list: list[float],
     n_max: int,
     rule: ExtrapolationRule | None = None,
-    mode: str | None = None,
 ) -> EntropyEstimate:
     """Entropy as a supremum over compact subsets.
 
@@ -213,7 +212,7 @@ def compacta_estimate(
     notes: list[str] = []
     for member in family.members:
         try:
-            table = _dyn.bd_count_table(system, member, spec, eps_list, n_max, mode=mode)
+            table = _dyn.bd_count_table(system, member, spec, eps_list, n_max)
             est = entropy_estimate(table, rule, method="bowen_dinaburg")
         except EscapeError as exc:
             notes.append(f"member({member.label or member.size}): escaped at step {exc.step}")

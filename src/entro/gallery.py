@@ -585,7 +585,7 @@ def build_annulus(
         )
 
     # sphere: latitude rings, both boundary circles collapsed to poles
-    mesh = 0.12 if mesh is None else mesh
+    mesh = 0.1 if mesh is None else mesh
     spacing = 0.7 * mesh
 
     def sphere_step(p: np.ndarray) -> np.ndarray:
@@ -810,7 +810,6 @@ def run_bundle(
     eps_list: tuple[float, ...] | None = None,
     n_max: int | None = None,
     rho: float | None = None,
-    mode: str | None = None,
     methods: tuple[str, ...] = ALL_METHODS,
 ) -> BundleRun:
     """Direct counts, compact exhaustion and the lifted shift, in that order.
@@ -823,14 +822,12 @@ def run_bundle(
     b = bundle.with_settings(eps_list, n_max, rho)
     bd_table = bd = bc = fr_table = fr = verdict = None
     if "bowen_dinaburg" in methods:
-        bd_table = bd_count_table(b.system, b.cloud, b.metric, b.eps_list, b.n_max, mode=mode)
+        bd_table = bd_count_table(b.system, b.cloud, b.metric, b.eps_list, b.n_max)
         bd = entropy_estimate(bd_table)
     if "compacta" in methods:
-        bc = compacta_estimate(b.system, b.metric, b.family, b.eps_list, b.n_max, mode=mode)
+        bc = compacta_estimate(b.system, b.metric, b.family, b.eps_list, b.n_max)
     if "friedland" in methods:
-        fr_table = friedland_count_table(
-            b.system, b.cloud, b.eps_list, b.n_max, rho=b.rho, mode=mode
-        )
+        fr_table = friedland_count_table(b.system, b.cloud, b.eps_list, b.n_max, rho=b.rho)
         fr = entropy_estimate(fr_table, method="friedland")
     if bd is not None and bc is not None and fr is not None:
         verdict = inequality_report(bd, bc, fr)

@@ -8,13 +8,14 @@ Three metric families cover everything the estimators need:
 * ``sequence_rho`` -- geometrically weighted sum over blocks, the metric of a
   truncated orbit sequence with weight rho^(-i) on block i.
 
-Counts come in two modes.  Greedy mode thresholds the distance matrix once
-per scale into eps-neighbour lists, then scans the cloud in farthest-point
-order (separation) and runs a lazy greedy set cover (spanning) over those
-lists; it is valid at any size.  Exact mode runs branch-and-bound searches
-(maximum independent set for separation, minimum set cover for spanning) and
-is capped at ``EXACT_CAP`` points.  Separation uses the closed condition
-``d >= eps``; spanning uses the strict ``d < eps``.
+Counts come in two modes, picked by cloud size: exact within ``EXACT_CAP``
+points, greedy above.  Greedy mode thresholds the distance matrix once per
+scale into eps-neighbour lists, then scans the cloud in farthest-point order
+(separation) and runs a lazy greedy set cover (spanning) over those lists;
+it is valid at any size.  Exact mode runs branch-and-bound searches (maximum
+independent set for separation, minimum set cover for spanning).
+Separation uses the closed condition ``d >= eps``; spanning uses the strict
+``d < eps``.  Every count table is built by ``count_table``.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "max_separated",
     "min_spanning",
     "counts_from_matrix",
+    "count_table",
     "farthest_point_order",
     "orbit_metric_matrices",
     "dense_subsample",
@@ -419,18 +421,23 @@ def _check_eps_mode(eps: float, mode: str) -> None:
 def counts_from_matrix(
     dmat: np.ndarray,
     eps: float,
-    mode: str,
+    mode: str | None = None,
     order: np.ndarray | None = None,
 ) -> tuple[SeparationResult, SeparationResult]:
     """Separated and spanning counts from a precomputed distance matrix.
 
+    Mode defaults to exact within ``EXACT_CAP`` points and greedy above.
     Greedy mode builds the eps-neighbour lists of ``dmat < eps`` once and
     runs both scans over them.  Greedy spanning returns the smaller of the
     lazy set-cover witness and the maximal separated witness (which always
     spans), so ``span <= sep`` holds row by row in greedy mode as well as
-    exact.
+    exact.  A diagonal entry >= eps (a point outside its own ball) is refused.
     """
+    if mode is None:
+        mode = "exact" if dmat.shape[0] <= EXACT_CAP else "greedy"
     _check_eps_mode(eps, mode)
+    if not (np.diagonal(dmat) < eps).all():
+        raise ConfigError(f"config: distance matrix has a diagonal entry >= eps={eps:g}")
     if mode == "exact":
         sep = _exact_max_separated(dmat, eps)
         span = _exact_min_spanning(dmat, eps)
@@ -542,6 +549,33 @@ class CountTable:
         pick = (lambda r: r.sep_count) if which == "sep" else (lambda r: r.span_count)
         rows = [(r.n, pick(r)) for r in self.rows if r.epsilon == eps]
         return sorted(rows)
+
+
+def count_table(
+    matrices,
+    eps_list: list[float],
+    cloud_size: int,
+    truncated_at: int | None = None,
+    notes: tuple[str, ...] = (),
+) -> CountTable:
+    """Counts over the (eps, n) grid from a stream of order-n matrices.
+
+    ``matrices`` yields ``(n, dmat, seed)`` like ``orbit_metric_matrices``
+    and may reuse one buffer.  Above ``EXACT_CAP`` points all eps share one
+    farthest-point order per n, started from ``seed``.  Rows run over eps in
+    list order, n ascending within each, and carry the mode their counts used.
+    """
+    if any(not e > 0 for e in eps_list):
+        raise ConfigError("config: eps values must be > 0")
+    columns: list[list[CountRow]] = [[] for _ in eps_list]
+    if eps_list:
+        for n, dmat, seed in matrices:
+            order = farthest_point_order(dmat, seed) if dmat.shape[0] > EXACT_CAP else None
+            for column, eps in zip(columns, eps_list):
+                sep, span = counts_from_matrix(dmat, eps, order=order)
+                column.append(CountRow(eps, n, sep.count, span.count, sep.mode))
+    rows = tuple(row for column in columns for row in column)
+    return CountTable(rows, cloud_size, truncated_at, notes)
 
 
 # ---------------------------------------------------------------------------

@@ -17,18 +17,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .dynamics import DynSystem, _auto_mode, build_orbit_table
+from .dynamics import DynSystem, build_orbit_table
 from .errors import ConfigError, NotSemiconjugateError, ShapeError, TooLargeError
 from .estimators import EntropyEstimate, ExtrapolationRule, entropy_estimate
 from .metric_core import (
     EXACT_CAP,
-    CountRow,
     CountTable,
     MetricSpec,
     PointCloud,
     cloud_diameter,
+    count_table,
     counts_from_matrix,
-    farthest_point_order,
     orbit_metric_matrices,
 )
 
@@ -176,44 +175,19 @@ def _orbit_diameter_bound(orbits: np.ndarray) -> float:
     return float(np.linalg.norm(span))
 
 
-def friedland_count_table(
-    system: DynSystem,
-    cloud: PointCloud,
-    eps_list: list[float],
-    n_max: int,
-    rho: float = 2.0,
-    truncation: int | None = None,
-    mode: str | None = None,
-) -> CountTable:
-    """Counts for the shift on lifted orbit sequences under the dhat metric.
+def _lifted_matrices(orbits: np.ndarray, n_max: int, rho: float, m: int):
+    """Order-n shift matrices under dhat for n = 1 .. n_max, updated in place.
 
     The order-n shift distance is the running max over i < n of the weighted
-    sums S_i = sum_{j<M} rho^(-j) d(x_{i+j}, y_{i+j}).  Rather than hold M
-    distance matrices, S advances by the identity
+    sums S_i = sum_{j<M} rho^(-j) d(x_{i+j}, y_{i+j}), with M = ``m``.  Rather
+    than hold M distance matrices, S advances by the identity
     S_{i+1} = rho * (S_i - D_i) + rho^(1-M) * D_{i+M}, with each per-iterate
-    matrix D_k recomputed on demand and S updated in place, so the table
-    holds two N x N matrices (S and its running max) plus one slice matrix.
-    Base metric is euclidean.
+    matrix D_k recomputed on demand and S updated in place, so two N x N
+    matrices (S and its running max) plus one slice matrix are held.  The
+    seed runs the same recurrence on distances to the slice centroids.  Base
+    metric is euclidean.
     """
-    if n_max < 1:
-        raise ConfigError("config: n_max must be >= 1")
-    if not eps_list:
-        return CountTable((), cloud.size)
-    if any(not e > 0 for e in eps_list):
-        raise ConfigError("config: eps values must be > 0")
-    if rho <= 1:
-        raise ConfigError("config: rho must be > 1")
-
-    probe = build_orbit_table(system, cloud, min(n_max, 4))
-    diam = _orbit_diameter_bound(probe.orbits)
-    m = truncation if truncation is not None else choose_truncation(rho, max(diam, 1e-12))
-    if m < 1:
-        raise ConfigError("config: truncation must be >= 1")
-
-    depth = m + n_max - 1
-    table = build_orbit_table(system, cloud, depth)
-    orbits = table.orbits
-    use_mode = _auto_mode(cloud.size, mode)
+    size = orbits.shape[0]
 
     def slice_dm(k: int) -> np.ndarray:
         pts = orbits[:, k, :]
@@ -224,8 +198,8 @@ def friedland_count_table(
         return np.linalg.norm(pts - pts.mean(axis=0), axis=1)
 
     # S_0 and its seed analogue (distance to the running centroid sequence)
-    s_mat = np.zeros((cloud.size, cloud.size))
-    s_seed = np.zeros(cloud.size)
+    s_mat = np.zeros((size, size))
+    s_seed = np.zeros(size)
     w = 1.0
     for j in range(m):
         s_mat += w * slice_dm(j)
@@ -235,17 +209,11 @@ def friedland_count_table(
 
     run_mat = np.zeros_like(s_mat)
     run_seed = np.zeros_like(s_seed)
-    counts: dict[tuple[float, int], tuple] = {}
     for i in range(n_max):
         np.maximum(run_mat, s_mat, out=run_mat)
         np.maximum(run_seed, s_seed, out=run_seed)
-        n = i + 1
-        order = None
-        if use_mode == "greedy":
-            order = farthest_point_order(run_mat, run_seed)
-        for eps in eps_list:
-            counts[(eps, n)] = counts_from_matrix(run_mat, eps, use_mode, order=order)
-        if n < n_max:
+        yield i + 1, run_mat, run_seed
+        if i + 1 < n_max:
             s_mat -= slice_dm(i)
             s_mat *= rho
             d_next = slice_dm(i + m)
@@ -256,13 +224,35 @@ def friedland_count_table(
             s_seed = rho * (s_seed - slice_seed(i)) + tail_w * slice_seed(i + m)
             np.maximum(s_seed, 0.0, out=s_seed)
 
-    rows = []
-    for eps in eps_list:
-        for n in range(1, n_max + 1):
-            sep, span = counts[(eps, n)]
-            rows.append(CountRow(eps, n, sep.count, span.count, use_mode))
-    return CountTable(
-        tuple(rows), cloud.size, None, (f"rho={rho:g}", f"truncation={m}")
+
+def friedland_count_table(
+    system: DynSystem,
+    cloud: PointCloud,
+    eps_list: list[float],
+    n_max: int,
+    rho: float = 2.0,
+    truncation: int | None = None,
+) -> CountTable:
+    """Counts for the shift on lifted orbit sequences under the dhat metric.
+
+    Sequences keep ``truncation`` blocks (default: enough that the dropped
+    tail is below 1e-6); ``_lifted_matrices`` gives the order-n matrices.
+    """
+    if n_max < 1:
+        raise ConfigError("config: n_max must be >= 1")
+    if rho <= 1:
+        raise ConfigError("config: rho must be > 1")
+
+    probe = build_orbit_table(system, cloud, min(n_max, 4))
+    diam = _orbit_diameter_bound(probe.orbits)
+    m = truncation if truncation is not None else choose_truncation(rho, max(diam, 1e-12))
+    if m < 1:
+        raise ConfigError("config: truncation must be >= 1")
+
+    table = build_orbit_table(system, cloud, m + n_max - 1)
+    matrices = _lifted_matrices(table.orbits, n_max, rho, m)
+    return count_table(
+        matrices, eps_list, cloud.size, None, (f"rho={rho:g}", f"truncation={m}")
     )
 
 
@@ -274,12 +264,9 @@ def friedland_estimate(
     rho: float = 2.0,
     truncation: int | None = None,
     rule: ExtrapolationRule | None = None,
-    mode: str | None = None,
 ) -> EntropyEstimate:
     """Headline entropy of the shift on lifted orbit sequences."""
-    table = friedland_count_table(
-        system, cloud, eps_list, n_max, rho=rho, truncation=truncation, mode=mode
-    )
+    table = friedland_count_table(system, cloud, eps_list, n_max, rho=rho, truncation=truncation)
     est = entropy_estimate(table, rule, method="friedland")
     return replace(est, diagnostics=est.diagnostics + table.notes)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from entro.cli import main
+from entro.cli import RunConfig, _checked_bundle, main
 
 FAST_DOUBLING = {
     "system": "doubling",
@@ -175,21 +175,6 @@ class TestEstimateCommand:
         assert rc == 0
         assert out.index("== doubling ==") < out.index("== interval-homeo ==")
 
-    def test_parallel_batch_keeps_order(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ENTRO_THREADS", "2")
-        cfgs = [FAST_DOUBLING, {"system": "interval-homeo", "n_max": 8}]
-        rc = main(["estimate", write_config(tmp_path, cfgs)])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert out.index("== doubling ==") < out.index("== interval-homeo ==")
-
-    def test_bad_thread_env_exits_1(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ENTRO_THREADS", "many")
-        rc = main(["estimate", write_config(tmp_path, FAST_DOUBLING)])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert "ENTRO_THREADS" in err
-
     def test_empty_eps_list_writes_header_only(self, tmp_path, capsys):
         cfg = dict(FAST_DOUBLING, eps_list=[], out_dir=str(tmp_path / "out"))
         rc = main(["estimate", write_config(tmp_path, cfg)])
@@ -220,7 +205,8 @@ class TestEstimateCommand:
         assert "unknown keys" in err
 
     @pytest.mark.parametrize(
-        "extra", [{"rho": "abc"}, {"rho": True}, {"allow_coarse_mesh": "false"}]
+        "extra",
+        [{"rho": "abc"}, {"rho": True}, {"allow_coarse_mesh": "false"}, {"mode": "greedy"}],
     )
     def test_bad_config_values_exit_1(self, extra, tmp_path, capsys):
         rc = main(["estimate", write_config(tmp_path, dict(FAST_DOUBLING, **extra))])
@@ -237,6 +223,15 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert "io" in err
+
+    @pytest.mark.parametrize(
+        "entry",
+        json.loads((Path(__file__).parents[1] / "configs" / "gallery_suite.json").read_text()),
+        ids=lambda entry: entry["label"],
+    )
+    def test_gallery_suite_entries_pass_the_mesh_guard(self, entry):
+        bundle = _checked_bundle(RunConfig.from_dict(entry))
+        assert bundle.eps_list
 
 
 class TestVerifyCommand:

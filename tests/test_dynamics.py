@@ -127,9 +127,8 @@ class TestCountTable:
     def test_exact_counts_monotone_in_n(self, doubling):
         idx = np.arange(0, 256, 16)
         cloud = PointCloud(doubling.cloud.points[idx].copy(), 0.2)
-        table = bd_count_table(
-            doubling.system, cloud, MetricSpec.euclidean(), [0.5], 5, mode="exact"
-        )
+        table = bd_count_table(doubling.system, cloud, MetricSpec.euclidean(), [0.5], 5)
+        assert {r.mode for r in table.rows} == {"exact"}
         counts = [c for _, c in table.counts_for(0.5, "sep")]
         assert counts == sorted(counts)
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from entro import (
     EXACT_CAP,
+    ConfigError,
     EmptyCloudError,
     MeshError,
     MetricSpec,
@@ -170,6 +171,12 @@ class TestGreedyCountsMatchDenseScans:
             assert sep.witness == tuple(want_sep)
             assert span.witness == tuple(want_span)
             assert (sep.count, span.count) == (len(want_sep), len(want_span))
+
+    @pytest.mark.parametrize("size, mode", [(30, "greedy"), (10, "exact")])
+    def test_point_outside_its_own_ball_is_refused(self, size, mode):
+        dmat = np.random.default_rng(size).random((size, size))
+        with pytest.raises(ConfigError, match="diagonal"):
+            counts_from_matrix(dmat, 1e-9, mode)
 
     def test_scale_extremes(self):
         dmat = oracle_matrix("symmetric", 11)

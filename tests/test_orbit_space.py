@@ -7,6 +7,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from entro import (
+    EXACT_CAP,
     ConfigError,
     DynSystem,
     MetricSpec,
@@ -30,7 +31,7 @@ from entro import (
     shift_system,
 )
 from entro.gallery import build_doubling
-from entro.metric_core import counts_from_matrix, farthest_point_order
+from entro.metric_core import counts_from_matrix, farthest_point_order, orbit_metric_matrices
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +184,26 @@ class TestFriedlandCounts:
             base = bd_rows[(row.epsilon, row.n)]
             assert row.sep_count >= base.sep_count
             assert row.span_count >= base.span_count
+
+    @pytest.mark.parametrize("count, mode", [(EXACT_CAP, "exact"), (EXACT_CAP + 1, "greedy")])
+    def test_mode_follows_cloud_size(self, doubling, count, mode):
+        """Both tables count exactly within the cap and greedily above it, and
+        each direct row is the count of the matching order-n matrix."""
+        cloud = circle_cloud(count)
+        spec = MetricSpec.euclidean()
+        eps_list = [0.8, 0.4, 0.2]
+        bd = bd_count_table(doubling.system, cloud, spec, eps_list, 4)
+        fr = friedland_count_table(doubling.system, cloud, eps_list, 4, rho=4.0)
+        assert {r.mode for r in bd.rows + fr.rows} == {mode}
+        want = []
+        orbits = build_orbit_table(doubling.system, cloud, 4).orbits
+        for n, dmat, seed in orbit_metric_matrices(orbits, spec):
+            order = farthest_point_order(dmat, seed) if mode == "greedy" else None
+            for eps in eps_list:
+                sep, span = counts_from_matrix(dmat, eps, mode, order=order)
+                want.append((eps, n, sep.count, span.count))
+        got = [(r.epsilon, r.n, r.sep_count, r.span_count) for r in bd.rows]
+        assert got == sorted(want, key=lambda w: (-w[0], w[1]))
 
     def test_notes_record_settings(self, doubling):
         table = friedland_count_table(
