@@ -16,7 +16,6 @@ import csv
 import sys
 
 from entro import bd_count_table, build_bundle, entropy_estimate
-from entro.estimators import ExtrapolationRule
 
 
 def main() -> int:
@@ -46,8 +45,7 @@ def main() -> int:
 
     table = bd_count_table(bundle.system, bundle.cloud, bundle.metric,
                            eps_list, n_max)
-    rule = ExtrapolationRule(stabilization_tol=args.tol)
-    est = entropy_estimate(table, rule=rule)
+    est = entropy_estimate(table, stabilization_tol=args.tol)
 
     print(f"{bundle.name}: {bundle.cloud.size} points, orders 1..{n_max}")
     print(f"{'epsilon':>10} {'rate':>8} {'window':>9} {'saturated':>9}  stable-pair")

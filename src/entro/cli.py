@@ -3,8 +3,9 @@
 Subcommands:
 
 * ``estimate <config.json>``: run the requested estimators on a gallery
-  system; write a combined counts CSV, per-method estimate CSVs, and a
-  plain-text report.  The config may be one object or an array of them.
+  system; write a combined counts CSV, per-method estimate CSVs (that
+  method's rows of the counts CSV), and a plain-text report.  The config
+  may be one object or an array of them.
 * ``gallery <name> [flags]``: same pipeline, configured from flags.  Flags
   pass through the same validation as a config file.
 * ``verify <config.json>``: run the consistency checks (subsample counts,
@@ -39,7 +40,7 @@ from scipy.spatial.distance import cdist
 from .coding import coded_entropy, symbol_frequency, word_complexity
 from .dynamics import inverse_transport_check
 from .errors import ConfigError, EntroError, MeshError
-from .estimators import EntropyEstimate, estimate_csv_text
+from .estimators import EntropyEstimate, counts_csv_text
 from .gallery import ALL_METHODS, GalleryBundle, build_bundle, run_bundle
 from .metric_core import (
     EXACT_CAP,
@@ -199,23 +200,6 @@ class RunResult:
     verdict_passed: bool | None
 
 
-def _counts_csv_text(
-    bundle: GalleryBundle, tables: list[tuple[str, CountTable, EntropyEstimate | None]]
-) -> str:
-    lines = ["system,metric,epsilon,n,sep,span,mode,rate"]
-    for metric_name, table, est in tables:
-        rates = {}
-        if est is not None:
-            rates = {pe.epsilon: pe.rate for pe in est.per_eps}
-        for row in table.rows:
-            rate = rates.get(row.epsilon, float("nan"))
-            lines.append(
-                f"{bundle.name},{metric_name},{row.epsilon!r},{row.n},"
-                f"{row.sep_count},{row.span_count},{row.mode},{rate!r}"
-            )
-    return "\n".join(lines) + "\n"
-
-
 def _estimate_block(name: str, est: EntropyEstimate, extra: str = "") -> list[str]:
     lines = [
         f"{name:<15} {est.headline:.6f} nats  {est.headline_log2:.6f} log2{extra}"
@@ -278,17 +262,21 @@ def _write_outputs(
         return
     out = Path(cfg.out_dir)
     prefix = cfg.label or bundle.name
-    _atomic_write(out / f"{prefix}_counts.csv", _counts_csv_text(bundle, tables))
+    _atomic_write(out / f"{prefix}_counts.csv", counts_csv_text(bundle.name, tables))
     _atomic_write(out / f"{prefix}_report.txt", report)
-    for _, table, est in tables:
+    for metric_name, table, est in tables:
         kind = "friedland" if est.method == "friedland" else "bd"
-        _atomic_write(out / f"{prefix}_{kind}_estimate.csv", estimate_csv_text(table, est))
+        text = counts_csv_text(bundle.name, [(metric_name, table, est)])
+        _atomic_write(out / f"{prefix}_{kind}_estimate.csv", text)
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    results = [run_single(cfg) for cfg in _load_configs(Path(args.config))]
-    print("\n".join(r.report.rstrip("\n") for r in results))
-    failed = any(r.verdict_passed is False for r in results)
+    failed = False
+    for cfg in _load_configs(Path(args.config)):
+        result = run_single(cfg)
+        # printed as each entry finishes, so a later failing entry keeps it
+        print(result.report.rstrip("\n"), flush=True)
+        failed = failed or result.verdict_passed is False
     return 3 if failed else 0
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, EscapeError
+from .errors import ConfigError, EscapeError, UndefinedPointError
 from .metric_core import (
     EXACT_CAP,
     CountTable,
@@ -113,6 +113,8 @@ def build_orbit_table(
 
     With ``allow_truncation`` the table stops at the largest depth every
     orbit survives instead of raising; the returned depth says how far it got.
+    A step rule that raises ``UndefinedPointError`` at step k counts as an
+    escape at step k.
     """
     if depth < 1:
         raise ConfigError("config: orbit depth must be >= 1")
@@ -126,7 +128,13 @@ def build_orbit_table(
     cur = pts
     reached = depth
     for k in range(1, depth):
-        cur = system._step_many(cur)
+        try:
+            cur = system._step_many(cur)
+        except UndefinedPointError as exc:
+            if allow_truncation:
+                reached = k
+                break
+            raise UndefinedPointError(k, exc.point) from None
         ok = system._domain_many(cur)
         if not ok.all():
             if allow_truncation:
@@ -156,15 +164,14 @@ def bd_count_table(
 
     Counts are exact for clouds within ``EXACT_CAP`` points and greedy above
     (see ``count_table``).  If some orbit escapes at step t < n_max the table
-    is truncated there and carries a ``truncated(t)`` note.
+    stops at n = t and ``truncated_at`` is t.
     """
     if n_max < 1:
         raise ConfigError("config: n_max must be >= 1")
     table = build_orbit_table(system, cloud, n_max, allow_truncation=True)
     truncated = table.depth if table.depth < n_max else None
-    notes = (f"truncated({table.depth})",) if truncated else ()
     matrices = orbit_metric_matrices(table.orbits, spec)
-    return count_table(matrices, eps_list, cloud.size, truncated, notes)
+    return count_table(matrices, eps_list, cloud.size, truncated)
 
 
 @dataclass(frozen=True)

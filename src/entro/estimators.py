@@ -9,8 +9,6 @@ agrees with the next coarser one.  All rates are in nats.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -22,7 +20,6 @@ from .metric_core import CountTable, MetricSpec, PointCloud
 from . import dynamics as _dyn
 
 __all__ = [
-    "ExtrapolationRule",
     "PerEpsRate",
     "EntropyEstimate",
     "CompactFamily",
@@ -31,29 +28,13 @@ __all__ = [
     "compacta_estimate",
     "InequalityVerdict",
     "inequality_report",
-    "estimate_csv_text",
-    "write_estimate_csv",
+    "counts_csv_text",
 ]
 
-
-@dataclass(frozen=True)
-class ExtrapolationRule:
-    """Knobs for turning a count table into one number."""
-
-    stabilization_tol: float = 0.05
-    saturation_fraction: float = 0.9
-    min_window: int = 4
-    counts: str = "sep"
-
-    def __post_init__(self):
-        if self.stabilization_tol <= 0:
-            raise ConfigError("config: stabilization_tol must be > 0")
-        if not 0 < self.saturation_fraction <= 1:
-            raise ConfigError("config: saturation_fraction must be in (0, 1]")
-        if self.min_window < 3:
-            raise ConfigError("config: min_window must be >= 3")
-        if self.counts not in ("sep", "span"):
-            raise ConfigError("config: counts must be 'sep' or 'span'")
+# Fit windows keep the n values whose separated count is below this fraction
+# of the cloud size, and a window shorter than MIN_WINDOW is flagged.
+SATURATION_FRACTION = 0.9
+MIN_WINDOW = 4
 
 
 def growth_rate(counts, window: tuple[int, int]) -> float:
@@ -84,11 +65,16 @@ class PerEpsRate:
 
 @dataclass(frozen=True)
 class EntropyEstimate:
-    """One headline rate plus the per-epsilon evidence behind it."""
+    """One headline rate plus the per-epsilon evidence behind it.
+
+    ``stabilized_at`` is the epsilon whose rate agreed with the next coarser
+    one and set the headline, or None when no adjacent pair agreed.
+    """
 
     headline: float
     per_eps: tuple[PerEpsRate, ...]
     method: str
+    stabilized_at: float | None
     diagnostics: tuple[str, ...] = ()
 
     @property
@@ -97,10 +83,10 @@ class EntropyEstimate:
 
     @property
     def stable(self) -> bool:
-        return not any(d.startswith("unstable") for d in self.diagnostics)
+        return self.stabilized_at is not None
 
 
-def _fit_window(counts: list[int], cap: float, min_window: int) -> tuple[tuple[int, int], bool]:
+def _fit_window(counts: list[int], cap: float) -> tuple[tuple[int, int], bool]:
     """Largest contiguous run of n with count < cap; flags saturation.
 
     Falls back to the first three n values when no run is usable, so a rate
@@ -118,7 +104,7 @@ def _fit_window(counts: list[int], cap: float, min_window: int) -> tuple[tuple[i
     if runs:
         best = max(runs, key=lambda r: (r[1] - r[0], -r[0]))
         length = best[1] - best[0] + 1
-        if length >= min_window:
+        if length >= MIN_WINDOW:
             saturated = best[1] < len(counts) or not all(valid)
             return best, saturated
         if length >= 3:
@@ -128,17 +114,19 @@ def _fit_window(counts: list[int], cap: float, min_window: int) -> tuple[tuple[i
 
 def entropy_estimate(
     table: CountTable,
-    rule: ExtrapolationRule | None = None,
     method: str = "bowen_dinaburg",
+    stabilization_tol: float = 0.05,
 ) -> EntropyEstimate:
     """Headline entropy from a count table via per-epsilon growth rates.
 
-    Needs at least three epsilon values and n_max >= 6 so the stabilization
-    scan has something to work with.  Saturated windows are flagged rather
-    than hidden; disagreement across epsilon is reported as ``unstable`` and
-    the smallest-epsilon rate is used.
+    Rates are fitted to the separated counts.  Needs at least three epsilon
+    values and n_max >= 6 so the stabilization scan has something to work
+    with.  Adjacent rates closer than ``stabilization_tol`` agree.
+    Saturated windows are flagged rather than hidden; disagreement across
+    epsilon is reported as ``unstable`` and the smallest-epsilon rate is used.
     """
-    rule = rule or ExtrapolationRule()
+    if stabilization_tol <= 0:
+        raise ConfigError("config: stabilization_tol must be > 0")
     eps_vals = sorted(table.eps_values(), reverse=True)
     if len(eps_vals) < 3:
         raise ConfigError("config: need >= 3 epsilon values to extrapolate")
@@ -146,13 +134,12 @@ def entropy_estimate(
     if not n_seen or max(n_seen) < 6:
         raise ConfigError("config: need n_max >= 6 to extrapolate")
 
-    cap = rule.saturation_fraction * table.cloud_size
+    cap = SATURATION_FRACTION * table.cloud_size
     per: list[PerEpsRate] = []
     notes: list[str] = []
     for eps in eps_vals:
-        pairs = table.counts_for(eps, rule.counts)
-        counts = [c for _, c in pairs]
-        window, saturated = _fit_window(counts, cap, rule.min_window)
+        counts = [c for _, c in table.counts_for(eps, "sep")]
+        window, saturated = _fit_window(counts, cap)
         rate = max(0.0, growth_rate(counts, window))
         per.append(PerEpsRate(eps, rate, window, saturated))
         if saturated:
@@ -161,7 +148,7 @@ def entropy_estimate(
     headline = per[-1].rate
     stabilized = None
     for i in range(len(per) - 1, 0, -1):
-        if abs(per[i].rate - per[i - 1].rate) < rule.stabilization_tol:
+        if abs(per[i].rate - per[i - 1].rate) < stabilization_tol:
             headline = per[i].rate
             stabilized = per[i].epsilon
             break
@@ -171,7 +158,7 @@ def entropy_estimate(
         notes.append(f"stabilized at eps={stabilized:g}")
     if table.truncated_at is not None:
         notes.append(f"orbit table truncated at n={table.truncated_at}")
-    return EntropyEstimate(headline, tuple(per), method, tuple(notes))
+    return EntropyEstimate(headline, tuple(per), method, stabilized, tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -179,7 +166,6 @@ class CompactFamily:
     """Nested samples of an exhausting family of compact subsets."""
 
     members: tuple[PointCloud, ...]
-    description: str = ""
 
     def __post_init__(self):
         if not self.members:
@@ -199,7 +185,6 @@ def compacta_estimate(
     family: CompactFamily,
     eps_list: list[float],
     n_max: int,
-    rule: ExtrapolationRule | None = None,
 ) -> EntropyEstimate:
     """Entropy as a supremum over compact subsets.
 
@@ -208,25 +193,26 @@ def compacta_estimate(
     the max over member headlines.  Members whose orbits escape are flagged
     and skipped.
     """
-    results: list[tuple[PointCloud, EntropyEstimate]] = []
+    results: list[EntropyEstimate] = []
     notes: list[str] = []
     for member in family.members:
         try:
             table = _dyn.bd_count_table(system, member, spec, eps_list, n_max)
-            est = entropy_estimate(table, rule, method="bowen_dinaburg")
+            est = entropy_estimate(table)
         except EscapeError as exc:
             notes.append(f"member({member.label or member.size}): escaped at step {exc.step}")
             continue
-        results.append((member, est))
+        results.append(est)
         notes.append(
             f"member({member.label or member.size}): headline {est.headline:.4f}"
         )
     if not results:
         raise ConfigError("config: every family member escaped; nothing to estimate")
-    best_member, best = max(results, key=lambda me: me[1].headline)
+    best = max(results, key=lambda est: est.headline)
     notes.append(f"supremum over {len(results)} members")
     return EntropyEstimate(
-        best.headline, best.per_eps, "compacta", tuple(notes) + best.diagnostics
+        best.headline, best.per_eps, "compacta", best.stabilized_at,
+        tuple(notes) + best.diagnostics,
     )
 
 
@@ -270,24 +256,22 @@ def inequality_report(bd, bc, fr, slack: float = 0.15) -> InequalityVerdict:
     )
 
 
-def estimate_csv_text(table: CountTable, estimate: EntropyEstimate) -> str:
-    """Counts with the per-epsilon fitted rate attached to each row.
+def counts_csv_text(
+    system: str, tables: list[tuple[str, CountTable, EntropyEstimate | None]]
+) -> str:
+    """Count rows of each ``(metric name, table, estimate)`` as CSV text.
 
-    Rows end in CRLF, the ``csv.writer`` default.
+    Each row carries the fitted rate of its epsilon, or nan when the entry
+    has no estimate.  Lines end in LF; the header is written even when there
+    are no tables.
     """
-    rate_by_eps = {p.epsilon: p.rate for p in estimate.per_eps}
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["epsilon", "n", "sep", "span", "rate"])
-    for r in table.rows:
-        writer.writerow(
-            [repr(r.epsilon), r.n, r.sep_count, r.span_count,
-             repr(rate_by_eps.get(r.epsilon, float("nan")))]
-        )
-    return buf.getvalue()
-
-
-def write_estimate_csv(table: CountTable, estimate: EntropyEstimate, path: str) -> None:
-    """Write ``estimate_csv_text`` to ``path``."""
-    with open(path, "w", newline="") as fh:
-        fh.write(estimate_csv_text(table, estimate))
+    lines = ["system,metric,epsilon,n,sep,span,mode,rate"]
+    for metric_name, table, est in tables:
+        rates = {pe.epsilon: pe.rate for pe in est.per_eps} if est is not None else {}
+        for row in table.rows:
+            rate = rates.get(row.epsilon, float("nan"))
+            lines.append(
+                f"{system},{metric_name},{row.epsilon!r},{row.n},"
+                f"{row.sep_count},{row.span_count},{row.mode},{rate!r}"
+            )
+    return "\n".join(lines) + "\n"

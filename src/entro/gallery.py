@@ -82,7 +82,6 @@ class GalleryBundle:
     n_max: int
     rho: float = 2.0
     mesh_exempt: bool = False
-    notes: tuple[str, ...] = ()
 
     def with_settings(
         self,
@@ -283,9 +282,6 @@ def build_crumple(
             _crumple_cloud(N, range(1, hi + 1), mesh, f"crumple{N}|laps1..{hi}")
             for hi in range(1, depth + 1)
         )
-        fam_desc = "nested lap prefixes at full resolution"
-        mesh_exempt = False
-        sample_note = f"laps 1..{depth} sampled at spacing {mesh:g} along the curve"
     else:
         if depth is None:
             j_deep = 2
@@ -299,29 +295,19 @@ def build_crumple(
             _crumple_cloud(N, range(hi + 1), family_mesh, f"crumple{N}|laps0..{hi}")
             for hi in (0, N)
         )
-        fam_desc = "closures of the shallow lap prefixes, finely resampled"
-        mesh_exempt = True
-        sample_note = f"one sample per lap over laps 0..{depth}"
-    family = CompactFamily(members, description=fam_desc)
-    target = math.log(N)
     return GalleryBundle(
         name=f"crumple{N}-{direction}",
         system=system,
         metric=MetricSpec.euclidean(),
         cloud=cloud,
-        family=family,
-        target=target,
+        family=CompactFamily(members),
+        target=math.log(N),
         eps_list=(0.8, 0.4, 0.2, 0.15),
         n_max=6,
+        # rho exceeds the one-step stretch of the curve map, so the lifted
+        # metric stays comparable to the base metric
         rho=6.0,
-        mesh_exempt=mesh_exempt,
-        notes=(
-            sample_note,
-            "compact family members keep their left endpoints above half the"
-            " deepest sampled lap endpoint",
-            "rho exceeds the one-step stretch of the curve map so the lifted"
-            " metric stays comparable to the base metric",
-        ),
+        mesh_exempt=direction == "inverse",
     )
 
 
@@ -411,22 +397,19 @@ def build_escape(
         cloud.subset(np.arange(cut), f"escape{N}|orbit0..{cut - 1}")
         for cut in member_cuts
     )
-    family = CompactFamily(members, description="initial segments of the orbit sample")
     return GalleryBundle(
         name=f"escape{N}",
         system=system,
         metric=MetricSpec.euclidean(),
         cloud=cloud,
-        family=family,
+        family=CompactFamily(members),
         target=math.log(N),
+        # At scale 1 two points separate exactly when their symbol windows
+        # differ.  Heights sit on integers, so scales 1 and 0.75 count
+        # identically.
         eps_list=(1.0, 0.75, 0.5),
         n_max=8,
         rho=6.0,
-        notes=(
-            f"{concat_len} orbit points; heights spell every word of length <= {L_max}",
-            "at scale 1 two points separate exactly when their symbol windows differ",
-            "heights sit on integers, so scales 1 and 0.75 count identically",
-        ),
     )
 
 
@@ -523,8 +506,6 @@ def build_annulus(
             rings.append(_polar_points(spacing, spacing / 2, 0.95, 2.0, 1))
             pts = np.vstack(rings)
             step, step_batch = _square_step, _square_step_batch
-            target = math.log(2)
-            notes = ("orbits fall toward the puncture; growth lives near the rim",)
         else:
             pts = _polar_points(spacing, spacing / 2, 1.0 - spacing / 2, 0.85, 3)
 
@@ -540,9 +521,6 @@ def build_annulus(
                 q = _square_step_batch(pts_)
                 scale = np.where(r > 0, (2.0 - r) / np.maximum(r, 1e-300), 1.0)
                 return q * scale[:, None]
-
-            target = math.log(2)
-            notes = ("orbits climb toward the rim; compact annuli keep the growth",)
 
         def domain(p: np.ndarray) -> bool:
             return float(p[0]) ** 2 + float(p[1]) ** 2 <= 1.0 + 1e-9
@@ -570,18 +548,16 @@ def build_annulus(
             )
             for hi in radii
         )
-        family = CompactFamily(members, description="closed annuli with inner radius 0.3")
         return GalleryBundle(
             name=f"annulus-{variant}",
             system=system,
             metric=MetricSpec.euclidean(),
             cloud=cloud,
-            family=family,
-            target=target,
+            family=CompactFamily(members),
+            target=math.log(2),
             eps_list=(0.8, 0.4, 0.2) if variant == "disc" else (1.2, 0.8, 0.4),
             n_max=9,
             rho=6.0,
-            notes=notes,
         )
 
     # sphere: latitude rings, both boundary circles collapsed to poles
@@ -628,21 +604,17 @@ def build_annulus(
         PointCloud(pts[lat <= c + 1e-12].copy(), mesh, f"annulus-sphere|lat<={c:g}")
         for c in cuts
     )
-    family = CompactFamily(members, description="latitude caps growing to the whole sphere")
     return GalleryBundle(
         name="annulus-sphere",
         system=system,
         metric=MetricSpec.euclidean(),
         cloud=cloud,
-        family=family,
+        family=CompactFamily(members),
         target=0.0,
         eps_list=(1.2, 0.8, 0.4),
+        # the deep window lets the estimator see the counts go flat
         n_max=13,
         rho=4.0,
-        notes=(
-            "both collapsed ends attract; angular separation dies at the poles",
-            "the deep window lets the estimator see the counts go flat",
-        ),
     )
 
 
@@ -688,18 +660,16 @@ def build_doubling(grid: int = 4096) -> GalleryBundle:
         cloud.subset(np.arange(grid // den), f"doubling|arc1/{den}")
         for den in (4, 2, 1)
     )
-    family = CompactFamily(members, description="arcs growing to the full circle")
     return GalleryBundle(
         name="doubling",
         system=system,
         metric=MetricSpec.euclidean(),
         cloud=cloud,
-        family=family,
+        family=CompactFamily(members),
         target=math.log(2),
         eps_list=(0.04, 0.02, 0.01),
         n_max=12,
         rho=4.0,
-        notes=("compact space: all three estimates should agree",),
     )
 
 
@@ -726,17 +696,16 @@ def build_interval_homeo(mesh: float = 0.0125) -> GalleryBundle:
         cloud.subset(np.flatnonzero(xs[:, 0] >= lo), f"interval-homeo|[{lo:g},1]")
         for lo in (0.25, 0.0625, mesh / 2)
     )
-    family = CompactFamily(members, description="closed subintervals growing to the sample")
     return GalleryBundle(
         name="interval-homeo",
         system=system,
         metric=MetricSpec.euclidean(),
         cloud=cloud,
-        family=family,
+        family=CompactFamily(members),
+        # monotone interval map: counts stay near their order-1 values
         target=0.0,
         eps_list=(0.2, 0.1, 0.05),
         n_max=8,
-        notes=("monotone interval map: counts stay near their order-1 values",),
     )
 
 

@@ -71,13 +71,10 @@ class MetricSpec:
     arity: int = 1
     rho: float = 2.0
     truncation: int = 1
-    tolerance: float = DUPLICATE_TOL
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigError(f"config: unknown metric kind {self.kind!r}")
-        if self.tolerance < 0:
-            raise ConfigError("config: tolerance must be >= 0")
         if self.kind == "max_product" and self.arity < 1:
             raise ConfigError("config: max_product arity must be >= 1")
         if self.kind == "sequence_rho":
@@ -87,18 +84,16 @@ class MetricSpec:
                 raise ConfigError("config: sequence_rho truncation must be >= 1")
 
     @classmethod
-    def euclidean(cls, tolerance: float = DUPLICATE_TOL) -> "MetricSpec":
-        return cls(kind="euclidean", tolerance=tolerance)
+    def euclidean(cls) -> "MetricSpec":
+        return cls(kind="euclidean")
 
     @classmethod
-    def max_product(cls, arity: int, tolerance: float = DUPLICATE_TOL) -> "MetricSpec":
-        return cls(kind="max_product", arity=arity, tolerance=tolerance)
+    def max_product(cls, arity: int) -> "MetricSpec":
+        return cls(kind="max_product", arity=arity)
 
     @classmethod
-    def sequence_rho(
-        cls, rho: float, truncation: int, tolerance: float = DUPLICATE_TOL
-    ) -> "MetricSpec":
-        return cls(kind="sequence_rho", rho=rho, truncation=truncation, tolerance=tolerance)
+    def sequence_rho(cls, rho: float, truncation: int) -> "MetricSpec":
+        return cls(kind="sequence_rho", rho=rho, truncation=truncation)
 
     @property
     def blocks(self) -> int:

@@ -12,14 +12,14 @@ tolerance, so lifted points are ordinary finite vectors of stacked blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .dynamics import DynSystem, build_orbit_table
 from .errors import ConfigError, NotSemiconjugateError, ShapeError, TooLargeError
-from .estimators import EntropyEstimate, ExtrapolationRule, entropy_estimate
+from .estimators import EntropyEstimate, entropy_estimate
 from .metric_core import (
     EXACT_CAP,
     CountTable,
@@ -32,9 +32,7 @@ from .metric_core import (
 )
 
 __all__ = [
-    "OrbitSeqPoint",
     "choose_truncation",
-    "lift_point",
     "lift_orbit",
     "dhat_dist",
     "shift_system",
@@ -45,34 +43,6 @@ __all__ = [
     "SemiconjReport",
     "semiconj_check",
 ]
-
-
-@dataclass(frozen=True)
-class OrbitSeqPoint:
-    """A truncated orbit sequence: blocks[i] is the i-th iterate."""
-
-    blocks: np.ndarray  # (M, d)
-    rho: float
-
-    def __post_init__(self):
-        b = np.asarray(self.blocks, dtype=float)
-        if b.ndim != 2:
-            raise ShapeError("shape: blocks must be an (M, d) array")
-        if self.rho <= 1:
-            raise ConfigError("config: rho must be > 1")
-        object.__setattr__(self, "blocks", b)
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.blocks.ravel()
-
-    @property
-    def project(self) -> np.ndarray:
-        """First block: the base point the sequence was lifted from."""
-        return self.blocks[0]
-
-    def distance_to(self, other: "OrbitSeqPoint") -> float:
-        return dhat_dist(self.blocks, other.blocks, self.rho)
 
 
 def dhat_dist(x_blocks, y_blocks, rho: float) -> float:
@@ -105,13 +75,6 @@ def choose_truncation(rho: float, diameter: float, tail_tol: float = 1e-6) -> in
     while rho ** -m * factor >= tail_tol:
         m += 1
     return m
-
-
-def lift_point(system: DynSystem, x, rho: float, truncation: int) -> OrbitSeqPoint:
-    """Lift one point to its truncated orbit sequence."""
-    from .dynamics import iterate_orbit
-
-    return OrbitSeqPoint(iterate_orbit(system, x, truncation), rho)
 
 
 def lift_orbit(system: DynSystem, cloud: PointCloud, truncation: int) -> PointCloud:
@@ -263,12 +226,14 @@ def friedland_estimate(
     n_max: int,
     rho: float = 2.0,
     truncation: int | None = None,
-    rule: ExtrapolationRule | None = None,
 ) -> EntropyEstimate:
-    """Headline entropy of the shift on lifted orbit sequences."""
+    """Headline entropy of the shift on lifted orbit sequences.
+
+    The settings the table used (``rho=``, ``truncation=``) are in its
+    ``notes``, not in the estimate's diagnostics.
+    """
     table = friedland_count_table(system, cloud, eps_list, n_max, rho=rho, truncation=truncation)
-    est = entropy_estimate(table, rule, method="friedland")
-    return replace(est, diagnostics=est.diagnostics + table.notes)
+    return entropy_estimate(table, method="friedland")
 
 
 # ---------------------------------------------------------------------------

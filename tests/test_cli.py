@@ -73,6 +73,21 @@ class TestGalleryCommand:
                 float(row["epsilon"])
                 float(row["rate"])
 
+    def test_estimate_csvs_split_the_counts_csv(self, tmp_path, capsys):
+        main(
+            [
+                "gallery", "doubling", "--grid", "256", "--eps", "0.8,0.4,0.2",
+                "--n-max", "6", "--out-dir", str(tmp_path),
+            ]
+        )
+        capsys.readouterr()
+        counts = (tmp_path / "doubling_counts.csv").read_text().split("\n")
+        bd = (tmp_path / "doubling_bd_estimate.csv").read_text().split("\n")
+        fr = (tmp_path / "doubling_friedland_estimate.csv").read_text().split("\n")
+        assert bd[0] == fr[0] == counts[0]
+        assert len(bd) == len(fr) == 1 + 3 * 6 + 1
+        assert counts == bd[:-1] + fr[1:]
+
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         argv = ["gallery", "doubling", "--grid", "256", "--eps", "0.8,0.4,0.2"]
         a, b = tmp_path / "a", tmp_path / "b"
@@ -174,6 +189,18 @@ class TestEstimateCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert out.index("== doubling ==") < out.index("== interval-homeo ==")
+
+    def test_batch_prints_reports_before_a_failing_entry(self, tmp_path, capsys):
+        cfgs = [
+            FAST_DOUBLING,
+            {"system": "annulus", "params": {"variant": "sphere", "mesh": 0.5}},
+        ]
+        rc = main(["estimate", write_config(tmp_path, cfgs)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out.startswith("== doubling ==")
+        assert "FR≈BD: pass; BD≥Bc: pass" in captured.out
+        assert captured.err.startswith("error: mesh:")
 
     def test_empty_eps_list_writes_header_only(self, tmp_path, capsys):
         cfg = dict(FAST_DOUBLING, eps_list=[], out_dir=str(tmp_path / "out"))
@@ -317,19 +344,36 @@ class TestCodingCommand:
         assert "alpha" in capsys.readouterr().err
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(*args):
+    """Run the interpreter on ``args`` with the package source on its path."""
+    path = os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestEntryPoint:
     def test_module_is_runnable(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "entro.cli",
-                "gallery", "doubling", "--grid", "256", "--eps", "0.8,0.4,0.2",
-            ],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env={**os.environ, "PYTHONPATH": path},
+        proc = run_python(
+            "-m", "entro.cli",
+            "gallery", "doubling", "--grid", "256", "--eps", "0.8,0.4,0.2",
         )
         assert proc.returncode == 0
         assert "bowen-dinaburg" in proc.stdout
+
+    def test_eps_refinement_sweep_runs(self):
+        proc = run_python(
+            str(ROOT / "scripts" / "eps_refinement_sweep.py"),
+            "doubling", "--param", "grid=256", "--count", "3", "--n-max", "6",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "headline:" in proc.stdout

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from entro import (
+    GOLDEN_ALPHA,
     CountRow,
     EscapeError,
     MetricSpec,
     PointCloud,
+    UndefinedPointError,
     bd_count_table,
     bd_dist,
     build_orbit_table,
+    iet_system,
     inverse_transport_check,
     iterate_orbit,
 )
@@ -78,6 +81,17 @@ class TestOrbitTable:
             bundle.system, bundle.cloud, too_deep, allow_truncation=True
         )
         assert table.depth < too_deep
+
+    def test_undefined_point_truncates_like_an_escape(self):
+        a = float(GOLDEN_ALPHA)
+        # 2a - 1 steps to (2a - 1) + (1 - a) = a, the cut, so step 2 is undefined
+        pts = np.append(np.linspace(0.01, 0.99, 60), 2 * a - 1)[:, None]
+        system, cloud = iet_system(a), PointCloud(pts, 0.02)
+        table = bd_count_table(system, cloud, MetricSpec.euclidean(), [0.2, 0.1, 0.05], 6)
+        assert table.truncated_at == 2
+        assert {r.n for r in table.rows} == {1, 2}
+        with pytest.raises(UndefinedPointError, match="at step 2"):
+            build_orbit_table(system, cloud, 6)
 
 
 class TestBdDist:

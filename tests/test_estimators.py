@@ -9,16 +9,15 @@ import pytest
 from entro import (
     CompactFamily,
     ConfigError,
-    ExtrapolationRule,
     MetricSpec,
     PointCloud,
     WindowError,
     bd_count_table,
     compacta_estimate,
+    counts_csv_text,
     entropy_estimate,
     growth_rate,
     inequality_report,
-    write_estimate_csv,
 )
 from entro.gallery import build_doubling
 
@@ -70,6 +69,7 @@ class TestEntropyEstimate:
         )
         est = entropy_estimate(table)
         assert est.stable
+        assert est.stabilized_at == 0.1
         assert math.isclose(est.headline, est.per_eps[-1].rate)
 
     def test_unstable_reports_smallest_scale(self):
@@ -83,6 +83,7 @@ class TestEntropyEstimate:
         )
         est = entropy_estimate(table)
         assert not est.stable
+        assert est.stabilized_at is None
         assert math.isclose(est.headline, est.per_eps[-1].rate)
         assert any("unstable" in d for d in est.diagnostics)
 
@@ -108,10 +109,12 @@ class TestEntropyEstimate:
             },
             cloud_size=10 ** 9,
         )
-        tight = entropy_estimate(table, rule=ExtrapolationRule(0.001, 0.9, 4, "sep"))
-        loose = entropy_estimate(table, rule=ExtrapolationRule(0.5, 0.9, 4, "sep"))
+        tight = entropy_estimate(table, stabilization_tol=0.001)
+        loose = entropy_estimate(table, stabilization_tol=0.5)
         assert not tight.stable
         assert loose.stable
+        with pytest.raises(ConfigError):
+            entropy_estimate(table, stabilization_tol=0)
 
 
 class TestCompactFamily:
@@ -172,7 +175,7 @@ class TestEstimateCsv:
         )
         est = entropy_estimate(table)
         path = tmp_path / "est.csv"
-        write_estimate_csv(table, est, str(path))
+        path.write_text(counts_csv_text("doubling", [("euclidean", table, est)]))
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 18

@@ -12,7 +12,6 @@ from entro import (
     DynSystem,
     MetricSpec,
     NotSemiconjugateError,
-    OrbitSeqPoint,
     PointCloud,
     ShapeError,
     TooLargeError,
@@ -25,12 +24,11 @@ from entro import (
     friedland_estimate,
     iterate_orbit,
     lift_orbit,
-    lift_point,
     metric_comparison_check,
     semiconj_check,
     shift_system,
 )
-from entro.gallery import build_doubling
+from entro.gallery import build_doubling, run_bundle
 from entro.metric_core import counts_from_matrix, farthest_point_order, orbit_metric_matrices
 
 
@@ -92,28 +90,8 @@ class TestDhatDist:
         with pytest.raises(ShapeError):
             dhat_dist(np.zeros((3, 2)), np.zeros((4, 2)), 2.0)
 
-    def test_seq_point_wraps_same_metric(self, rng):
-        a = rng.normal(size=(5, 2))
-        b = rng.normal(size=(5, 2))
-        pa = OrbitSeqPoint(a, 3.0)
-        pb = OrbitSeqPoint(b, 3.0)
-        assert pa.distance_to(pb) == pytest.approx(dhat_dist(a, b, 3.0))
-        assert np.array_equal(pa.project, a[0])
-        assert np.array_equal(pa.flat, a.ravel())
-
-    def test_seq_point_guards(self):
-        with pytest.raises(ConfigError):
-            OrbitSeqPoint(np.zeros((3, 2)), 1.0)
-        with pytest.raises(ShapeError):
-            OrbitSeqPoint(np.zeros(6), 2.0)
-
 
 class TestLiftAndShift:
-    def test_lift_point_is_the_orbit(self, doubling):
-        x = doubling.cloud.points[5]
-        lifted = lift_point(doubling.system, x, 2.0, 6)
-        assert np.array_equal(lifted.blocks, iterate_orbit(doubling.system, x, 6))
-
     def test_lift_orbit_stacks_rows(self, doubling):
         cloud = circle_cloud(8)
         lifted = lift_orbit(doubling.system, cloud, 4)
@@ -225,6 +203,14 @@ class TestFriedlandCounts:
         )
         assert abs(fr.headline - bd.headline) <= 0.15
         assert 0.5 < bd.headline < 0.9
+
+    def test_estimate_is_the_run_record_estimate(self, doubling):
+        run = run_bundle(doubling, methods=("friedland",))
+        fr = friedland_estimate(
+            doubling.system, doubling.cloud, doubling.eps_list, doubling.n_max,
+            rho=doubling.rho,
+        )
+        assert fr == run.fr
 
     def test_recurrence_matches_from_scratch_sums(self, doubling):
         """The in-place update S_{i+1} = rho (S_i - D_i) + rho^(1-M) D_{i+M}
