@@ -384,14 +384,12 @@ def _verify_bundle(cfg: RunConfig, pairs: int, seed: int) -> tuple[str, bool]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfgs = _load_configs(Path(args.config))
     all_ok = True
-    blocks = []
-    for cfg in cfgs:
+    for cfg in _load_configs(Path(args.config)):
         text, ok = _verify_bundle(cfg, pairs=args.pairs, seed=args.seed)
-        blocks.append(text.rstrip("\n"))
+        # printed as each entry finishes, so a later failing entry keeps it
+        print(text.rstrip("\n"), flush=True)
         all_ok = all_ok and ok
-    print("\n".join(blocks))
     return 0 if all_ok else 3
 
 

@@ -138,10 +138,15 @@ def word_complexity(alpha, L_max: int, orbit_len: int, x0=None) -> WordComplexit
             f"config: orbit hit the discontinuity set after {len(syms)} symbols;"
             f" need at least L_max = {L_max}"
         )
+    # rank[i] is the sorted position of the length-L window at i among the
+    # distinct ones; a window one longer is its prefix's rank and one more
+    # symbol, so ranks stay below the orbit length for every L
+    rank = np.zeros(len(syms) + 1, dtype=np.intp)
     counts = []
     for L in range(1, L_max + 1):
-        windows = np.lib.stride_tricks.sliding_window_view(syms, L)
-        counts.append(int(np.unique(windows, axis=0).shape[0]))
+        code = rank[: len(syms) - L + 1] * 2 + syms[L - 1 :]
+        words, rank = np.unique(code, return_inverse=True)
+        counts.append(len(words))
     return WordComplexity(tuple(counts), orbit_len=len(syms), guard_hits=hits)
 
 

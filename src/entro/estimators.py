@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial import cKDTree
 
 from .errors import ConfigError, EscapeError, WindowError
 from .metric_core import CountTable, MetricSpec, PointCloud
@@ -171,7 +171,7 @@ class CompactFamily:
         if not self.members:
             raise ConfigError("config: compact family needs >= 1 member")
         for a, b in zip(self.members, self.members[1:]):
-            gap = float(cdist(a.points, b.points).min(axis=1).max())
+            gap = float(cKDTree(b.points).query(a.points)[0].max())
             if gap > 1e-9:
                 raise ConfigError(
                     f"config: family members not nested (gap {gap:g} between "

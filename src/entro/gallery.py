@@ -785,10 +785,15 @@ def run_bundle(
 
     Scales, orders and rho left as None come from the bundle; ``methods``
     names the estimators to run (see ``ALL_METHODS``).  The verdict uses the
-    default slack of ``inequality_report``.
+    default slack of ``inequality_report``.  The lifted estimate has a
+    euclidean base metric, so it refuses a bundle with any other metric.
     """
     start = time.perf_counter()
     b = bundle.with_settings(eps_list, n_max, rho)
+    if "friedland" in methods and b.metric.kind != "euclidean":
+        raise ConfigError(
+            f"config: the lifted estimate needs a euclidean base metric, got {b.metric.describe()}"
+        )
     bd_table = bd = bc = fr_table = fr = verdict = None
     if "bowen_dinaburg" in methods:
         bd_table = bd_count_table(b.system, b.cloud, b.metric, b.eps_list, b.n_max)

@@ -45,6 +45,7 @@ __all__ = [
     "CountTable",
     "pairwise_dist",
     "distance_matrix",
+    "distance_tiles",
     "cloud_diameter",
     "max_separated",
     "min_spanning",
@@ -59,6 +60,9 @@ __all__ = [
 
 EXACT_CAP = 24
 DUPLICATE_TOL = 1e-12
+# Rows per tile of ``distance_tiles``; on a 7032-point cloud (2 vCPUs), 32 to
+# 256 rows timed within 10 % of each other.
+TILE_ROWS = 64
 
 _KINDS = ("euclidean", "max_product", "sequence_rho")
 
@@ -208,6 +212,22 @@ def distance_matrix(a, b, spec: MetricSpec) -> np.ndarray:
         w /= spec.rho
         out += w * cdist(va[:, i, :], vb[:, i, :])
     return out
+
+
+def distance_tiles(pts, spec: MetricSpec):
+    """The upper triangle of the distance matrix of ``pts``, in row tiles.
+
+    Yields ``(r0, r1, distance_matrix(pts[r0:r1], pts[r0:], spec))`` for
+    consecutive bands of ``TILE_ROWS`` rows, so each band starts at its
+    diagonal block and no N x N matrix is built.  An entry does not depend on
+    the tile it is computed in, and ``d(i, j) == d(j, i)`` bit for bit, so a
+    consumer that mirrors each tile gets the full matrix exactly.
+    """
+    pts = np.ascontiguousarray(pts, dtype=float)
+    size = pts.shape[0]
+    for r0 in range(0, size, TILE_ROWS):
+        r1 = min(r0 + TILE_ROWS, size)
+        yield r0, r1, distance_matrix(pts[r0:r1], pts[r0:], spec)
 
 
 def pairwise_dist(a, b, spec: MetricSpec) -> float:
@@ -458,14 +478,19 @@ def orbit_metric_matrices(orbits: np.ndarray, spec: MetricSpec):
     distance matrices of slice k, and ``seed`` the running max of each
     orbit's distance to the slice centroids (the farthest-point start).  Both
     arrays are updated in place on the next step, so one N x N matrix is
-    held whatever the depth; copy them to keep an order.
+    held whatever the depth; copy them to keep an order.  Each slice's
+    distances arrive as ``distance_tiles`` of the upper triangle, are folded
+    into ``dmat`` and mirrored below the diagonal, so no slice matrix is held.
     """
     size = orbits.shape[0]
     dmat = np.zeros((size, size))
     seed = np.zeros(size)
     for k in range(orbits.shape[1]):
         sl = orbits[:, k, :]
-        np.maximum(dmat, distance_matrix(sl, sl, spec), out=dmat)
+        for r0, r1, tile in distance_tiles(sl, spec):
+            band = dmat[r0:r1, r0:]
+            np.maximum(band, tile, out=band)
+            dmat[r0:, r0:r1] = band.T
         centroid = sl.mean(axis=0)
         np.maximum(seed, distance_matrix(sl, centroid[None, :], spec)[:, 0], out=seed)
         yield k + 1, dmat, seed

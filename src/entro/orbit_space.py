@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .dynamics import DynSystem, build_orbit_table
 from .errors import ConfigError, NotSemiconjugateError, ShapeError, TooLargeError
@@ -28,6 +27,7 @@ from .metric_core import (
     cloud_diameter,
     count_table,
     counts_from_matrix,
+    distance_tiles,
     orbit_metric_matrices,
 )
 
@@ -144,48 +144,65 @@ def _lifted_matrices(orbits: np.ndarray, n_max: int, rho: float, m: int):
     The order-n shift distance is the running max over i < n of the weighted
     sums S_i = sum_{j<M} rho^(-j) d(x_{i+j}, y_{i+j}), with M = ``m``.  Rather
     than hold M distance matrices, S advances by the identity
-    S_{i+1} = rho * (S_i - D_i) + rho^(1-M) * D_{i+M}, with each per-iterate
-    matrix D_k recomputed on demand and S updated in place, so two N x N
-    matrices (S and its running max) plus one slice matrix are held.  The
-    seed runs the same recurrence on distances to the slice centroids.  Base
-    metric is euclidean.
+    S_{i+1} = rho * (S_i - D_i) + rho^(1-M) * D_{i+M}, in place.  S is
+    symmetric, so it is held as the row tiles of its upper triangle, and each
+    per-iterate matrix D_k arrives as the matching ``distance_tiles``; after a
+    tile of S is updated it goes into the running max, which is mirrored
+    below the diagonal.  So the running max and the upper half of S are held,
+    about 1.5 N x N matrices, and no slice matrix.  The seed runs the same
+    recurrence on distances to the slice centroids.  Base metric is
+    euclidean.
     """
     size = orbits.shape[0]
+    euclid = MetricSpec.euclidean()
 
-    def slice_dm(k: int) -> np.ndarray:
-        pts = orbits[:, k, :]
-        return cdist(pts, pts)
+    def slice_tiles(k: int):
+        return distance_tiles(orbits[:, k, :], euclid)
 
     def slice_seed(k: int) -> np.ndarray:
         pts = orbits[:, k, :]
         return np.linalg.norm(pts - pts.mean(axis=0), axis=1)
 
-    # S_0 and its seed analogue (distance to the running centroid sequence)
-    s_mat = np.zeros((size, size))
+    # S_0 and its seed analogue (distance to the running centroid sequence);
+    # the weight of D_0 is 1, so S_0 starts as D_0's tiles
+    s_tiles = list(slice_tiles(0))
     s_seed = np.zeros(size)
     w = 1.0
     for j in range(m):
-        s_mat += w * slice_dm(j)
+        if j > 0:
+            for (_, _, s_t), (_, _, tile) in zip(s_tiles, slice_tiles(j)):
+                tile *= w
+                s_t += tile
         s_seed += w * slice_seed(j)
         w /= rho
     tail_w = rho ** (1 - m)
 
-    run_mat = np.zeros_like(s_mat)
-    run_seed = np.zeros_like(s_seed)
+    def advanced(i: int):
+        """S_i tile by tile; for i > 0 each tile of S_{i-1} is advanced first."""
+        if i == 0:
+            yield from s_tiles
+            return
+        tiles = zip(s_tiles, slice_tiles(i - 1), slice_tiles(i - 1 + m))
+        for (r0, r1, s_t), (_, _, d_out), (_, _, d_in) in tiles:
+            s_t -= d_out
+            s_t *= rho
+            d_in *= tail_w
+            s_t += d_in
+            np.maximum(s_t, 0.0, out=s_t)
+            yield r0, r1, s_t
+
+    run_mat = np.zeros((size, size))
+    run_seed = np.zeros(size)
     for i in range(n_max):
-        np.maximum(run_mat, s_mat, out=run_mat)
+        for r0, r1, s_t in advanced(i):
+            band = run_mat[r0:r1, r0:]
+            np.maximum(band, s_t, out=band)
+            run_mat[r0:, r0:r1] = band.T
+        if i > 0:
+            s_seed = rho * (s_seed - slice_seed(i - 1)) + tail_w * slice_seed(i - 1 + m)
+            np.maximum(s_seed, 0.0, out=s_seed)
         np.maximum(run_seed, s_seed, out=run_seed)
         yield i + 1, run_mat, run_seed
-        if i + 1 < n_max:
-            s_mat -= slice_dm(i)
-            s_mat *= rho
-            d_next = slice_dm(i + m)
-            d_next *= tail_w
-            s_mat += d_next
-            del d_next
-            np.maximum(s_mat, 0.0, out=s_mat)
-            s_seed = rho * (s_seed - slice_seed(i)) + tail_w * slice_seed(i + m)
-            np.maximum(s_seed, 0.0, out=s_seed)
 
 
 def friedland_count_table(
@@ -198,8 +215,10 @@ def friedland_count_table(
 ) -> CountTable:
     """Counts for the shift on lifted orbit sequences under the dhat metric.
 
+    The base metric of dhat is euclidean; there is no spec to pass.
     Sequences keep ``truncation`` blocks (default: enough that the dropped
-    tail is below 1e-6); ``_lifted_matrices`` gives the order-n matrices.
+    tail is below 1e-6); ``_lifted_matrices`` gives the order-n matrices and
+    holds their running max plus the upper half of S.
     """
     if n_max < 1:
         raise ConfigError("config: n_max must be >= 1")

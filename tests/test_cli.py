@@ -302,6 +302,18 @@ class TestVerifyCommand:
         )
         assert want in verify_out.splitlines()
 
+    def test_batch_prints_blocks_before_a_failing_entry(self, tmp_path, capsys):
+        cfgs = [
+            FAST_DOUBLING,
+            {"system": "annulus", "params": {"variant": "sphere", "mesh": 0.5}},
+        ]
+        rc = main(["verify", write_config(tmp_path, cfgs), "--pairs", "50"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out.startswith("== verify doubling ==")
+        assert "FR≈BD: pass" in captured.out
+        assert captured.err.startswith("error: mesh:")
+
     def test_empty_eps_rejected(self, tmp_path, capsys):
         cfg = dict(FAST_DOUBLING, eps_list=[])
         rc = main(["verify", write_config(tmp_path, cfg)])

@@ -42,6 +42,14 @@ def factor_set_oracle(alpha: Fraction, length: int) -> set:
     return words
 
 
+def window_counts(syms: np.ndarray, L_max: int) -> list[int]:
+    """p(L) as the number of distinct rows among all length-L windows."""
+    return [
+        int(np.unique(np.lib.stride_tricks.sliding_window_view(syms, L), axis=0).shape[0])
+        for L in range(1, L_max + 1)
+    ]
+
+
 class TestWordComplexity:
     def test_linear_growth_against_multistart_oracle(self):
         for L in (1, 2, 3, 5, 8, 13, 20):
@@ -59,6 +67,14 @@ class TestWordComplexity:
             tuple(int(v) for v in syms[i : i + 13]) for i in range(5000 - 12)
         }
         assert windows == oracle
+
+    @pytest.mark.parametrize(
+        "alpha, x0", [(GOLDEN_ALPHA, Fraction(1, 2)), (math.sqrt(2) - 1, 0.5)]
+    )
+    def test_rank_refinement_matches_window_rows(self, alpha, x0):
+        wc = word_complexity(alpha, 70, 3000)
+        syms, _ = symbol_orbit(alpha, x0, 3000)
+        assert list(wc.counts) == window_counts(syms, 70)
 
     def test_hand_value(self):
         wc = word_complexity(GOLDEN_ALPHA, 5, 200)

@@ -121,8 +121,21 @@ class TestCompactFamily:
     def test_nesting_enforced(self, rng):
         a = PointCloud(rng.random((5, 2)), 0.1)
         b = PointCloud(rng.random((7, 2)) + 10.0, 0.1)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="not nested"):
             CompactFamily((a, b))
+
+    @pytest.mark.parametrize("shift, nested", [(1e-12, True), (1e-6, False)])
+    def test_nesting_gap_threshold(self, rng, shift, nested):
+        """A member may sit within 1e-9 of the next one, but no farther."""
+        pts = rng.random((12, 2))
+        moved = pts[:5].copy()
+        moved[2, 0] += shift
+        members = (PointCloud(moved, 0.1), PointCloud(pts.copy(), 0.1))
+        if nested:
+            assert len(CompactFamily(members).members) == 2
+        else:
+            with pytest.raises(ConfigError, match=r"not nested \(gap 1e-06 between sizes 5 and 12\)"):
+                CompactFamily(members)
 
     def test_prefix_subsets_are_nested(self, rng):
         pts = rng.random((12, 2))

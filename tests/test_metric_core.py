@@ -29,7 +29,12 @@ from entro import (
     pairwise_dist,
     subsample_count_check,
 )
-from entro.metric_core import counts_from_matrix, farthest_point_order
+from entro.metric_core import (
+    TILE_ROWS,
+    counts_from_matrix,
+    farthest_point_order,
+    orbit_metric_matrices,
+)
 
 
 def brute_max_separated(dists: np.ndarray, eps: float) -> int:
@@ -184,6 +189,39 @@ class TestGreedyCountsMatchDenseScans:
         assert sep.count == span.count == len(dmat)
         sep, span = counts_from_matrix(dmat, 2 * dmat.max() + 1, "greedy")
         assert sep.count == span.count == 1
+
+
+def dense_orbit_metric_matrices(orbits: np.ndarray, spec: MetricSpec):
+    """Running max over whole N x N slice matrices, without tiles."""
+    size = orbits.shape[0]
+    dmat = np.zeros((size, size))
+    seed = np.zeros(size)
+    for k in range(orbits.shape[1]):
+        sl = orbits[:, k, :]
+        np.maximum(dmat, distance_matrix(sl, sl, spec), out=dmat)
+        centroid = sl.mean(axis=0)
+        np.maximum(seed, distance_matrix(sl, centroid[None, :], spec)[:, 0], out=seed)
+        yield k + 1, dmat, seed
+
+
+class TestTiledOrbitMetricMatrices:
+    """Matrices folded from upper-triangle tiles equal the dense running max."""
+
+    @pytest.mark.parametrize("size", [1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 200])
+    @pytest.mark.parametrize(
+        "spec",
+        [MetricSpec.euclidean(), MetricSpec.max_product(2), MetricSpec.sequence_rho(3.0, 2)],
+        ids=lambda spec: spec.kind,
+    )
+    def test_matches_dense_running_max(self, size, spec):
+        orbits = np.random.default_rng(size).normal(size=(size, 3, 4))
+        got = orbit_metric_matrices(orbits, spec)
+        want = dense_orbit_metric_matrices(orbits, spec)
+        for (n, dmat, seed), (want_n, want_dmat, want_seed) in zip(got, want, strict=True):
+            assert n == want_n
+            assert np.array_equal(dmat, want_dmat)
+            assert np.array_equal(dmat, dmat.T)
+            assert np.array_equal(seed, want_seed)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 """Orbit-sequence lifting, the weighted shift metric, and the cross checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -30,6 +31,7 @@ from entro import (
 )
 from entro.gallery import build_doubling, run_bundle
 from entro.metric_core import counts_from_matrix, farthest_point_order, orbit_metric_matrices
+from entro.orbit_space import _lifted_matrices
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +148,42 @@ class TestLiftAndShift:
         assert shift_system(doubling.system, 3).inverse is None
 
 
+def dense_lifted_matrices(orbits: np.ndarray, n_max: int, rho: float, m: int):
+    """The in-place S recurrence on whole N x N slice matrices, without tiles."""
+    size = orbits.shape[0]
+
+    def slice_dm(k):
+        return cdist(orbits[:, k, :], orbits[:, k, :])
+
+    def slice_seed(k):
+        pts = orbits[:, k, :]
+        return np.linalg.norm(pts - pts.mean(axis=0), axis=1)
+
+    s_mat = np.zeros((size, size))
+    s_seed = np.zeros(size)
+    w = 1.0
+    for j in range(m):
+        s_mat += w * slice_dm(j)
+        s_seed += w * slice_seed(j)
+        w /= rho
+    tail_w = rho ** (1 - m)
+    run_mat = np.zeros_like(s_mat)
+    run_seed = np.zeros_like(s_seed)
+    for i in range(n_max):
+        np.maximum(run_mat, s_mat, out=run_mat)
+        np.maximum(run_seed, s_seed, out=run_seed)
+        yield i + 1, run_mat, run_seed
+        if i + 1 < n_max:
+            s_mat -= slice_dm(i)
+            s_mat *= rho
+            d_next = slice_dm(i + m)
+            d_next *= tail_w
+            s_mat += d_next
+            np.maximum(s_mat, 0.0, out=s_mat)
+            s_seed = rho * (s_seed - slice_seed(i)) + tail_w * slice_seed(i + m)
+            np.maximum(s_seed, 0.0, out=s_seed)
+
+
 class TestFriedlandCounts:
     def test_dominates_base_counts(self, doubling):
         """Each summand of the lifted metric starts with the base distance, so
@@ -241,6 +279,28 @@ class TestFriedlandCounts:
                 want[(eps, i + 1)] = (sep.count, span.count)
         got = {(r.epsilon, r.n): (r.sep_count, r.span_count) for r in table.rows}
         assert got == want
+
+    def test_tiled_matrices_match_dense_recurrence(self, doubling):
+        """S held as upper-triangle row tiles gives the matrices and seeds of
+        the recurrence on whole matrices, bit for bit, across tile edges."""
+        theta = np.sort(np.random.default_rng(7).random(150)) * 2.0 * math.pi
+        pts = np.column_stack([np.cos(theta), np.sin(theta)])
+        n_max, rho, m = 5, 3.0, 6
+        orbits = build_orbit_table(doubling.system, PointCloud(pts, 0.2), m + n_max - 1).orbits
+        got = _lifted_matrices(orbits, n_max, rho, m)
+        want = dense_lifted_matrices(orbits, n_max, rho, m)
+        for (n, dmat, seed), (want_n, want_dmat, want_seed) in zip(got, want, strict=True):
+            assert n == want_n
+            assert np.array_equal(dmat, want_dmat)
+            assert np.array_equal(dmat, dmat.T)
+            assert np.array_equal(seed, want_seed)
+
+    def test_run_bundle_refuses_a_non_euclidean_lifted_base(self, doubling):
+        bundle = dataclasses.replace(doubling, metric=MetricSpec.max_product(1))
+        with pytest.raises(ConfigError, match="euclidean"):
+            run_bundle(bundle, methods=("friedland",))
+        run = run_bundle(bundle, methods=("bowen_dinaburg",))
+        assert run.bd is not None and run.fr is None
 
     def test_bad_args(self, doubling):
         cloud = circle_cloud(6)
