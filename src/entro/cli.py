@@ -98,7 +98,9 @@ class RunConfig:
         if raw.get("eps_list") is not None:
             eps_list = _validate_eps(raw["eps_list"], where)
         n_max = raw.get("n_max")
-        if n_max is not None and (not isinstance(n_max, int) or n_max < 1):
+        if n_max is not None and (
+            not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1
+        ):
             raise ConfigError(f"config: {where}n_max must be a positive integer")
         rho = raw.get("rho")
         if rho is not None:
@@ -112,6 +114,9 @@ class RunConfig:
         allow_coarse_mesh = raw.get("allow_coarse_mesh", False)
         if not isinstance(allow_coarse_mesh, bool):
             raise ConfigError(f"config: {where}allow_coarse_mesh must be true or false")
+        for key in ("out_dir", "label"):
+            if raw.get(key) is not None and not isinstance(raw[key], str):
+                raise ConfigError(f"config: {where}{key} must be a string")
         return cls(
             system=raw["system"],
             params=params,

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dynamics import DynSystem
+from .dynamics import DynSystem, pointwise
 from .errors import ConfigError, UndefinedPointError
 
 __all__ = [
@@ -197,5 +197,9 @@ def iet_system(alpha) -> DynSystem:
         return 0.0 < x < 1.0
 
     return DynSystem(
-        name=f"iet[{af:.6f}]", dim=1, step=step, domain=domain, inverse=inverse
+        name=f"iet[{af:.6f}]",
+        dim=1,
+        step=pointwise(step),
+        domain=pointwise(domain),
+        inverse=pointwise(inverse),
     )

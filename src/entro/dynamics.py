@@ -1,4 +1,4 @@
-"""Dynamical systems as point rules, orbits, and orbit-metric counting.
+"""Dynamical systems as array rules, orbits, and orbit-metric counting.
 
 A system is a step rule on an embedded space together with a domain
 predicate.  Orbits that leave the domain raise ``EscapeError`` carrying the
@@ -32,6 +32,7 @@ from .metric_core import (
 
 __all__ = [
     "DynSystem",
+    "pointwise",
     "OrbitTable",
     "iterate_orbit",
     "build_orbit_table",
@@ -44,54 +45,38 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DynSystem:
-    """A continuous self-map presented as an executable point rule."""
+    """A continuous self-map presented as array rules.
+
+    ``step`` and ``inverse`` map a (k, dim) float array of points to the
+    (k, dim) array of their images, and ``domain`` returns k bools; a rule
+    written for one point is lifted with ``pointwise``.  ``inverse`` is None
+    for a map with no inverse.
+    """
 
     name: str
     dim: int
     step: Callable[[np.ndarray], np.ndarray]
-    domain: Callable[[np.ndarray], bool]
+    domain: Callable[[np.ndarray], np.ndarray]
     inverse: Callable[[np.ndarray], np.ndarray] | None = None
-    step_batch: Callable[[np.ndarray], np.ndarray] | None = None
-    domain_batch: Callable[[np.ndarray], np.ndarray] | None = None
-    inverse_batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def invertible(self) -> bool:
         return self.inverse is not None
 
-    def _step_many(self, pts: np.ndarray) -> np.ndarray:
-        if self.step_batch is not None:
-            return np.asarray(self.step_batch(pts), dtype=float)
-        return np.stack([np.asarray(self.step(p), dtype=float) for p in pts])
 
-    def _inverse_many(self, pts: np.ndarray) -> np.ndarray:
-        if self.inverse is None:
-            raise ConfigError(f"config: system {self.name!r} has no inverse")
-        if self.inverse_batch is not None:
-            return np.asarray(self.inverse_batch(pts), dtype=float)
-        return np.stack([np.asarray(self.inverse(p), dtype=float) for p in pts])
+def pointwise(rule: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], np.ndarray]:
+    """Lift a rule on one point to an array rule that applies it row by row."""
 
-    def _domain_many(self, pts: np.ndarray) -> np.ndarray:
-        if self.domain_batch is not None:
-            return np.asarray(self.domain_batch(pts), dtype=bool)
-        return np.array([bool(self.domain(p)) for p in pts])
+    def on_rows(pts: np.ndarray) -> np.ndarray:
+        return np.array([rule(p) for p in pts])
+
+    return on_rows
 
 
 def iterate_orbit(system: DynSystem, x, n: int) -> np.ndarray:
     """The first ``n`` orbit points (x, f x, ..., f^(n-1) x) as an (n, d) array."""
-    if n < 1:
-        raise ConfigError("config: orbit length must be >= 1")
-    cur = np.asarray(x, dtype=float).reshape(system.dim)
-    if not system.domain(cur):
-        raise EscapeError(0, cur)
-    out = np.empty((n, system.dim))
-    out[0] = cur
-    for i in range(1, n):
-        cur = np.asarray(system.step(cur), dtype=float).reshape(system.dim)
-        if not system.domain(cur):
-            raise EscapeError(i, out[i - 1])
-        out[i] = cur
-    return out
+    start = PointCloud(np.reshape(x, (1, system.dim)), np.inf)
+    return build_orbit_table(system, start, n).orbits[0]
 
 
 @dataclass(frozen=True)
@@ -119,7 +104,7 @@ def build_orbit_table(
     if depth < 1:
         raise ConfigError("config: orbit depth must be >= 1")
     pts = cloud.points
-    ok0 = system._domain_many(pts)
+    ok0 = system.domain(pts)
     if not ok0.all():
         bad = int(np.flatnonzero(~ok0)[0])
         raise EscapeError(0, pts[bad])
@@ -129,13 +114,13 @@ def build_orbit_table(
     reached = depth
     for k in range(1, depth):
         try:
-            cur = system._step_many(cur)
+            cur = system.step(cur)
         except UndefinedPointError as exc:
             if allow_truncation:
                 reached = k
                 break
             raise UndefinedPointError(k, exc.point) from None
-        ok = system._domain_many(cur)
+        ok = system.domain(cur)
         if not ok.all():
             if allow_truncation:
                 reached = k
@@ -223,7 +208,7 @@ def inverse_transport_check(
     back[:, 0, :] = tips
     cur = tips
     for k in range(1, n):
-        cur = system._inverse_many(cur)
+        cur = system.inverse(cur)
         back[:, k, :] = cur
 
     for _, bmat, _ in orbit_metric_matrices(back, spec):

@@ -190,22 +190,24 @@ def compacta_estimate(
 
     Each member cloud gets its own count table (orbits run in the full space;
     only the separated subsets are drawn from the member) and the headline is
-    the max over member headlines.  Members whose orbits escape are flagged
-    and skipped.
+    the max over member headlines.  Members whose orbits escape before step
+    ``n_max`` (their table is truncated) are flagged and skipped.
     """
     results: list[EntropyEstimate] = []
     notes: list[str] = []
     for member in family.members:
+        name = member.label or member.size
         try:
             table = _dyn.bd_count_table(system, member, spec, eps_list, n_max)
-            est = entropy_estimate(table)
         except EscapeError as exc:
-            notes.append(f"member({member.label or member.size}): escaped at step {exc.step}")
+            notes.append(f"member({name}): escaped at step {exc.step}")
             continue
+        if table.truncated_at is not None:
+            notes.append(f"member({name}): escaped at step {table.truncated_at}")
+            continue
+        est = entropy_estimate(table)
         results.append(est)
-        notes.append(
-            f"member({member.label or member.size}): headline {est.headline:.4f}"
-        )
+        notes.append(f"member({name}): headline {est.headline:.4f}")
     if not results:
         raise ConfigError("config: every family member escaped; nothing to estimate")
     best = max(results, key=lambda est: est.headline)

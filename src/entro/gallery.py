@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import DynSystem, bd_count_table
+from .dynamics import DynSystem, bd_count_table, pointwise
 from .errors import ConfigError, MeshError, UndefinedPointError
 from .estimators import (
     CompactFamily,
@@ -199,9 +199,9 @@ def crumple_system(N: int, direction: str = "forward") -> DynSystem:
     return DynSystem(
         name=f"crumple{N}-{direction}",
         dim=2,
-        step=step,
-        domain=domain,
-        inverse=inverse,
+        step=pointwise(step),
+        domain=pointwise(domain),
+        inverse=pointwise(inverse),
     )
 
 
@@ -384,9 +384,9 @@ def build_escape(
     system = DynSystem(
         name=f"escape{N}",
         dim=2,
-        step=step,
-        domain=domain,
-        inverse=inverse,
+        step=pointwise(step),
+        domain=pointwise(domain),
+        inverse=pointwise(inverse),
     )
     idx = np.arange(concat_len)
     pts = np.column_stack([1.0 / (1.0 + idx), heights[:concat_len]])
@@ -463,12 +463,7 @@ def _polar_points(spacing: float, r_lo: float, r_hi: float, boost_from: float, b
     return np.vstack(rows)
 
 
-def _square_step(p: np.ndarray) -> np.ndarray:
-    x, y = float(p[0]), float(p[1])
-    return np.array([x * x - y * y, 2.0 * x * y])
-
-
-def _square_step_batch(pts: np.ndarray) -> np.ndarray:
+def _square_step(pts: np.ndarray) -> np.ndarray:
     x, y = pts[:, 0], pts[:, 1]
     return np.column_stack([x * x - y * y, 2.0 * x * y])
 
@@ -505,37 +500,20 @@ def build_annulus(
                 rings.append(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
             rings.append(_polar_points(spacing, spacing / 2, 0.95, 2.0, 1))
             pts = np.vstack(rings)
-            step, step_batch = _square_step, _square_step_batch
+            step = _square_step
         else:
             pts = _polar_points(spacing, spacing / 2, 1.0 - spacing / 2, 0.85, 3)
 
-            def step(p: np.ndarray) -> np.ndarray:
-                r = math.hypot(float(p[0]), float(p[1]))
-                q = _square_step(p)
-                if r == 0.0:
-                    return q
-                return q * ((2.0 - r) / r)
-
-            def step_batch(pts_: np.ndarray) -> np.ndarray:
+            def step(pts_: np.ndarray) -> np.ndarray:
                 r = np.hypot(pts_[:, 0], pts_[:, 1])
-                q = _square_step_batch(pts_)
+                q = _square_step(pts_)
                 scale = np.where(r > 0, (2.0 - r) / np.maximum(r, 1e-300), 1.0)
                 return q * scale[:, None]
 
-        def domain(p: np.ndarray) -> bool:
-            return float(p[0]) ** 2 + float(p[1]) ** 2 <= 1.0 + 1e-9
-
-        def domain_batch(pts_: np.ndarray) -> np.ndarray:
+        def domain(pts_: np.ndarray) -> np.ndarray:
             return pts_[:, 0] ** 2 + pts_[:, 1] ** 2 <= 1.0 + 1e-9
 
-        system = DynSystem(
-            name=f"annulus-{variant}",
-            dim=2,
-            step=step,
-            domain=domain,
-            step_batch=step_batch,
-            domain_batch=domain_batch,
-        )
+        system = DynSystem(name=f"annulus-{variant}", dim=2, step=step, domain=domain)
         cloud = PointCloud(pts, mesh, f"annulus-{variant}|polar")
         radii = (0.5, 0.6, 0.7)
         member_pts = _polar_points(family_spacing, 0.3, max(radii), 2.0, 1)
@@ -594,8 +572,8 @@ def build_annulus(
     system = DynSystem(
         name="annulus-sphere",
         dim=3,
-        step=sphere_step,
-        domain=sphere_domain,
+        step=pointwise(sphere_step),
+        domain=pointwise(sphere_domain),
     )
     cloud = PointCloud(pts, mesh, "annulus-sphere|latlong")
     lat = np.arccos(np.clip(pts[:, 2], -1, 1))
@@ -629,31 +607,17 @@ def build_doubling(grid: int = 4096) -> GalleryBundle:
     theta = np.arange(grid) * (2.0 * math.pi / grid)
     pts = np.column_stack([np.cos(theta), np.sin(theta)])
 
-    def domain(p: np.ndarray) -> bool:
-        return abs(float(p[0]) ** 2 + float(p[1]) ** 2 - 1.0) < 1e-6
-
-    def domain_batch(pts_: np.ndarray) -> np.ndarray:
+    def domain(pts_: np.ndarray) -> np.ndarray:
         return np.abs(pts_[:, 0] ** 2 + pts_[:, 1] ** 2 - 1.0) < 1e-6
 
     # Renormalizing after the square keeps long orbits on the circle; the
     # magnitude error otherwise doubles each step and breaches the domain
     # tolerance around step 30.
-    def step(p: np.ndarray) -> np.ndarray:
-        q = _square_step(p)
-        return q / math.hypot(q[0], q[1])
-
-    def step_batch(pts_: np.ndarray) -> np.ndarray:
-        q = _square_step_batch(pts_)
+    def step(pts_: np.ndarray) -> np.ndarray:
+        q = _square_step(pts_)
         return q / np.linalg.norm(q, axis=1, keepdims=True)
 
-    system = DynSystem(
-        name="doubling",
-        dim=2,
-        step=step,
-        domain=domain,
-        step_batch=step_batch,
-        domain_batch=domain_batch,
-    )
+    system = DynSystem(name="doubling", dim=2, step=step, domain=domain)
     mesh = 2.0 * math.pi / grid
     cloud = PointCloud(pts, mesh, f"doubling|grid{grid}")
     members = tuple(
@@ -689,7 +653,11 @@ def build_interval_homeo(mesh: float = 0.0125) -> GalleryBundle:
         return 0.0 < float(p[0]) <= 1.0 + 1e-9
 
     system = DynSystem(
-        name="interval-homeo", dim=1, step=step, domain=domain, inverse=inverse
+        name="interval-homeo",
+        dim=1,
+        step=pointwise(step),
+        domain=pointwise(domain),
+        inverse=pointwise(inverse),
     )
     cloud = PointCloud(xs, mesh, "interval-homeo|grid")
     members = tuple(

@@ -482,18 +482,33 @@ def orbit_metric_matrices(orbits: np.ndarray, spec: MetricSpec):
     distances arrive as ``distance_tiles`` of the upper triangle, are folded
     into ``dmat`` and mirrored below the diagonal, so no slice matrix is held.
     """
-    size = orbits.shape[0]
+
+    def slices():
+        for k in range(orbits.shape[1]):
+            sl = orbits[:, k, :]
+            centroid = sl.mean(axis=0)
+            yield distance_tiles(sl, spec), distance_matrix(sl, centroid[None, :], spec)[:, 0]
+
+    return _running_max(orbits.shape[0], slices())
+
+
+def _running_max(size: int, orders):
+    """Running maxima of per-order matrices and seeds, yielded as ``(n, dmat, seed)``.
+
+    ``orders`` yields, for n = 1, 2, ..., the upper-triangle row tiles
+    ``(r0, r1, tile)`` of the order's matrix and its seed vector.  Each tile
+    is folded into the running max and mirrored below the diagonal; both
+    arrays are updated in place on the next order.
+    """
     dmat = np.zeros((size, size))
-    seed = np.zeros(size)
-    for k in range(orbits.shape[1]):
-        sl = orbits[:, k, :]
-        for r0, r1, tile in distance_tiles(sl, spec):
+    run_seed = np.zeros(size)
+    for n, (tiles, seed) in enumerate(orders, 1):
+        for r0, r1, tile in tiles:
             band = dmat[r0:r1, r0:]
             np.maximum(band, tile, out=band)
             dmat[r0:, r0:r1] = band.T
-        centroid = sl.mean(axis=0)
-        np.maximum(seed, distance_matrix(sl, centroid[None, :], spec)[:, 0], out=seed)
-        yield k + 1, dmat, seed
+        np.maximum(run_seed, seed, out=run_seed)
+        yield n, dmat, run_seed
 
 
 def _cloud_matrix_and_order(

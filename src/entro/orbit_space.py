@@ -24,6 +24,7 @@ from .metric_core import (
     CountTable,
     MetricSpec,
     PointCloud,
+    _running_max,
     cloud_diameter,
     count_table,
     counts_from_matrix,
@@ -97,37 +98,20 @@ def shift_system(system: DynSystem, truncation: int) -> DynSystem:
         raise ConfigError("config: truncation must be >= 1")
     d = system.dim
 
-    def step(v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        return np.concatenate([v[d:], np.asarray(system.step(v[-d:]), dtype=float)])
-
-    def step_batch(pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        new_last = system._step_many(pts[:, -d:])
-        return np.concatenate([pts[:, d:], new_last], axis=1)
+    def step(pts: np.ndarray) -> np.ndarray:
+        return np.concatenate([pts[:, d:], system.step(pts[:, -d:])], axis=1)
 
     inverse = None
-    inverse_batch = None
     if system.inverse is not None:
-        def inverse(v: np.ndarray) -> np.ndarray:
-            v = np.asarray(v, dtype=float)
-            first = np.asarray(system.inverse(v[:d]), dtype=float)
-            return np.concatenate([first, v[:-d]])
-
-        def inverse_batch(pts: np.ndarray) -> np.ndarray:
-            pts = np.asarray(pts, dtype=float)
-            firsts = system._inverse_many(pts[:, :d])
-            return np.concatenate([firsts, pts[:, :-d]], axis=1)
+        def inverse(pts: np.ndarray) -> np.ndarray:
+            return np.concatenate([system.inverse(pts[:, :d]), pts[:, :-d]], axis=1)
 
     return DynSystem(
         name=f"shift[{system.name},M={truncation}]",
         dim=truncation * d,
         step=step,
-        domain=lambda v: True,
+        domain=lambda pts: np.ones(len(pts), dtype=bool),
         inverse=inverse,
-        step_batch=step_batch,
-        domain_batch=lambda pts: np.ones(len(pts), dtype=bool),
-        inverse_batch=inverse_batch,
     )
 
 
@@ -191,18 +175,14 @@ def _lifted_matrices(orbits: np.ndarray, n_max: int, rho: float, m: int):
             np.maximum(s_t, 0.0, out=s_t)
             yield r0, r1, s_t
 
-    run_mat = np.zeros((size, size))
-    run_seed = np.zeros(size)
-    for i in range(n_max):
-        for r0, r1, s_t in advanced(i):
-            band = run_mat[r0:r1, r0:]
-            np.maximum(band, s_t, out=band)
-            run_mat[r0:, r0:r1] = band.T
-        if i > 0:
-            s_seed = rho * (s_seed - slice_seed(i - 1)) + tail_w * slice_seed(i - 1 + m)
-            np.maximum(s_seed, 0.0, out=s_seed)
-        np.maximum(run_seed, s_seed, out=run_seed)
-        yield i + 1, run_mat, run_seed
+    def orders(seed: np.ndarray):
+        for i in range(n_max):
+            if i > 0:
+                seed = rho * (seed - slice_seed(i - 1)) + tail_w * slice_seed(i - 1 + m)
+                np.maximum(seed, 0.0, out=seed)
+            yield advanced(i), seed
+
+    return _running_max(size, orders(s_seed))
 
 
 def friedland_count_table(
@@ -403,8 +383,9 @@ def semiconj_check(
 ) -> SemiconjReport:
     """Verify count domination across a factor map on a small cloud.
 
-    ``h`` maps upstairs points to downstairs points; ``modulus`` bounds how
-    far h can spread a distance (default: identity, i.e. 1-Lipschitz), and
+    ``h`` maps a (k, up dim) array of upstairs points to the (k, down dim)
+    array of their downstairs images; ``modulus`` bounds how far h can
+    spread a distance (default: identity, i.e. 1-Lipschitz), and
     ``delta_up`` is the upstairs scale whose modulus value stays within
     ``eps_down`` (default eps_down itself).  The cloud must fit the exact
     counter; greedy counts cannot certify an inequality.
@@ -423,12 +404,9 @@ def semiconj_check(
         )
 
     up_table = build_orbit_table(up_system, cloud, n + 1)
-    down_pts = np.stack([np.asarray(h(p), dtype=float) for p in cloud.points])
-    worst = 0.0
-    for i in range(cloud.size):
-        pushed = np.asarray(h(up_table.orbits[i, 1, :]), dtype=float)
-        stepped = np.asarray(down_system.step(down_pts[i]), dtype=float)
-        worst = max(worst, float(np.linalg.norm(pushed - stepped)))
+    down_pts = h(cloud.points)
+    pushed = h(up_table.orbits[:, 1, :])
+    worst = float(np.linalg.norm(pushed - down_system.step(down_pts), axis=1).max())
     if worst > residual_tol:
         raise NotSemiconjugateError(
             f"not-semiconjugate: residual {worst:.3g} exceeds {residual_tol:g}"

@@ -221,7 +221,7 @@ def test_c7_comparison_lemmas(suite_results, rng):
     projection = semiconj_check(
         shift_system(doubling.system, 4),
         doubling.system,
-        lambda v: np.asarray(v)[:2],
+        lambda v: v[:, :2],
         lifted,
         eps_down=0.4,
         n=5,

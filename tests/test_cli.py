@@ -233,7 +233,15 @@ class TestEstimateCommand:
 
     @pytest.mark.parametrize(
         "extra",
-        [{"rho": "abc"}, {"rho": True}, {"allow_coarse_mesh": "false"}, {"mode": "greedy"}],
+        [
+            {"rho": "abc"},
+            {"rho": True},
+            {"allow_coarse_mesh": "false"},
+            {"mode": "greedy"},
+            {"n_max": True},
+            {"out_dir": 5},
+            {"label": ["x"]},
+        ],
     )
     def test_bad_config_values_exit_1(self, extra, tmp_path, capsys):
         rc = main(["estimate", write_config(tmp_path, dict(FAST_DOUBLING, **extra))])

@@ -164,8 +164,8 @@ class TestIetSystem:
     def test_inverse_undoes_step(self):
         system = iet_system(GOLDEN_ALPHA)
         for x in (0.1, 0.3, 0.55, 0.8, 0.97):
-            p = np.array([x])
-            assert system.inverse(system.step(p))[0] == pytest.approx(x, abs=1e-12)
+            p = np.array([[x]])
+            assert system.inverse(system.step(p))[0, 0] == pytest.approx(x, abs=1e-12)
 
     def test_separated_counts_stay_flat(self):
         """Cross-check: the rotation should register entropy near zero."""

@@ -19,7 +19,7 @@ from entro import (
     growth_rate,
     inequality_report,
 )
-from entro.gallery import build_doubling
+from entro.gallery import build_doubling, build_escape
 
 
 class TestGrowthRate:
@@ -152,6 +152,15 @@ class TestCompactFamily:
         # the full circle dominates the arcs
         assert est.headline > 0.4
         assert any("supremum" in d for d in est.diagnostics)
+
+    def test_member_escaping_after_step_0_is_skipped(self):
+        # orbits of the whole 98-point window run out of heights at step 3
+        bundle = build_escape(2, L_max=4, orbit_len=101)
+        est = compacta_estimate(
+            bundle.system, bundle.metric, bundle.family, [1.0, 0.75, 0.5], 8
+        )
+        assert "member(escape2|orbit0..97): escaped at step 3" in est.diagnostics
+        assert "supremum over 2 members" in est.diagnostics
 
 
 def flat_estimate(base):

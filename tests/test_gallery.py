@@ -182,14 +182,14 @@ class TestCrumpleSystem:
     def test_inverse_undoes_step(self):
         system = crumple_system(3)
         for x0 in (0.9, 0.45, 0.21):
-            p = np.array([x0, crumple_height(3, x0)])
+            p = np.array([[x0, crumple_height(3, x0)]])
             q = system.inverse(system.step(p))
-            assert q[0] == pytest.approx(x0, abs=1e-9)
+            assert q[0, 0] == pytest.approx(x0, abs=1e-9)
 
     def test_inverse_direction_swaps_roles(self):
         fwd = crumple_system(2, "forward")
         bwd = crumple_system(2, "inverse")
-        p = np.array([0.3, crumple_height(2, 0.3)])
+        p = np.array([[0.3, crumple_height(2, 0.3)]])
         assert np.allclose(bwd.step(p), fwd.inverse(p), atol=0)
         assert np.allclose(bwd.inverse(p), fwd.step(p), atol=0)
 
@@ -198,7 +198,7 @@ class TestCrumpleSystem:
         system = crumple_system(N)
         for k in range(1, 15):
             mid = 0.5 * (lap_endpoint(N, k) + lap_endpoint(N, k + 1))
-            out = system.step(np.array([mid, crumple_height(N, mid)]))
+            out = system.step(np.array([[mid, crumple_height(N, mid)]]))[0]
             base, hi = lap_image(N, k)
             assert lap_endpoint(N, hi + 1) <= out[0] <= lap_endpoint(N, base)
 
@@ -233,8 +233,8 @@ class TestCrumpleBundles:
 
     def test_inverse_system_is_the_backward_map(self):
         bundle = build_crumple(2, direction="inverse")
-        p = np.array([0.4, crumple_height(2, 0.4)])
-        assert bundle.system.step(p)[0] == pytest.approx(
+        p = np.array([[0.4, crumple_height(2, 0.4)]])
+        assert bundle.system.step(p)[0, 0] == pytest.approx(
             interval_step_inv(0.4), abs=1e-12
         )
 
@@ -295,22 +295,22 @@ class TestEscapeBundle:
         bundle = build_escape(2, L_max=4)
         pts = bundle.cloud.points
         for i in range(0, bundle.cloud.size - 1, 7):
-            nxt = bundle.system.step(pts[i])
+            nxt = bundle.system.step(pts[i : i + 1])[0]
             assert np.allclose(nxt, pts[i + 1], atol=1e-12)
 
     def test_inverse_steps_back(self):
         bundle = build_escape(2, L_max=3)
         pts = bundle.cloud.points
-        back = bundle.system.inverse(pts[5])
+        back = bundle.system.inverse(pts[5:6])[0]
         assert np.allclose(back, pts[4], atol=1e-12)
         with pytest.raises(UndefinedPointError):
-            bundle.system.inverse(pts[0])
+            bundle.system.inverse(pts[:1])
 
     def test_domain_ends_with_the_window(self):
         bundle = build_escape(2, L_max=2, orbit_len=12)
-        assert bundle.system.domain(np.array([1.0 / 11.0, 1.0]))
-        assert not bundle.system.domain(np.array([1.0 / 12.0, 1.0]))
-        assert not bundle.system.domain(np.array([-0.1, 1.0]))
+        assert bundle.system.domain(np.array([[1.0 / 11.0, 1.0]]))[0]
+        assert not bundle.system.domain(np.array([[1.0 / 12.0, 1.0]]))[0]
+        assert not bundle.system.domain(np.array([[-0.1, 1.0]]))[0]
 
     def test_orbit_len_guard(self):
         with pytest.raises(ConfigError):
@@ -341,14 +341,7 @@ class TestAnnulusEmbeddings:
         for _ in range(20):
             p = rng.uniform(-0.7, 0.7, size=2)
             z = complex(p[0], p[1]) ** 2
-            assert np.allclose(system.step(p), [z.real, z.imag], atol=1e-12)
-
-    def test_disc_batch_matches_single(self, rng):
-        system = build_annulus("disc").system
-        pts = rng.uniform(-0.7, 0.7, size=(40, 2))
-        batch = system.step_batch(pts)
-        for i in range(40):
-            assert np.allclose(batch[i], system.step(pts[i]), atol=0)
+            assert np.allclose(system.step(p[None])[0], [z.real, z.imag], atol=1e-12)
 
     def test_inverted_radius_law(self, rng):
         """Radii follow r -> r(2 - r); angles still double."""
@@ -356,8 +349,8 @@ class TestAnnulusEmbeddings:
         for _ in range(20):
             r = rng.uniform(0.05, 0.99)
             t = rng.uniform(0.0, 2.0 * math.pi)
-            p = np.array([r * math.cos(t), r * math.sin(t)])
-            q = system.step(p)
+            p = np.array([[r * math.cos(t), r * math.sin(t)]])
+            q = system.step(p)[0]
             assert math.hypot(*q) == pytest.approx(r * (2.0 - r), abs=1e-12)
             want = (2.0 * t) % (2.0 * math.pi)
             got = math.atan2(q[1], q[0]) % (2.0 * math.pi)
@@ -366,14 +359,14 @@ class TestAnnulusEmbeddings:
 
     def test_inverted_rim_is_invariant(self):
         system = build_annulus("inverted").system
-        p = np.array([math.cos(0.3), math.sin(0.3)])
-        q = system.step(p)
+        p = np.array([[math.cos(0.3), math.sin(0.3)]])
+        q = system.step(p)[0]
         assert math.hypot(*q) == pytest.approx(1.0, abs=1e-12)
 
     def test_sphere_poles_are_fixed(self):
         system = build_annulus("sphere").system
-        north = np.array([0.0, 0.0, 1.0])
-        south = np.array([0.0, 0.0, -1.0])
+        north = np.array([[0.0, 0.0, 1.0]])
+        south = np.array([[0.0, 0.0, -1.0]])
         assert np.allclose(system.step(north), north, atol=1e-12)
         assert np.allclose(system.step(south), south, atol=1e-12)
 
@@ -387,7 +380,7 @@ class TestAnnulusEmbeddings:
             bundle = build_annulus(variant)
             p = bundle.cloud.points[bundle.cloud.size // 3]
             orbit = iterate_orbit(bundle.system, p, 12)
-            assert bundle.system.domain(orbit[-1])
+            assert bundle.system.domain(orbit[-1:])[0]
 
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
@@ -413,7 +406,7 @@ class TestDoublingBundle:
 class TestIntervalHomeoBundle:
     def test_system_is_the_base_slide(self):
         bundle = build_interval_homeo()
-        assert bundle.system.step(np.array([0.5]))[0] == pytest.approx(
+        assert bundle.system.step(np.array([[0.5]]))[0, 0] == pytest.approx(
             interval_step(0.5), abs=0
         )
         assert bundle.system.invertible
@@ -466,6 +459,23 @@ class TestRegistry:
             )
             assert bundle.n_max >= 6
             assert bundle.rho > 1.0
+
+
+class TestArrayRules:
+    @pytest.mark.parametrize("bundle", default_suite(), ids=lambda b: b.name)
+    def test_rules_map_rows_to_rows(self, bundle):
+        """step and inverse give (k, dim) floats and domain k bools, row for row."""
+        system = bundle.system
+        pts = bundle.cloud.points[np.linspace(1, bundle.cloud.size - 1, 50).astype(int)]
+        rules = [system.step, system.domain] + ([system.inverse] if system.invertible else [])
+        for rule in rules:
+            out = rule(pts)
+            if rule is system.domain:
+                assert out.shape == (50,) and out.dtype == bool
+            else:
+                assert out.shape == (50, system.dim) and out.dtype == np.float64
+            for i in range(50):
+                assert np.array_equal(rule(pts[i : i + 1])[0], out[i])
 
 
 class TestRunBundle:
