@@ -48,7 +48,7 @@ from .metric_core import (
     dense_subsample,
     subsample_count_check,
 )
-from .orbit_space import metric_comparison_check, semiconj_check
+from .orbit_space import lift_orbit, metric_comparison_check, semiconj_check, shift_system
 
 _METHOD_ALIASES = {
     "bd": "bowen_dinaburg",
@@ -104,8 +104,8 @@ class RunConfig:
             raise ConfigError(f"config: {where}n_max must be a positive integer")
         rho = raw.get("rho")
         if rho is not None:
-            if not isinstance(rho, (int, float)) or isinstance(rho, bool) or not rho > 1.0:
-                raise ConfigError(f"config: {where}rho must be a number > 1")
+            if not _is_number(rho) or not 1 < rho < math.inf:
+                raise ConfigError(f"config: {where}rho must be a finite number > 1")
             rho = float(rho)
         methods = _validate_methods(raw.get("methods"), where)
         params = raw.get("params") or {}
@@ -130,13 +130,17 @@ class RunConfig:
         )
 
 
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _validate_eps(value: object, where: str = "") -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"config: {where}eps_list must be a list")
     eps = []
     for v in value:
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not v > 0:
-            raise ConfigError(f"config: {where}eps_list entries must be positive numbers")
+        if not _is_number(v) or not 0 < v < math.inf:
+            raise ConfigError(f"config: {where}eps_list entries must be finite positive numbers")
         eps.append(float(v))
     if any(a <= b for a, b in zip(eps, eps[1:])):
         raise ConfigError(f"config: {where}eps_list must be strictly decreasing")
@@ -350,18 +354,18 @@ def _verify_bundle(cfg: RunConfig, pairs: int, seed: int) -> tuple[str, bool]:
     flags.append(mc.passed)
     lines.append(mc.line())
 
-    # factor counts through the identity map (sanity: equalities)
+    # factor counts through the block projection from the shift on 2-block lifts
     k2 = min(20, bundle.cloud.size)
     idx2 = np.sort(rng.choice(bundle.cloud.size, size=k2, replace=False))
     sub2 = bundle.cloud.subset(idx2, f"{bundle.name}|factor{k2}")
+    dim = bundle.system.dim
     semi = semiconj_check(
+        shift_system(bundle.system, 2),
         bundle.system,
-        bundle.system,
-        lambda p: p,
-        sub2,
+        lambda v: v[:, :dim],
+        lift_orbit(bundle.system, sub2, 2),
         eps_down=mid_eps,
         n=min(4, n_max),
-        up_spec=bundle.metric,
         down_spec=bundle.metric,
     )
     flags.append(semi.passed)

@@ -26,6 +26,7 @@ from .metric_core import (
     count_table,
     counts_from_matrix,
     farthest_point_order,
+    last_orbit_matrix,
     orbit_metric_matrices,
     pairwise_dist,
 )
@@ -196,8 +197,7 @@ def inverse_transport_check(
     if system.inverse is None:
         raise ConfigError(f"config: system {system.name!r} has no inverse")
     table = build_orbit_table(system, cloud, n)
-    for _, dmat, seed in orbit_metric_matrices(table.orbits, spec):
-        pass
+    dmat, seed = last_orbit_matrix(table.orbits, spec)
     order = farthest_point_order(dmat, seed) if cloud.size > EXACT_CAP else None
     sep, _ = counts_from_matrix(dmat, eps, order=order)
     witness = np.array(sep.witness, dtype=np.intp)
@@ -211,8 +211,7 @@ def inverse_transport_check(
         cur = system.inverse(cur)
         back[:, k, :] = cur
 
-    for _, bmat, _ in orbit_metric_matrices(back, spec):
-        pass
+    bmat, _ = last_orbit_matrix(back, spec)
     iu = np.triu_indices(len(witness), k=1)
     min_sep = float(bmat[iu].min()) if len(iu[0]) else float("inf")
     return TransportVerdict(

@@ -29,7 +29,7 @@ class ConfigError(EntroError):
 
 
 class TooLargeError(EntroError):
-    """Exact mode requested beyond the exhaustive-search cap."""
+    """A check that needs exact counts got a cloud above the exhaustive-search cap."""
 
     code = "too-large"
 

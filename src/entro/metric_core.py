@@ -8,14 +8,16 @@ Three metric families cover everything the estimators need:
 * ``sequence_rho`` -- geometrically weighted sum over blocks, the metric of a
   truncated orbit sequence with weight rho^(-i) on block i.
 
-Counts come in two modes, picked by cloud size: exact within ``EXACT_CAP``
-points, greedy above.  Greedy mode thresholds the distance matrix once per
-scale into eps-neighbour lists, then scans the cloud in farthest-point order
-(separation) and runs a lazy greedy set cover (spanning) over those lists;
-it is valid at any size.  Exact mode runs branch-and-bound searches (maximum
-independent set for separation, minimum set cover for spanning).
-Separation uses the closed condition ``d >= eps``; spanning uses the strict
-``d < eps``.  Every count table is built by ``count_table``.
+Every count of one (eps, n) cell goes through ``counts_from_matrix``, and
+the cloud size alone picks how it counts: exactly within ``EXACT_CAP``
+points, greedily above.  The exact searches are branch and bound over
+eps-ball bitmasks (maximum independent set for separation, minimum set
+cover for spanning).  The greedy counts threshold the distance matrix once
+into eps-neighbour lists, then scan the cloud in farthest-point order
+(separation) and run a lazy greedy set cover (spanning) over those lists;
+they are valid at any size.  Separation uses the closed condition
+``d >= eps``; spanning uses the strict ``d < eps``.  Every count table is
+built by ``count_table``.
 """
 
 from __future__ import annotations
@@ -47,12 +49,11 @@ __all__ = [
     "distance_matrix",
     "distance_tiles",
     "cloud_diameter",
-    "max_separated",
-    "min_spanning",
     "counts_from_matrix",
     "count_table",
     "farthest_point_order",
     "orbit_metric_matrices",
+    "last_orbit_matrix",
     "dense_subsample",
     "SubsampleCountReport",
     "subsample_count_check",
@@ -315,28 +316,35 @@ def _greedy_cover(ptr: np.ndarray, cols: np.ndarray) -> list[int]:
     return chosen
 
 
+def _greedy_counts(
+    dmat: np.ndarray, eps: float, order: np.ndarray
+) -> tuple[list[int], list[int]]:
+    """Greedy separated and spanning witnesses from one set of eps-neighbour lists.
+
+    The separated scan follows ``order``.  The spanning witness is the
+    smaller of the lazy set cover and the maximal separated witness (which
+    always spans), so ``span <= sep`` holds for greedy counts too.
+    """
+    ptr, cols = _eps_neighbours(dmat, eps)
+    sep = _greedy_separated(ptr, cols, order)
+    span = _greedy_cover(ptr, cols)
+    if len(span) > len(sep):
+        span = sep
+    return sep, span
+
+
 # ---------------------------------------------------------------------------
 # exact counting (branch and bound, bitmask sets)
 
 
-def _conflict_masks(dmat: np.ndarray, eps: float) -> list[int]:
-    n = dmat.shape[0]
-    masks = []
-    for i in range(n):
-        row = dmat[i] < eps
-        row[i] = False
-        m = 0
-        for j in np.flatnonzero(row):
-            m |= 1 << int(j)
-        masks.append(m)
-    return masks
+def _ball_masks(dmat: np.ndarray, eps: float) -> list[int]:
+    """Row i as a bitmask of the points j with ``dmat[i, j] < eps``, i included."""
+    rows = np.packbits(dmat < eps, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
-def _exact_max_separated(dmat: np.ndarray, eps: float) -> list[int]:
-    n = dmat.shape[0]
-    if n > EXACT_CAP:
-        raise TooLargeError(f"too-large: exact mode capped at {EXACT_CAP} points, got {n}")
-    conflict = _conflict_masks(dmat, eps)
+def _exact_max_separated(balls: list[int]) -> list[int]:
+    n = len(balls)
     full = (1 << n) - 1
 
     best_size = 0
@@ -356,31 +364,24 @@ def _exact_max_separated(dmat: np.ndarray, eps: float) -> list[int]:
         while m:
             b = m & -m
             i = b.bit_length() - 1
-            deg = (conflict[i] & avail).bit_count()
+            deg = (balls[i] & avail).bit_count()
             if deg > vdeg:
                 v, vdeg = i, deg
             m ^= b
         bit = 1 << v
-        grab(avail & ~(conflict[v] | bit), cur_mask | bit, cur_size + 1)
+        grab(avail & ~balls[v], cur_mask | bit, cur_size + 1)
         grab(avail & ~bit, cur_mask, cur_size)
 
     grab(full, 0, 0)
     return [i for i in range(n) if best_mask >> i & 1]
 
 
-def _exact_min_spanning(dmat: np.ndarray, eps: float) -> list[int]:
-    n = dmat.shape[0]
-    if n > EXACT_CAP:
-        raise TooLargeError(f"too-large: exact mode capped at {EXACT_CAP} points, got {n}")
-    cover = []
-    for i in range(n):
-        m = 0
-        for j in np.flatnonzero(dmat[i] < eps):
-            m |= 1 << int(j)
-        cover.append(m)
+def _exact_min_spanning(balls: list[int], start: list[int]) -> list[int]:
+    """Smallest cover by ``balls``, searched below the size of the cover ``start``."""
+    n = len(balls)
     full = (1 << n) - 1
 
-    best: list[int] = _greedy_cover(*_eps_neighbours(dmat, eps))
+    best: list[int] = start
     best_size = len(best)
 
     def search(uncov: int, chosen: list[int]) -> None:
@@ -389,7 +390,7 @@ def _exact_min_spanning(dmat: np.ndarray, eps: float) -> list[int]:
             if len(chosen) < best_size:
                 best, best_size = list(chosen), len(chosen)
             return
-        widths = [(cover[i] & uncov).bit_count() for i in range(n)]
+        widths = [(balls[i] & uncov).bit_count() for i in range(n)]
         widest = max(widths)
         need = math.ceil(uncov.bit_count() / widest)
         if len(chosen) + need >= best_size:
@@ -400,15 +401,15 @@ def _exact_min_spanning(dmat: np.ndarray, eps: float) -> list[int]:
         while m:
             b = m & -m
             j = b.bit_length() - 1
-            opts = sum(1 for i in range(n) if cover[i] >> j & 1)
+            opts = sum(1 for i in range(n) if balls[i] >> j & 1)
             if opts < e_opts:
                 e, e_opts = j, opts
             m ^= b
-        cands = [i for i in range(n) if cover[i] >> e & 1]
+        cands = [i for i in range(n) if balls[i] >> e & 1]
         cands.sort(key=lambda i: (-widths[i], i))
         for i in cands:
             chosen.append(i)
-            search(uncov & ~cover[i], chosen)
+            search(uncov & ~balls[i], chosen)
             chosen.pop()
 
     search(full, [])
@@ -426,44 +427,30 @@ class SeparationResult:
     mode: str
 
 
-def _check_eps_mode(eps: float, mode: str) -> None:
+def counts_from_matrix(
+    dmat: np.ndarray, eps: float, order: np.ndarray | None = None
+) -> tuple[SeparationResult, SeparationResult]:
+    """Separated and spanning counts of one cell from its distance matrix.
+
+    Within ``EXACT_CAP`` points both counts are exact (branch and bound);
+    above it they are greedy (``_greedy_counts``), scanning in ``order``,
+    by default the farthest-point order from the row means.  A diagonal
+    entry >= eps (a point outside its own ball) is refused.
+    """
     if not eps > 0:
         raise ConfigError("config: eps must be > 0")
-    if mode not in ("greedy", "exact"):
-        raise ConfigError(f"config: unknown mode {mode!r}")
-
-
-def counts_from_matrix(
-    dmat: np.ndarray,
-    eps: float,
-    mode: str | None = None,
-    order: np.ndarray | None = None,
-) -> tuple[SeparationResult, SeparationResult]:
-    """Separated and spanning counts from a precomputed distance matrix.
-
-    Mode defaults to exact within ``EXACT_CAP`` points and greedy above.
-    Greedy mode builds the eps-neighbour lists of ``dmat < eps`` once and
-    runs both scans over them.  Greedy spanning returns the smaller of the
-    lazy set-cover witness and the maximal separated witness (which always
-    spans), so ``span <= sep`` holds row by row in greedy mode as well as
-    exact.  A diagonal entry >= eps (a point outside its own ball) is refused.
-    """
-    if mode is None:
-        mode = "exact" if dmat.shape[0] <= EXACT_CAP else "greedy"
-    _check_eps_mode(eps, mode)
     if not (np.diagonal(dmat) < eps).all():
         raise ConfigError(f"config: distance matrix has a diagonal entry >= eps={eps:g}")
-    if mode == "exact":
-        sep = _exact_max_separated(dmat, eps)
-        span = _exact_min_spanning(dmat, eps)
+    if dmat.shape[0] <= EXACT_CAP:
+        mode = "exact"
+        balls = _ball_masks(dmat, eps)
+        sep = _exact_max_separated(balls)
+        span = _exact_min_spanning(balls, _greedy_cover(*_eps_neighbours(dmat, eps)))
     else:
+        mode = "greedy"
         if order is None:
             order = farthest_point_order(dmat, dmat.mean(axis=1))
-        ptr, cols = _eps_neighbours(dmat, eps)
-        sep = _greedy_separated(ptr, cols, order)
-        span = _greedy_cover(ptr, cols)
-        if len(span) > len(sep):
-            span = sep
+        sep, span = _greedy_counts(dmat, eps, order)
     return (
         SeparationResult(len(sep), tuple(sep), mode),
         SeparationResult(len(span), tuple(span), mode),
@@ -492,6 +479,13 @@ def orbit_metric_matrices(orbits: np.ndarray, spec: MetricSpec):
     return _running_max(orbits.shape[0], slices())
 
 
+def last_orbit_matrix(orbits: np.ndarray, spec: MetricSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The last ``(dmat, seed)`` of ``orbit_metric_matrices``: order n = the orbits' depth."""
+    for _, dmat, seed in orbit_metric_matrices(orbits, spec):
+        pass
+    return dmat, seed
+
+
 def _running_max(size: int, orders):
     """Running maxima of per-order matrices and seeds, yielded as ``(n, dmat, seed)``.
 
@@ -509,45 +503,6 @@ def _running_max(size: int, orders):
             dmat[r0:, r0:r1] = band.T
         np.maximum(run_seed, seed, out=run_seed)
         yield n, dmat, run_seed
-
-
-def _cloud_matrix_and_order(
-    cloud: PointCloud, spec: MetricSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    _, dmat, seed = next(orbit_metric_matrices(cloud.points[:, None, :], spec))
-    return dmat, farthest_point_order(dmat, seed)
-
-
-def max_separated(
-    cloud: PointCloud, spec: MetricSpec, eps: float, mode: str = "greedy"
-) -> SeparationResult:
-    """Size and witness of an eps-separated subset (pairwise ``d >= eps``).
-
-    Exact mode returns the true maximum; greedy returns a maximal set built
-    in farthest-point order, so its witness also eps-spans the cloud.
-    """
-    _check_eps_mode(eps, mode)
-    dmat, order = _cloud_matrix_and_order(cloud, spec)
-    if mode == "exact":
-        chosen = _exact_max_separated(dmat, eps)
-    else:
-        chosen = _greedy_separated(*_eps_neighbours(dmat, eps), order)
-    return SeparationResult(len(chosen), tuple(chosen), mode)
-
-
-def min_spanning(
-    cloud: PointCloud, spec: MetricSpec, eps: float, mode: str = "greedy"
-) -> SeparationResult:
-    """Size and witness of an eps-spanning subset (every point within ``d < eps``).
-
-    Witness points are cloud points.  Exact mode solves the covering problem
-    outright; greedy takes the smaller of lazy set cover and the maximal
-    separated witness.
-    """
-    _check_eps_mode(eps, mode)
-    dmat, order = _cloud_matrix_and_order(cloud, spec)
-    _, span_res = counts_from_matrix(dmat, eps, mode, order=order)
-    return span_res
 
 
 # ---------------------------------------------------------------------------
@@ -683,17 +638,17 @@ def subsample_count_check(
             f"config: subsample too sparse for eps={eps:g} (covering radius {radius:g})"
         )
     eps_span = eps + 2 * radius + margin
-    sep_parent = max_separated(cloud, spec, eps, mode="exact").count
-    span_parent = min_spanning(cloud, spec, eps, mode="exact").count
-    sep_sub = max_separated(sub, spec, eps_sep, mode="exact").count
-    span_sub = min_spanning(sub, spec, eps_span, mode="exact").count
+    sub_mat = distance_matrix(sub.points, sub.points, spec)
+    sep_parent, span_parent = counts_from_matrix(
+        distance_matrix(cloud.points, cloud.points, spec), eps
+    )
     return SubsampleCountReport(
         covering_radius=radius,
         eps=eps,
         eps_sep=eps_sep,
         eps_span=eps_span,
-        sep_parent=sep_parent,
-        sep_sub=sep_sub,
-        span_parent=span_parent,
-        span_sub=span_sub,
+        sep_parent=sep_parent.count,
+        sep_sub=counts_from_matrix(sub_mat, eps_sep)[0].count,
+        span_parent=span_parent.count,
+        span_sub=counts_from_matrix(sub_mat, eps_span)[1].count,
     )

@@ -17,13 +17,12 @@ from entro import (
     akm_cover_demo,
     bd_count_table,
     coded_entropy,
+    counts_from_matrix,
     dense_subsample,
     distance_matrix,
     inverse_transport_check,
     lift_orbit,
-    max_separated,
     metric_comparison_check,
-    min_spanning,
     semiconj_check,
     shift_system,
     subsample_count_check,
@@ -74,10 +73,9 @@ def test_c1_sandwich_counts(rng):
         dmat = distance_matrix(cloud.points, cloud.points, spec)
         positive = dmat[dmat > 0]
         eps = 0.8 * float(np.median(positive))
-        sep = max_separated(cloud, spec, eps, mode="exact").count
-        span = min_spanning(cloud, spec, eps, mode="exact").count
-        span_half = min_spanning(cloud, spec, eps / 2.0, mode="exact").count
-        if not span <= sep <= span_half:
+        sep, span = counts_from_matrix(dmat, eps)
+        _, span_half = counts_from_matrix(dmat, eps / 2.0)
+        if not span.count <= sep.count <= span_half.count:
             violations += 1
     elapsed = time.monotonic() - start
     ok = violations == 0 and elapsed < 60.0

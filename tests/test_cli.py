@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from entro import cli, semiconj_check
 from entro.cli import RunConfig, _checked_bundle, main
 
 FAST_DOUBLING = {
@@ -241,6 +243,8 @@ class TestEstimateCommand:
             {"n_max": True},
             {"out_dir": 5},
             {"label": ["x"]},
+            {"rho": math.inf},
+            {"eps_list": [math.inf, 0.4, 0.2]},
         ],
     )
     def test_bad_config_values_exit_1(self, extra, tmp_path, capsys):
@@ -248,6 +252,7 @@ class TestEstimateCommand:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err.startswith("error: config:")
+        assert next(iter(extra)) in captured.err
         assert captured.out == ""
 
     def test_unwritable_out_dir_exits_2(self, tmp_path, capsys):
@@ -283,6 +288,26 @@ class TestVerifyCommand:
         assert "inverse-transport: skipped" in out
         assert "estimates: bd=" in out
         assert "FR≈BD: pass" in out
+
+    def test_factor_check_projects_the_shift_on_lifts(self, tmp_path, capsys, monkeypatch):
+        """The factor check runs through a real factor map, the block
+        projection from the shift on 2-block lifts, not the identity."""
+        calls = []
+
+        def spy(up_system, down_system, h, cloud, **kwargs):
+            report = semiconj_check(up_system, down_system, h, cloud, **kwargs)
+            calls.append((up_system, down_system, h, cloud, report))
+            return report
+
+        monkeypatch.setattr(cli, "semiconj_check", spy)
+        rc = main(["verify", write_config(tmp_path, FAST_DOUBLING), "--pairs", "50"])
+        assert rc == 0
+        ((up, down, h, cloud, report),) = calls
+        assert up.name == f"shift[{down.name},M=2]"
+        assert cloud.dim == up.dim == 2 * down.dim
+        assert h(cloud.points).shape == (cloud.size, down.dim)
+        assert report.passed
+        assert report.line() in capsys.readouterr().out.splitlines()
 
     def test_invertible_system_runs_transport(self, tmp_path, capsys):
         cfg = {"system": "interval-homeo", "n_max": 8}

@@ -22,16 +22,15 @@ from entro import (
     ShapeError,
     TooLargeError,
     cloud_diameter,
+    counts_from_matrix,
     dense_subsample,
     distance_matrix,
-    max_separated,
-    min_spanning,
     pairwise_dist,
     subsample_count_check,
 )
 from entro.metric_core import (
     TILE_ROWS,
-    counts_from_matrix,
+    _greedy_counts,
     farthest_point_order,
     orbit_metric_matrices,
 )
@@ -107,7 +106,8 @@ class TestExactCountsMatchOracle:
         spec = MetricSpec.euclidean()
         dists = distance_matrix(cloud.points, cloud.points, spec)
         for eps in (0.15, 0.3, 0.6):
-            got = max_separated(cloud, spec, eps, mode="exact")
+            got, _ = counts_from_matrix(dists, eps)
+            assert got.mode == "exact"
             assert got.count == brute_max_separated(dists, eps)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -117,17 +117,19 @@ class TestExactCountsMatchOracle:
         spec = MetricSpec.euclidean()
         dists = distance_matrix(cloud.points, cloud.points, spec)
         for eps in (0.15, 0.3, 0.6):
-            got = min_spanning(cloud, spec, eps, mode="exact")
+            _, got = counts_from_matrix(dists, eps)
+            assert got.mode == "exact"
             assert got.count == brute_min_spanning(dists, eps)
 
     def test_greedy_separated_is_lower_bound_and_valid(self):
         rng = np.random.default_rng(7)
         cloud = random_cloud(rng, 12)
         spec = MetricSpec.euclidean()
-        exact = max_separated(cloud, spec, 0.25, mode="exact")
-        greedy = max_separated(cloud, spec, 0.25, mode="greedy")
-        assert greedy.count <= exact.count
-        pts = cloud.points[list(greedy.witness)]
+        dists = distance_matrix(cloud.points, cloud.points, spec)
+        exact, _ = counts_from_matrix(dists, 0.25)
+        greedy, _ = _greedy_counts(dists, 0.25, farthest_point_order(dists, dists.mean(axis=1)))
+        assert len(greedy) <= exact.count
+        pts = cloud.points[greedy]
         d = distance_matrix(pts, pts, spec)
         off = d[~np.eye(len(pts), dtype=bool)]
         assert off.size == 0 or off.min() >= 0.25
@@ -136,7 +138,7 @@ class TestExactCountsMatchOracle:
         rng = np.random.default_rng(8)
         cloud = random_cloud(rng, 10)
         spec = MetricSpec.euclidean()
-        res = max_separated(cloud, spec, 0.3, mode="exact")
+        res, _ = counts_from_matrix(distance_matrix(cloud.points, cloud.points, spec), 0.3)
         pts = cloud.points[list(res.witness)]
         d = distance_matrix(pts, pts, spec)
         off = d[~np.eye(len(pts), dtype=bool)]
@@ -168,27 +170,30 @@ class TestGreedyCountsMatchDenseScans:
         scales = [lo / 2, lo, 0.3, 1.0, 2.0, 3.0, 2 * dmat.max() + 1]
         order = farthest_point_order(dmat, dmat.mean(axis=1))
         for eps in scales:
-            sep, span = counts_from_matrix(dmat, eps, "greedy")
+            sep, span = _greedy_counts(dmat, eps, order)
             want_sep = dense_greedy_separated(dmat, order, eps)
             want_span = dense_greedy_cover(dmat, eps)
             if len(want_span) > len(want_sep):
                 want_span = want_sep
-            assert sep.witness == tuple(want_sep)
-            assert span.witness == tuple(want_span)
-            assert (sep.count, span.count) == (len(want_sep), len(want_span))
+            assert (sep, span) == (want_sep, want_span)
 
     @pytest.mark.parametrize("size, mode", [(30, "greedy"), (10, "exact")])
     def test_point_outside_its_own_ball_is_refused(self, size, mode):
+        """Both counting paths refuse the matrix; the cloud size picks the path."""
         dmat = np.random.default_rng(size).random((size, size))
         with pytest.raises(ConfigError, match="diagonal"):
-            counts_from_matrix(dmat, 1e-9, mode)
+            counts_from_matrix(dmat, 1e-9)
+        np.fill_diagonal(dmat, 0.0)
+        sep, span = counts_from_matrix(dmat, 1e-9)
+        assert sep.mode == span.mode == mode
 
     def test_scale_extremes(self):
         dmat = oracle_matrix("symmetric", 11)
-        sep, span = counts_from_matrix(dmat, 1e-9, "greedy")
-        assert sep.count == span.count == len(dmat)
-        sep, span = counts_from_matrix(dmat, 2 * dmat.max() + 1, "greedy")
-        assert sep.count == span.count == 1
+        order = farthest_point_order(dmat, dmat.mean(axis=1))
+        sep, span = _greedy_counts(dmat, 1e-9, order)
+        assert len(sep) == len(span) == len(dmat)
+        sep, span = _greedy_counts(dmat, 2 * dmat.max() + 1, order)
+        assert len(sep) == len(span) == 1
 
 
 def dense_orbit_metric_matrices(orbits: np.ndarray, spec: MetricSpec):
@@ -234,11 +239,10 @@ def test_sandwich_property(size, seed, eps):
     """span(eps) <= sep(eps) <= span(eps/2) for exact counts."""
     rng = np.random.default_rng(seed)
     cloud = PointCloud(rng.random((size, 2)), mesh=0.05)
-    spec = MetricSpec.euclidean()
-    sep = max_separated(cloud, spec, eps, mode="exact").count
-    span = min_spanning(cloud, spec, eps, mode="exact").count
-    span_half = min_spanning(cloud, spec, eps / 2, mode="exact").count
-    assert span <= sep <= span_half
+    dmat = distance_matrix(cloud.points, cloud.points, MetricSpec.euclidean())
+    sep, span = counts_from_matrix(dmat, eps)
+    _, span_half = counts_from_matrix(dmat, eps / 2)
+    assert span.count <= sep.count <= span_half.count
 
 
 @settings(max_examples=40, deadline=None)
@@ -246,11 +250,8 @@ def test_sandwich_property(size, seed, eps):
 def test_exact_sep_nonincreasing_in_eps(size, seed):
     rng = np.random.default_rng(seed)
     cloud = PointCloud(rng.random((size, 2)), mesh=0.05)
-    spec = MetricSpec.euclidean()
-    counts = [
-        max_separated(cloud, spec, eps, mode="exact").count
-        for eps in (0.1, 0.2, 0.4, 0.8)
-    ]
+    dmat = distance_matrix(cloud.points, cloud.points, MetricSpec.euclidean())
+    counts = [counts_from_matrix(dmat, eps)[0].count for eps in (0.1, 0.2, 0.4, 0.8)]
     assert counts == sorted(counts, reverse=True)
 
 
@@ -330,14 +331,17 @@ class TestPointCloud:
 
 
 class TestExactCap:
-    def test_separated_over_cap(self, rng):
+    def test_subsample_check_over_cap(self, rng):
+        """The check needs exact counts, so it refuses a cloud above the cap
+        rather than fall back to greedy ones."""
         cloud = PointCloud(rng.random((EXACT_CAP + 1, 2)), 0.01)
         with pytest.raises(TooLargeError):
-            max_separated(cloud, MetricSpec.euclidean(), 0.1, mode="exact")
+            subsample_count_check(cloud, MetricSpec.euclidean(), 0.5, keep_fraction=0.7, seed=0)
 
     def test_greedy_has_no_cap(self, rng):
-        cloud = PointCloud(rng.random((EXACT_CAP + 20, 2)), 0.01)
-        res = max_separated(cloud, MetricSpec.euclidean(), 0.1, mode="greedy")
+        pts = rng.random((EXACT_CAP + 20, 2))
+        res, _ = counts_from_matrix(distance_matrix(pts, pts, MetricSpec.euclidean()), 0.1)
+        assert res.mode == "greedy"
         assert res.count >= 1
 
 

@@ -11,6 +11,7 @@ from entro import (
     EXACT_CAP,
     ConfigError,
     DynSystem,
+    EscapeError,
     MetricSpec,
     NotSemiconjugateError,
     PointCloud,
@@ -30,7 +31,7 @@ from entro import (
     semiconj_check,
     shift_system,
 )
-from entro.gallery import build_doubling, run_bundle
+from entro.gallery import build_doubling, build_escape, run_bundle
 from entro.metric_core import counts_from_matrix, farthest_point_order, orbit_metric_matrices
 from entro.orbit_space import _lifted_matrices
 
@@ -71,6 +72,8 @@ class TestChooseTruncation:
             choose_truncation(2.0, 1.0, tail_tol=0.0)
         with pytest.raises(ConfigError):
             choose_truncation(2.0, -1.0)
+        with pytest.raises(ConfigError):
+            choose_truncation(math.inf, 1.0)
 
 
 class TestDhatDist:
@@ -141,6 +144,21 @@ class TestLiftAndShift:
     def test_shift_of_noninvertible_has_no_inverse(self, doubling):
         assert shift_system(doubling.system, 3).inverse is None
 
+    def test_shift_domain_needs_every_block_in_the_base_domain(self):
+        """A lifted orbit escapes one step before its base orbit, because its
+        last block runs one iterate ahead, instead of stepping past the base
+        domain."""
+        escape = build_escape(2)
+        point = escape.cloud.subset([escape.cloud.size - 1])
+        base = build_orbit_table(escape.system, point, 100, allow_truncation=True)
+        assert base.depth < 100
+        shift = shift_system(escape.system, 2)
+        lifted = lift_orbit(escape.system, point, 2)
+        with pytest.raises(EscapeError):
+            build_orbit_table(shift, lifted, 100)
+        table = build_orbit_table(shift, lifted, 100, allow_truncation=True)
+        assert table.depth == base.depth - 1
+
 
 def dense_lifted_matrices(orbits: np.ndarray, n_max: int, rho: float, m: int):
     """The in-place S recurrence on whole N x N slice matrices, without tiles."""
@@ -210,7 +228,7 @@ class TestFriedlandCounts:
         for n, dmat, seed in orbit_metric_matrices(orbits, spec):
             order = farthest_point_order(dmat, seed) if mode == "greedy" else None
             for eps in eps_list:
-                sep, span = counts_from_matrix(dmat, eps, mode, order=order)
+                sep, span = counts_from_matrix(dmat, eps, order=order)
                 want.append((eps, n, sep.count, span.count))
         got = [(r.epsilon, r.n, r.sep_count, r.span_count) for r in bd.rows]
         assert got == sorted(want, key=lambda w: (-w[0], w[1]))
@@ -269,7 +287,7 @@ class TestFriedlandCounts:
             np.maximum(run_seed, s_seed, out=run_seed)
             order = farthest_point_order(run_mat, run_seed)
             for eps in eps_list:
-                sep, span = counts_from_matrix(run_mat, eps, "greedy", order=order)
+                sep, span = counts_from_matrix(run_mat, eps, order=order)
                 want[(eps, i + 1)] = (sep.count, span.count)
         got = {(r.epsilon, r.n): (r.sep_count, r.span_count) for r in table.rows}
         assert got == want
@@ -304,6 +322,8 @@ class TestFriedlandCounts:
             friedland_count_table(doubling.system, cloud, [-0.4], 3)
         with pytest.raises(ConfigError):
             friedland_count_table(doubling.system, cloud, [0.4], 3, rho=1.0)
+        with pytest.raises(ConfigError, match="rho"):
+            friedland_count_table(doubling.system, cloud, [0.4], 3, rho=math.inf)
 
 
 class TestMetricComparison:
