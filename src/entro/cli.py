@@ -30,7 +30,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -73,23 +73,11 @@ class RunConfig:
     out_dir: str | None = None
     label: str | None = None
 
-    _KEYS = {
-        "system",
-        "params",
-        "eps_list",
-        "n_max",
-        "rho",
-        "methods",
-        "allow_coarse_mesh",
-        "out_dir",
-        "label",
-    }
-
     @classmethod
     def from_dict(cls, raw: object, where: str = "") -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError(f"config: {where}expected an object")
-        unknown = set(raw) - cls._KEYS
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"config: {where}unknown keys {sorted(unknown)}")
         if "system" not in raw or not isinstance(raw["system"], str):
@@ -393,6 +381,8 @@ def _verify_bundle(cfg: RunConfig, pairs: int, seed: int) -> tuple[str, bool]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ConfigError("config: --seed must be >= 0")
     all_ok = True
     for cfg in _load_configs(Path(args.config)):
         text, ok = _verify_bundle(cfg, pairs=args.pairs, seed=args.seed)

@@ -10,7 +10,7 @@ agrees with the next coarser one.  All rates are in nats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -21,6 +21,7 @@ from . import dynamics as _dyn
 
 __all__ = [
     "PerEpsRate",
+    "MemberOutcome",
     "EntropyEstimate",
     "CompactFamily",
     "growth_rate",
@@ -64,18 +65,31 @@ class PerEpsRate:
 
 
 @dataclass(frozen=True)
+class MemberOutcome:
+    """One compact member's result: its headline, or the step it escaped at."""
+
+    label: str
+    size: int
+    headline: float | None
+    escaped_at: int | None
+
+
+@dataclass(frozen=True)
 class EntropyEstimate:
     """One headline rate plus the per-epsilon evidence behind it.
 
     ``stabilized_at`` is the epsilon whose rate agreed with the next coarser
     one and set the headline, or None when no adjacent pair agreed.
+    ``truncated_at`` comes from the count table; ``members`` holds a compacta
+    estimate's member outcomes in family order.
     """
 
     headline: float
     per_eps: tuple[PerEpsRate, ...]
     method: str
     stabilized_at: float | None
-    diagnostics: tuple[str, ...] = ()
+    truncated_at: int | None = None
+    members: tuple[MemberOutcome, ...] = ()
 
     @property
     def headline_log2(self) -> float:
@@ -84,6 +98,31 @@ class EntropyEstimate:
     @property
     def stable(self) -> bool:
         return self.stabilized_at is not None
+
+    @property
+    def diagnostics(self) -> tuple[str, ...]:
+        """The report's note lines, rendered from the typed fields."""
+        notes = []
+        for m in self.members:
+            outcome = (
+                f"headline {m.headline:.4f}" if m.escaped_at is None
+                else f"escaped at step {m.escaped_at}"
+            )
+            notes.append(f"member({m.label or m.size}): {outcome}")
+        if self.members:
+            kept = sum(m.escaped_at is None for m in self.members)
+            notes.append(f"supremum over {kept} members")
+        notes += [
+            f"saturated(eps={pe.epsilon:g}, window={pe.window})"
+            for pe in self.per_eps if pe.saturated
+        ]
+        if self.stabilized_at is None:
+            notes.append("unstable: no adjacent epsilon pair agreed; using smallest epsilon")
+        else:
+            notes.append(f"stabilized at eps={self.stabilized_at:g}")
+        if self.truncated_at is not None:
+            notes.append(f"orbit table truncated at n={self.truncated_at}")
+        return tuple(notes)
 
 
 def _fit_window(counts: list[int], cap: float) -> tuple[tuple[int, int], bool]:
@@ -136,14 +175,10 @@ def entropy_estimate(
 
     cap = SATURATION_FRACTION * table.cloud_size
     per: list[PerEpsRate] = []
-    notes: list[str] = []
     for eps in eps_vals:
         counts = [c for _, c in table.counts_for(eps, "sep")]
         window, saturated = _fit_window(counts, cap)
-        rate = max(0.0, growth_rate(counts, window))
-        per.append(PerEpsRate(eps, rate, window, saturated))
-        if saturated:
-            notes.append(f"saturated(eps={eps:g}, window={window})")
+        per.append(PerEpsRate(eps, max(0.0, growth_rate(counts, window)), window, saturated))
 
     headline = per[-1].rate
     stabilized = None
@@ -152,13 +187,7 @@ def entropy_estimate(
             headline = per[i].rate
             stabilized = per[i].epsilon
             break
-    if stabilized is None:
-        notes.append("unstable: no adjacent epsilon pair agreed; using smallest epsilon")
-    else:
-        notes.append(f"stabilized at eps={stabilized:g}")
-    if table.truncated_at is not None:
-        notes.append(f"orbit table truncated at n={table.truncated_at}")
-    return EntropyEstimate(headline, tuple(per), method, stabilized, tuple(notes))
+    return EntropyEstimate(headline, tuple(per), method, stabilized, table.truncated_at)
 
 
 @dataclass(frozen=True)
@@ -191,31 +220,26 @@ def compacta_estimate(
     Each member cloud gets its own count table (orbits run in the full space;
     only the separated subsets are drawn from the member) and the headline is
     the max over member headlines.  Members whose orbits escape before step
-    ``n_max`` (their table is truncated) are flagged and skipped.
+    ``n_max`` (their table is truncated) are skipped; ``members`` of the
+    result records each member's headline or escape step.
     """
     results: list[EntropyEstimate] = []
-    notes: list[str] = []
+    outcomes: list[MemberOutcome] = []
     for member in family.members:
-        name = member.label or member.size
         try:
             table = _dyn.bd_count_table(system, member, spec, eps_list, n_max)
+            escaped_at = table.truncated_at
         except EscapeError as exc:
-            notes.append(f"member({name}): escaped at step {exc.step}")
-            continue
-        if table.truncated_at is not None:
-            notes.append(f"member({name}): escaped at step {table.truncated_at}")
-            continue
-        est = entropy_estimate(table)
-        results.append(est)
-        notes.append(f"member({name}): headline {est.headline:.4f}")
+            escaped_at = exc.step
+        headline = None
+        if escaped_at is None:
+            results.append(entropy_estimate(table))
+            headline = results[-1].headline
+        outcomes.append(MemberOutcome(member.label, member.size, headline, escaped_at))
     if not results:
         raise ConfigError("config: every family member escaped; nothing to estimate")
     best = max(results, key=lambda est: est.headline)
-    notes.append(f"supremum over {len(results)} members")
-    return EntropyEstimate(
-        best.headline, best.per_eps, "compacta", best.stabilized_at,
-        tuple(notes) + best.diagnostics,
-    )
+    return replace(best, method="compacta", members=tuple(outcomes))
 
 
 @dataclass(frozen=True)

@@ -214,7 +214,7 @@ GRID_OFFSET = 0.381966
 
 def _crumple_cloud(N: int, lap_indices, mesh: float, label: str) -> PointCloud:
     """Per-lap samples along the curve at offset phases."""
-    if mesh <= 0:
+    if not mesh > 0:
         raise ConfigError("config: mesh must be > 0")
     chunks = []
     for k in lap_indices:
@@ -484,6 +484,9 @@ def build_annulus(
     """
     if variant not in ("disc", "inverted", "sphere"):
         raise ConfigError(f"config: unknown annulus variant {variant!r}")
+    for key, value in (("mesh", mesh), ("family_spacing", family_spacing)):
+        if value is not None and not 0 < value < math.inf:
+            raise ConfigError(f"config: annulus {key} must be a finite number > 0")
 
     if variant in ("disc", "inverted"):
         mesh = 0.05 if mesh is None else mesh
@@ -602,8 +605,8 @@ def build_annulus(
 
 def build_doubling(grid: int = 4096) -> GalleryBundle:
     """Angle doubling on a circle grid: the compact sanity baseline."""
-    if grid < 16:
-        raise ConfigError("config: doubling grid must be >= 16")
+    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 16:
+        raise ConfigError("config: doubling grid must be an integer >= 16")
     theta = np.arange(grid) * (2.0 * math.pi / grid)
     pts = np.column_stack([np.cos(theta), np.sin(theta)])
 
@@ -639,7 +642,7 @@ def build_doubling(grid: int = 4096) -> GalleryBundle:
 
 def build_interval_homeo(mesh: float = 0.0125) -> GalleryBundle:
     """The crumple base map alone on (0, 1]: a zero-entropy homeomorphism."""
-    if mesh <= 0 or mesh > 0.25:
+    if not 0 < mesh <= 0.25:
         raise ConfigError("config: mesh must be in (0, 0.25]")
     xs = np.arange(mesh, 1.0 + 1e-12, mesh)[:, None]
 
@@ -742,35 +745,31 @@ class BundleRun:
     elapsed: float
 
 
-def run_bundle(
-    bundle: GalleryBundle,
-    eps_list: tuple[float, ...] | None = None,
-    n_max: int | None = None,
-    rho: float | None = None,
-    methods: tuple[str, ...] = ALL_METHODS,
-) -> BundleRun:
+def run_bundle(bundle: GalleryBundle, methods: tuple[str, ...] = ALL_METHODS) -> BundleRun:
     """Direct counts, compact exhaustion and the lifted shift, in that order.
 
-    Scales, orders and rho left as None come from the bundle; ``methods``
-    names the estimators to run (see ``ALL_METHODS``).  The verdict uses the
-    default slack of ``inequality_report``.  The lifted estimate has a
-    euclidean base metric, so it refuses a bundle with any other metric.
+    The run uses the bundle's scales, orders and rho (``with_settings``
+    changes them); ``methods`` names the estimators to run (see
+    ``ALL_METHODS``).  The verdict uses the default slack of
+    ``inequality_report``.  The lifted estimate has a euclidean base metric,
+    so it refuses a bundle with any other metric.
     """
     start = time.perf_counter()
-    b = bundle.with_settings(eps_list, n_max, rho)
-    if "friedland" in methods and b.metric.kind != "euclidean":
+    system, cloud, eps_list, n_max = bundle.system, bundle.cloud, bundle.eps_list, bundle.n_max
+    if "friedland" in methods and bundle.metric.kind != "euclidean":
         raise ConfigError(
-            f"config: the lifted estimate needs a euclidean base metric, got {b.metric.describe()}"
+            "config: the lifted estimate needs a euclidean base metric,"
+            f" got {bundle.metric.describe()}"
         )
     bd_table = bd = bc = fr_table = fr = verdict = None
     if "bowen_dinaburg" in methods:
-        bd_table = bd_count_table(b.system, b.cloud, b.metric, b.eps_list, b.n_max)
+        bd_table = bd_count_table(system, cloud, bundle.metric, eps_list, n_max)
         bd = entropy_estimate(bd_table)
     if "compacta" in methods:
-        bc = compacta_estimate(b.system, b.metric, b.family, b.eps_list, b.n_max)
+        bc = compacta_estimate(system, bundle.metric, bundle.family, eps_list, n_max)
     if "friedland" in methods:
-        fr_table = friedland_count_table(b.system, b.cloud, b.eps_list, b.n_max, rho=b.rho)
+        fr_table = friedland_count_table(system, cloud, eps_list, n_max, rho=bundle.rho)
         fr = entropy_estimate(fr_table, method="friedland")
     if bd is not None and bc is not None and fr is not None:
         verdict = inequality_report(bd, bc, fr)
-    return BundleRun(b, bd_table, bd, bc, fr_table, fr, verdict, time.perf_counter() - start)
+    return BundleRun(bundle, bd_table, bd, bc, fr_table, fr, verdict, time.perf_counter() - start)

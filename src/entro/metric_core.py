@@ -245,9 +245,14 @@ def cloud_diameter(cloud: PointCloud, spec: MetricSpec | None = None) -> float:
     if spec is None:
         spec = MetricSpec.euclidean()
     if spec.kind == "euclidean" and cloud.size > 4000:
-        span = cloud.points.max(axis=0) - cloud.points.min(axis=0)
-        return float(np.linalg.norm(span))
+        return _box_diagonal(cloud.points)
     return float(distance_matrix(cloud.points, cloud.points, spec).max())
+
+
+def _box_diagonal(points: np.ndarray) -> float:
+    """Euclidean diagonal of the bounding box of the points along the last axis."""
+    flat = points.reshape(-1, points.shape[-1])
+    return float(np.linalg.norm(flat.max(axis=0) - flat.min(axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +263,9 @@ def farthest_point_order(dmat: np.ndarray, seed_dists: np.ndarray) -> np.ndarray
     """Deterministic farthest-point traversal.
 
     Starts from the point maximizing ``seed_dists`` (distance to the cloud
-    centroid) and repeatedly appends the point farthest from everything
-    ordered so far.  Ties resolve to the lowest index via argmax-first-hit.
+    centroid); each later step appends the point maximizing the smaller of
+    its seed distance and its distance to everything ordered so far.  Ties
+    resolve to the lowest index via argmax-first-hit.
     """
     n = dmat.shape[0]
     order = np.empty(n, dtype=np.intp)
@@ -525,7 +531,9 @@ class CountTable:
     rows: tuple[CountRow, ...]
     cloud_size: int
     truncated_at: int | None = None
-    notes: tuple[str, ...] = ()
+    # the lifted metric's settings, set on tables of the lifted shift only
+    rho: float | None = None
+    truncation: int | None = None
 
     def eps_values(self) -> list[float]:
         seen: list[float] = []
@@ -546,7 +554,6 @@ def count_table(
     eps_list: list[float],
     cloud_size: int,
     truncated_at: int | None = None,
-    notes: tuple[str, ...] = (),
 ) -> CountTable:
     """Counts over the (eps, n) grid from a stream of order-n matrices.
 
@@ -565,7 +572,7 @@ def count_table(
                 sep, span = counts_from_matrix(dmat, eps, order=order)
                 column.append(CountRow(eps, n, sep.count, span.count, sep.mode))
     rows = tuple(row for column in columns for row in column)
-    return CountTable(rows, cloud_size, truncated_at, notes)
+    return CountTable(rows, cloud_size, truncated_at)
 
 
 # ---------------------------------------------------------------------------

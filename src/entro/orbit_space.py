@@ -12,7 +12,7 @@ tolerance, so lifted points are ordinary finite vectors of stacked blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .metric_core import (
     CountTable,
     MetricSpec,
     PointCloud,
+    _box_diagonal,
     _running_max,
     cloud_diameter,
     count_table,
@@ -65,7 +66,7 @@ def choose_truncation(rho: float, diameter: float, tail_tol: float = 1e-6) -> in
     """
     if not 1 < rho < math.inf:
         raise ConfigError("config: rho must be a finite number > 1")
-    if tail_tol <= 0:
+    if not tail_tol > 0:
         raise ConfigError("config: tail_tol must be > 0")
     if diameter < 0:
         raise ConfigError("config: diameter must be >= 0")
@@ -118,13 +119,6 @@ def shift_system(system: DynSystem, truncation: int) -> DynSystem:
         domain=domain,
         inverse=inverse,
     )
-
-
-def _orbit_diameter_bound(orbits: np.ndarray) -> float:
-    """Bounding-box diagonal over all orbit points, a cheap diameter bound."""
-    flat = orbits.reshape(-1, orbits.shape[-1])
-    span = flat.max(axis=0) - flat.min(axis=0)
-    return float(np.linalg.norm(span))
 
 
 def _lifted_matrices(orbits: np.ndarray, n_max: int, rho: float, m: int):
@@ -211,16 +205,14 @@ def friedland_count_table(
         raise ConfigError("config: rho must be a finite number > 1")
 
     probe = build_orbit_table(system, cloud, min(n_max, 4))
-    diam = _orbit_diameter_bound(probe.orbits)
+    diam = _box_diagonal(probe.orbits)
     m = truncation if truncation is not None else choose_truncation(rho, max(diam, 1e-12))
     if m < 1:
         raise ConfigError("config: truncation must be >= 1")
 
     table = build_orbit_table(system, cloud, m + n_max - 1)
     matrices = _lifted_matrices(table.orbits, n_max, rho, m)
-    return count_table(
-        matrices, eps_list, cloud.size, None, (f"rho={rho:g}", f"truncation={m}")
-    )
+    return replace(count_table(matrices, eps_list, cloud.size), rho=rho, truncation=m)
 
 
 def friedland_estimate(
@@ -233,8 +225,8 @@ def friedland_estimate(
 ) -> EntropyEstimate:
     """Headline entropy of the shift on lifted orbit sequences.
 
-    The settings the table used (``rho=``, ``truncation=``) are in its
-    ``notes``, not in the estimate's diagnostics.
+    The settings the table used are its ``rho`` and ``truncation`` fields,
+    not part of the estimate.
     """
     table = friedland_count_table(system, cloud, eps_list, n_max, rho=rho, truncation=truncation)
     return entropy_estimate(table, method="friedland")
@@ -288,7 +280,7 @@ def metric_comparison_check(
     seed: int = 0,
 ) -> MetricComparisonReport:
     """Test the dhat vs d_n comparison inequalities on sampled point pairs."""
-    if eps <= 0:
+    if not eps > 0:
         raise ConfigError("config: eps must be > 0")
     if rho <= 1:
         raise ConfigError("config: rho must be > 1")

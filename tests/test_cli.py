@@ -12,6 +12,7 @@ import pytest
 
 from entro import cli, semiconj_check
 from entro.cli import RunConfig, _checked_bundle, main
+from entro.gallery import ALL_METHODS
 
 FAST_DOUBLING = {
     "system": "doubling",
@@ -21,10 +22,36 @@ FAST_DOUBLING = {
 }
 
 
+SUITE_ENTRIES = json.loads(
+    (Path(__file__).parents[1] / "configs" / "gallery_suite.json").read_text()
+)
+
+
 def write_config(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def assert_config_error(rc, captured, word):
+    assert rc == 1
+    assert captured.err.startswith("error: config:")
+    assert word in captured.err
+    assert captured.out == ""
+
+
+def estimate_blocks(report):
+    """Map each estimator's name in a report to (header line, note lines)."""
+    blocks, current = {}, None
+    for line in report.splitlines():
+        if not line.startswith(" "):
+            name = line.split(" ", 1)[0]
+            current = name if name in ("bowen-dinaburg", "compacta", "friedland") else None
+            if current:
+                blocks[current] = (line, [])
+        elif current and line.startswith("    note: "):
+            blocks[current][1].append(line[len("    note: "):])
+    return blocks
 
 
 class TestGalleryCommand:
@@ -159,6 +186,11 @@ class TestGalleryCommand:
         assert captured.err.startswith("error: config:")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("variant", ["disc", "inverted", "sphere"])
+    def test_annulus_negative_mesh_exits_1(self, variant, capsys):
+        rc = main(["gallery", "annulus", "--variant", variant, "--mesh", "-0.5"])
+        assert_config_error(rc, capsys.readouterr(), "mesh")
+
     def test_methods_must_include_the_baseline(self, capsys):
         rc = main(
             ["gallery", "doubling", "--grid", "256", "--methods", "compacta"]
@@ -255,6 +287,18 @@ class TestEstimateCommand:
         assert next(iter(extra)) in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("params", [{"mesh": 0}, {"family_spacing": 0}])
+    def test_annulus_zero_spacing_exits_1(self, params, tmp_path, capsys):
+        cfg = {"system": "annulus", "params": params}
+        rc = main(["estimate", write_config(tmp_path, cfg)])
+        assert_config_error(rc, capsys.readouterr(), next(iter(params)))
+
+    @pytest.mark.parametrize("grid", [256.5, True])
+    def test_non_integer_doubling_grid_exits_1(self, grid, tmp_path, capsys):
+        cfg = dict(FAST_DOUBLING, params={"grid": grid})
+        rc = main(["estimate", write_config(tmp_path, cfg)])
+        assert_config_error(rc, capsys.readouterr(), "grid")
+
     def test_unwritable_out_dir_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
@@ -264,14 +308,44 @@ class TestEstimateCommand:
         assert rc == 2
         assert "io" in err
 
-    @pytest.mark.parametrize(
-        "entry",
-        json.loads((Path(__file__).parents[1] / "configs" / "gallery_suite.json").read_text()),
-        ids=lambda entry: entry["label"],
-    )
+    @pytest.mark.parametrize("entry", SUITE_ENTRIES, ids=lambda entry: entry["label"])
     def test_gallery_suite_entries_pass_the_mesh_guard(self, entry):
         bundle = _checked_bundle(RunConfig.from_dict(entry))
         assert bundle.eps_list
+
+    @pytest.mark.parametrize("entry", SUITE_ENTRIES, ids=lambda entry: entry["label"])
+    def test_gallery_suite_entries_run_through_estimate(
+        self, entry, suite_results, tmp_path, capsys, monkeypatch
+    ):
+        """Each default bundle through the config front end, CSV writers
+        included; the estimators are not run again, the shared
+        ``suite_results`` record stands in for the bundle the CLI hands over."""
+        handed = []
+
+        def suite_run(bundle, methods=ALL_METHODS):
+            run = suite_results[bundle.name]
+            settings = (bundle.name, bundle.eps_list, bundle.n_max, bundle.rho)
+            assert settings == (
+                run.bundle.name, run.bundle.eps_list, run.bundle.n_max, run.bundle.rho
+            )
+            assert methods == ALL_METHODS
+            handed.append(run)
+            return run
+
+        monkeypatch.setattr(cli, "run_bundle", suite_run)
+        out_dir = tmp_path / "out"
+        rc = main(["estimate", write_config(tmp_path, dict(entry, out_dir=str(out_dir)))])
+        out = capsys.readouterr().out
+        assert rc == 0
+        [run] = handed
+        blocks = estimate_blocks(out)
+        for name, est in (("bowen-dinaburg", run.bd), ("compacta", run.bc), ("friedland", run.fr)):
+            header, notes = blocks[name]
+            assert header.split()[1] == f"{est.headline:.6f}"
+            assert notes == list(est.diagnostics)
+        label = entry["label"]
+        for suffix in ("counts.csv", "bd_estimate.csv", "friedland_estimate.csv", "report.txt"):
+            assert (out_dir / f"{label}_{suffix}").is_file()
 
 
 class TestVerifyCommand:
@@ -346,6 +420,10 @@ class TestVerifyCommand:
         assert captured.out.startswith("== verify doubling ==")
         assert "FR≈BD: pass" in captured.out
         assert captured.err.startswith("error: mesh:")
+
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        rc = main(["verify", write_config(tmp_path, FAST_DOUBLING), "--seed", "-1"])
+        assert_config_error(rc, capsys.readouterr(), "seed")
 
     def test_empty_eps_rejected(self, tmp_path, capsys):
         cfg = dict(FAST_DOUBLING, eps_list=[])

@@ -53,7 +53,7 @@ def synthetic_table(counts_by_eps, cloud_size):
     for eps, counts in counts_by_eps.items():
         for n, c in enumerate(counts, start=1):
             rows.append(CountRow(eps, n, c, max(1, c - 1), "greedy"))
-    return CountTable(tuple(rows), cloud_size, None, ())
+    return CountTable(tuple(rows), cloud_size)
 
 
 class TestEntropyEstimate:

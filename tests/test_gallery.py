@@ -248,6 +248,10 @@ class TestCrumpleBundles:
         with pytest.raises(MeshError):
             build_crumple(2, mesh=5.0)
 
+    def test_nan_mesh_is_refused(self):
+        with pytest.raises(ConfigError, match="mesh"):
+            build_crumple(2, mesh=math.nan)
+
     def test_depth_guard(self):
         with pytest.raises(ConfigError):
             build_crumple(2, depth=1)
@@ -386,6 +390,17 @@ class TestAnnulusEmbeddings:
         with pytest.raises(ConfigError):
             build_annulus("torus")
 
+    @pytest.mark.parametrize("variant", ["disc", "inverted", "sphere"])
+    @pytest.mark.parametrize(
+        "params",
+        [{"mesh": -0.5}, {"mesh": 0.0}, {"mesh": math.nan}, {"family_spacing": 0.0}],
+    )
+    def test_non_positive_spacing_is_refused(self, variant, params):
+        """Refused before any sampling loop: a negative spacing would never
+        end the ring loop, and a zero one divides by zero."""
+        with pytest.raises(ConfigError, match=next(iter(params))):
+            build_annulus(variant, **params)
+
 
 class TestDoublingBundle:
     def test_long_orbits_stay_on_the_circle(self):
@@ -416,6 +431,8 @@ class TestIntervalHomeoBundle:
             build_interval_homeo(mesh=0.3)
         with pytest.raises(ConfigError):
             build_interval_homeo(mesh=0.0)
+        with pytest.raises(ConfigError):
+            build_interval_homeo(mesh=math.nan)
 
 
 class TestRegistry:
@@ -485,7 +502,7 @@ class TestRunBundle:
 
         monkeypatch.setattr("entro.gallery.friedland_count_table", no_lift)
         run = run_bundle(
-            build_doubling(grid=256), eps_list=(0.8, 0.4, 0.2), n_max=6,
+            build_doubling(grid=256).with_settings((0.8, 0.4, 0.2), 6),
             methods=("bowen_dinaburg",),
         )
         assert run.bd is not None and run.bd_table is not None

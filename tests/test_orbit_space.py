@@ -75,6 +75,10 @@ class TestChooseTruncation:
         with pytest.raises(ConfigError):
             choose_truncation(math.inf, 1.0)
 
+    def test_nan_tail_tol_is_refused(self):
+        with pytest.raises(ConfigError, match="tail_tol"):
+            choose_truncation(2.0, 1.0, tail_tol=math.nan)
+
 
 class TestDhatDist:
     def test_hand_value(self):
@@ -233,12 +237,15 @@ class TestFriedlandCounts:
         got = [(r.epsilon, r.n, r.sep_count, r.span_count) for r in bd.rows]
         assert got == sorted(want, key=lambda w: (-w[0], w[1]))
 
-    def test_notes_record_settings(self, doubling):
+    def test_table_records_settings(self, doubling):
         table = friedland_count_table(
             doubling.system, circle_cloud(12), [0.4], 3, rho=4.0, truncation=7
         )
-        assert "rho=4" in table.notes[0]
-        assert "truncation=7" in table.notes[1]
+        assert (table.rho, table.truncation) == (4.0, 7)
+        direct = bd_count_table(
+            doubling.system, circle_cloud(12), MetricSpec.euclidean(), [0.4], 3
+        )
+        assert (direct.rho, direct.truncation) == (None, None)
 
     def test_estimate_tracks_base_estimate(self):
         bundle = build_doubling(grid=1024)
@@ -357,6 +364,10 @@ class TestMetricComparison:
     def test_bad_args(self, doubling):
         with pytest.raises(ConfigError):
             metric_comparison_check(doubling.system, doubling.cloud, eps=0.0)
+
+    def test_nan_eps_is_refused(self, doubling):
+        with pytest.raises(ConfigError, match="eps"):
+            metric_comparison_check(doubling.system, doubling.cloud, eps=math.nan)
         with pytest.raises(ConfigError):
             metric_comparison_check(doubling.system, doubling.cloud, rho=1.0)
         with pytest.raises(ConfigError):
