@@ -12,12 +12,13 @@ Every count of one (eps, n) cell goes through ``counts_from_matrix``, and
 the cloud size alone picks how it counts: exactly within ``EXACT_CAP``
 points, greedily above.  The exact searches are branch and bound over
 eps-ball bitmasks (maximum independent set for separation, minimum set
-cover for spanning).  The greedy counts threshold the distance matrix once
-into eps-neighbour lists, then scan the cloud in farthest-point order
-(separation) and run a lazy greedy set cover (spanning) over those lists;
-they are valid at any size.  Separation uses the closed condition
-``d >= eps``; spanning uses the strict ``d < eps``.  Every count table is
-built by ``count_table``.
+cover for spanning).  The greedy counts read each cell's eps-neighbour
+lists, scan the cloud in farthest-point order (separation) and run a lazy
+greedy set cover (spanning) over those lists; they are valid at any size.
+Separation uses the closed condition ``d >= eps``; spanning uses the strict
+``d < eps``.  Every count table is built by ``count_table``, which thresholds
+the dense matrix only until the largest scale's list turns sparse and then
+carries that list across scales and orders.
 """
 
 from __future__ import annotations
@@ -64,6 +65,12 @@ DUPLICATE_TOL = 1e-12
 # Rows per tile of ``distance_tiles``; on a 7032-point cloud (2 vCPUs), 32 to
 # 256 rows timed within 10 % of each other.
 TILE_ROWS = 64
+# Largest share of the N x N entries that ``count_table`` carries as one
+# neighbour list.  On doubling's order-2 matrix (N = 4096, one thread),
+# testing a carried list took 0.23 of a dense threshold's time at this
+# density, 0.5 at 1/8 and 0.94 at 1/4; at 1/16 the carried flat indices
+# take at most 1/16 of the matrix's bytes.
+CARRY_DENSITY = 1 / 16
 
 _KINDS = ("euclidean", "max_product", "sequence_rho")
 
@@ -271,20 +278,34 @@ def farthest_point_order(dmat: np.ndarray, seed_dists: np.ndarray) -> np.ndarray
     order = np.empty(n, dtype=np.intp)
     work = np.asarray(seed_dists, dtype=float).copy()
     for k in range(n):
-        i = int(np.argmax(work))
+        i = int(work.argmax())
         order[k] = i
         np.minimum(work, dmat[i], out=work)
         work[i] = -np.inf
     return order
 
 
+def _flat_below(dmat: np.ndarray, eps: float, within: np.ndarray | None = None) -> np.ndarray:
+    """Ascending flat indices of the entries ``dmat < eps``.
+
+    ``within``, if given, is an ascending array of flat indices holding every
+    such entry; only its entries are tested, not the whole matrix.
+    """
+    if within is None:
+        return np.flatnonzero(dmat < eps)
+    return within[dmat.reshape(-1)[within] < eps]
+
+
+def _row_lists(flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split ascending flat indices of an n x n matrix into row lists, in place."""
+    ptr = np.searchsorted(flat, np.arange(0, n * n + 1, n))
+    flat %= n
+    return ptr, flat
+
+
 def _eps_neighbours(dmat: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise lists of the entries ``dmat < eps``: row i is ``cols[ptr[i]:ptr[i+1]]``."""
-    n = dmat.shape[0]
-    cols = np.flatnonzero(dmat < eps)
-    ptr = np.searchsorted(cols, np.arange(0, n * n + 1, n))
-    cols %= n
-    return ptr, cols
+    return _row_lists(_flat_below(dmat, eps), dmat.shape[0])
 
 
 def _greedy_separated(ptr: np.ndarray, cols: np.ndarray, order: np.ndarray) -> list[int]:
@@ -323,7 +344,7 @@ def _greedy_cover(ptr: np.ndarray, cols: np.ndarray) -> list[int]:
 
 
 def _greedy_counts(
-    dmat: np.ndarray, eps: float, order: np.ndarray
+    ptr: np.ndarray, cols: np.ndarray, order: np.ndarray
 ) -> tuple[list[int], list[int]]:
     """Greedy separated and spanning witnesses from one set of eps-neighbour lists.
 
@@ -331,7 +352,6 @@ def _greedy_counts(
     smaller of the lazy set cover and the maximal separated witness (which
     always spans), so ``span <= sep`` holds for greedy counts too.
     """
-    ptr, cols = _eps_neighbours(dmat, eps)
     sep = _greedy_separated(ptr, cols, order)
     span = _greedy_cover(ptr, cols)
     if len(span) > len(sep):
@@ -434,29 +454,37 @@ class SeparationResult:
 
 
 def counts_from_matrix(
-    dmat: np.ndarray, eps: float, order: np.ndarray | None = None
+    dmat: np.ndarray,
+    eps: float,
+    order: np.ndarray | None = None,
+    neighbours: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[SeparationResult, SeparationResult]:
     """Separated and spanning counts of one cell from its distance matrix.
 
     Within ``EXACT_CAP`` points both counts are exact (branch and bound);
     above it they are greedy (``_greedy_counts``), scanning in ``order``,
-    by default the farthest-point order from the row means.  A diagonal
-    entry >= eps (a point outside its own ball) is refused.
+    by default the farthest-point order from the row means.  ``neighbours``
+    is the cell's eps-neighbour lists ``(ptr, cols)``, exactly as
+    ``_eps_neighbours(dmat, eps)`` builds them when it is None;
+    ``count_table`` passes the lists it built.  A diagonal entry >= eps (a
+    point outside its own ball) is refused.
     """
     if not eps > 0:
         raise ConfigError("config: eps must be > 0")
     if not (np.diagonal(dmat) < eps).all():
         raise ConfigError(f"config: distance matrix has a diagonal entry >= eps={eps:g}")
+    if neighbours is None:
+        neighbours = _eps_neighbours(dmat, eps)
     if dmat.shape[0] <= EXACT_CAP:
         mode = "exact"
         balls = _ball_masks(dmat, eps)
         sep = _exact_max_separated(balls)
-        span = _exact_min_spanning(balls, _greedy_cover(*_eps_neighbours(dmat, eps)))
+        span = _exact_min_spanning(balls, _greedy_cover(*neighbours))
     else:
         mode = "greedy"
         if order is None:
             order = farthest_point_order(dmat, dmat.mean(axis=1))
-        sep, span = _greedy_counts(dmat, eps, order)
+        sep, span = _greedy_counts(*neighbours, order)
     return (
         SeparationResult(len(sep), tuple(sep), mode),
         SeparationResult(len(span), tuple(span), mode),
@@ -543,9 +571,11 @@ class CountTable:
         return seen
 
     def counts_for(self, eps: float, which: str = "sep") -> list[tuple[int, int]]:
-        """(n, count) pairs for one epsilon, ascending in n."""
-        pick = (lambda r: r.sep_count) if which == "sep" else (lambda r: r.span_count)
-        rows = [(r.n, pick(r)) for r in self.rows if r.epsilon == eps]
+        """(n, count) pairs for one epsilon, ascending in n; ``which`` is "sep" or "span"."""
+        if which not in ("sep", "span"):
+            raise ConfigError(f"config: unknown count {which!r}; choose 'sep' or 'span'")
+        rows = [(r.n, r.sep_count if which == "sep" else r.span_count)
+                for r in self.rows if r.epsilon == eps]
         return sorted(rows)
 
 
@@ -558,19 +588,43 @@ def count_table(
     """Counts over the (eps, n) grid from a stream of order-n matrices.
 
     ``matrices`` yields ``(n, dmat, seed)`` like ``orbit_metric_matrices``
-    and may reuse one buffer.  Above ``EXACT_CAP`` points all eps share one
-    farthest-point order per n, started from ``seed``.  Rows run over eps in
-    list order, n ascending within each, and carry the mode their counts used.
+    and may reuse one buffer.  The stream must be entrywise non-decreasing
+    in n, as every running max of orbit distances is.  Above ``EXACT_CAP``
+    points all eps share one farthest-point order per n, started from
+    ``seed``.  Rows run over eps in list order, n ascending within each, and
+    carry the mode their counts used.
+
+    Each cell's eps-neighbour lists are built here and passed to
+    ``counts_from_matrix``.  At every n the largest eps goes first: its
+    entries hold those of every smaller eps at this n and, the stream being
+    non-decreasing, those of every eps at later n.  Once that list holds at
+    most ``CARRY_DENSITY`` of the matrix it is kept, and later cells test
+    only its entries; before that each cell thresholds the whole matrix.
+    One carried list and one cell's lists are alive at a time, and every
+    cell gets the same lists either way.
     """
     if any(not e > 0 for e in eps_list):
         raise ConfigError("config: eps values must be > 0")
     columns: list[list[CountRow]] = [[] for _ in eps_list]
     if eps_list:
+        top = int(np.argmax(eps_list))
+        cells = [top] + [k for k in range(len(eps_list)) if k != top]
+        carried = None
         for n, dmat, seed in matrices:
-            order = farthest_point_order(dmat, seed) if dmat.shape[0] > EXACT_CAP else None
-            for column, eps in zip(columns, eps_list):
-                sep, span = counts_from_matrix(dmat, eps, order=order)
-                column.append(CountRow(eps, n, sep.count, span.count, sep.mode))
+            size = dmat.shape[0]
+            order = farthest_point_order(dmat, seed) if size > EXACT_CAP else None
+            for k in cells:
+                eps = eps_list[k]
+                flat = _flat_below(dmat, eps, carried)
+                if k == top:
+                    carried = flat if flat.size <= CARRY_DENSITY * dmat.size else None
+                    if flat is carried:
+                        flat = flat.copy()
+                sep, span = counts_from_matrix(
+                    dmat, eps, order=order, neighbours=_row_lists(flat, size)
+                )
+                del flat  # free this cell's lists before the next cell or order builds its own
+                columns[k].append(CountRow(eps, n, sep.count, span.count, sep.mode))
     rows = tuple(row for column in columns for row in column)
     return CountTable(rows, cloud_size, truncated_at)
 

@@ -28,12 +28,22 @@ from entro import (
     pairwise_dist,
     subsample_count_check,
 )
+from entro import metric_core
+from entro.dynamics import build_orbit_table
+from entro.gallery import build_doubling
 from entro.metric_core import (
     TILE_ROWS,
+    CountRow,
+    CountTable,
+    _eps_neighbours,
+    _flat_below,
     _greedy_counts,
+    _row_lists,
+    count_table,
     farthest_point_order,
     orbit_metric_matrices,
 )
+from entro.orbit_space import _lifted_matrices, friedland_count_table
 
 
 def brute_max_separated(dists: np.ndarray, eps: float) -> int:
@@ -127,7 +137,9 @@ class TestExactCountsMatchOracle:
         spec = MetricSpec.euclidean()
         dists = distance_matrix(cloud.points, cloud.points, spec)
         exact, _ = counts_from_matrix(dists, 0.25)
-        greedy, _ = _greedy_counts(dists, 0.25, farthest_point_order(dists, dists.mean(axis=1)))
+        greedy, _ = _greedy_counts(
+            *_eps_neighbours(dists, 0.25), farthest_point_order(dists, dists.mean(axis=1))
+        )
         assert len(greedy) <= exact.count
         pts = cloud.points[greedy]
         d = distance_matrix(pts, pts, spec)
@@ -170,7 +182,7 @@ class TestGreedyCountsMatchDenseScans:
         scales = [lo / 2, lo, 0.3, 1.0, 2.0, 3.0, 2 * dmat.max() + 1]
         order = farthest_point_order(dmat, dmat.mean(axis=1))
         for eps in scales:
-            sep, span = _greedy_counts(dmat, eps, order)
+            sep, span = _greedy_counts(*_eps_neighbours(dmat, eps), order)
             want_sep = dense_greedy_separated(dmat, order, eps)
             want_span = dense_greedy_cover(dmat, eps)
             if len(want_span) > len(want_sep):
@@ -190,10 +202,102 @@ class TestGreedyCountsMatchDenseScans:
     def test_scale_extremes(self):
         dmat = oracle_matrix("symmetric", 11)
         order = farthest_point_order(dmat, dmat.mean(axis=1))
-        sep, span = _greedy_counts(dmat, 1e-9, order)
+        sep, span = _greedy_counts(*_eps_neighbours(dmat, 1e-9), order)
         assert len(sep) == len(span) == len(dmat)
-        sep, span = _greedy_counts(dmat, 2 * dmat.max() + 1, order)
+        sep, span = _greedy_counts(*_eps_neighbours(dmat, 2 * dmat.max() + 1), order)
         assert len(sep) == len(span) == 1
+
+
+def dense_recount(matrices, eps_list: list[float]) -> list[tuple]:
+    """Every cell counted on its own from the whole matrix, in ``count_table``'s row order."""
+    cells = {}
+    for n, dmat, seed in matrices:
+        order = farthest_point_order(dmat, seed) if dmat.shape[0] > EXACT_CAP else None
+        for k, eps in enumerate(eps_list):
+            sep, span = counts_from_matrix(dmat, eps, order=order)
+            cells[k, n] = (eps, n, sep.count, span.count, sep.mode)
+    return [cells[key] for key in sorted(cells)]
+
+
+def row_tuples(table: CountTable) -> list[tuple]:
+    return [(r.epsilon, r.n, r.sep_count, r.span_count, r.mode) for r in table.rows]
+
+
+@pytest.fixture()
+def carried_tests(monkeypatch):
+    """Records, per threshold ``count_table`` makes, whether it tested a carried list."""
+    seen: list[bool] = []
+    flat_below = metric_core._flat_below
+
+    def spy(dmat, eps, within=None):
+        seen.append(within is not None)
+        return flat_below(dmat, eps, within)
+
+    monkeypatch.setattr(metric_core, "_flat_below", spy)
+    return seen
+
+
+class TestCarriedNeighbourLists:
+    """Lists carried across scales and orders are the lists of a dense threshold."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric", "integer"])
+    def test_restricted_lists_equal_dense_lists(self, kind, seed):
+        dmat = oracle_matrix(kind, seed)
+        scales = sorted({0.05, 0.3, 1.0, 2.0, float(dmat.max()) + 1})
+        for i, eps in enumerate(scales):
+            want_ptr, want_cols = _eps_neighbours(dmat, eps)
+            for wider in scales[i:]:
+                within = np.flatnonzero(dmat < wider)
+                ptr, cols = _row_lists(_flat_below(dmat, eps, within), len(dmat))
+                assert np.array_equal(ptr, want_ptr)
+                assert np.array_equal(cols, want_cols)
+                assert np.array_equal(within, np.flatnonzero(dmat < wider))
+
+    @pytest.mark.parametrize(
+        "spread, carries",
+        # order 1 is one tight cluster, later orders spread the points out
+        [((0.05, 4.0, 4.0, 4.0), True),
+         # every order stays within the largest scale almost everywhere
+         ((1.0, 1.0, 1.0, 1.0), False)],
+        ids=["sparse-after-order-1", "dense"],
+    )
+    def test_table_equals_dense_recount(self, spread, carries, carried_tests):
+        rng = np.random.default_rng(3)
+        orbits = rng.random((200, len(spread), 2)) * np.array(spread)[None, :, None]
+        spec = MetricSpec.euclidean()
+        # the largest scale in the middle, and one scale twice
+        eps_list = [0.1, 0.2, 1.5, 0.05, 0.2]
+        table = count_table(orbit_metric_matrices(orbits, spec), eps_list, len(orbits))
+        carried = list(carried_tests)
+        assert row_tuples(table) == dense_recount(orbit_metric_matrices(orbits, spec), eps_list)
+        assert len(carried) == len(eps_list) * len(spread)
+        assert any(carried) == carries
+        assert carried[: len(eps_list)] == [False] * len(eps_list)
+
+    def test_lifted_table_equals_dense_recount(self, carried_tests):
+        system = build_doubling(grid=256).system
+        theta = np.arange(256) * (2.0 * math.pi / 256)
+        cloud = PointCloud(np.column_stack([np.cos(theta), np.sin(theta)]), 0.05)
+        eps_list, n_max, rho, m = [0.4, 0.8, 0.2, 0.4], 4, 4.0, 6
+        table = friedland_count_table(system, cloud, eps_list, n_max, rho=rho, truncation=m)
+        assert any(carried_tests)
+        orbits = build_orbit_table(system, cloud, m + n_max - 1).orbits
+        want = dense_recount(_lifted_matrices(orbits, n_max, rho, m), eps_list)
+        assert row_tuples(table) == want
+        assert {r.mode for r in table.rows} == {"greedy"}
+
+
+class TestCountsFor:
+    TABLE = CountTable((CountRow(0.5, 2, 3, 2, "exact"), CountRow(0.5, 1, 2, 1, "exact")), 4)
+
+    def test_picks_the_named_count(self):
+        assert self.TABLE.counts_for(0.5) == [(1, 2), (2, 3)]
+        assert self.TABLE.counts_for(0.5, "span") == [(1, 1), (2, 2)]
+
+    def test_unknown_count_refused(self):
+        with pytest.raises(ConfigError, match="seps"):
+            self.TABLE.counts_for(0.5, "seps")
 
 
 def dense_orbit_metric_matrices(orbits: np.ndarray, spec: MetricSpec):

@@ -12,7 +12,11 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
+from entro import MetricSpec, PointCloud
 from entro.dynamics import OrbitTable, bd_count_table
+from entro.gallery import build_doubling
 from entro.metric_core import counts_from_matrix
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -35,3 +39,20 @@ def test_attribute_readers_find_their_names():
     assert list(inspect.signature(bd_count_table).parameters)[1] == "cloud"
     assert list(inspect.signature(counts_from_matrix).parameters)[0] == "dmat"
     assert {"orbits", "depth"} <= {f.name for f in dataclasses.fields(OrbitTable)}
+
+
+def test_every_cell_is_one_counts_span():
+    """The ``metric_core.counts`` layer sees each (eps, n) cell of a table once,
+    whichever path built the cell's neighbour lists."""
+    theta = np.arange(300) * (2.0 * np.pi / 300)
+    cloud = PointCloud(np.column_stack([np.cos(theta), np.sin(theta)]), 0.05)
+    eps_list, n_max = [0.2, 0.8, 0.4, 0.2], 5
+    tracing = load_tracing()
+    with tracing.Tracer(tracing.LAYER_TARGETS).installed() as tracer:
+        table = bd_count_table(
+            build_doubling(grid=64).system, cloud, MetricSpec.euclidean(), eps_list, n_max
+        )
+    names = [span[0] for span in tracer.spans]
+    assert len(table.rows) == len(eps_list) * n_max
+    assert names.count("metric_core.counts") == len(table.rows)
+    assert names.count("metric_core.fpo") == n_max
