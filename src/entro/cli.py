@@ -35,7 +35,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .coding import coded_entropy, symbol_frequency, word_complexity
 from .dynamics import inverse_transport_check
@@ -45,6 +44,7 @@ from .gallery import ALL_METHODS, GalleryBundle, build_bundle, run_bundle
 from .metric_core import (
     EXACT_CAP,
     CountTable,
+    covering_radius,
     dense_subsample,
     subsample_count_check,
 )
@@ -325,7 +325,7 @@ def _verify_bundle(cfg: RunConfig, pairs: int, seed: int) -> tuple[str, bool]:
     idx = np.sort(rng.choice(bundle.cloud.size, size=k, replace=False))
     sub = bundle.cloud.subset(idx, f"{bundle.name}|verify{k}")
     kept = dense_subsample(sub, 0.7, seed=seed)
-    radius = float(cdist(sub.points, kept.points).min(axis=1).max())
+    radius = covering_radius(sub.points, kept.points)
     eps0 = max(mid_eps, 4.0 * radius + 1e-6)
     rep = subsample_count_check(sub, bundle.metric, eps0, keep_fraction=0.7, seed=seed)
     flags.append(rep.passed)
@@ -396,21 +396,22 @@ def _parse_alpha(text: str):
     if "/" in text:
         num, _, den = text.partition("/")
         try:
-            return Fraction(int(num), int(den))
+            value = Fraction(int(num), int(den))
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"config: alpha {text!r} is not a valid fraction") from None
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"config: alpha {text!r} is not a number") from None
-    if not 0.0 < value < 1.0:
+    else:
+        try:
+            value = float(text)
+        except ValueError:
+            raise ConfigError(f"config: alpha {text!r} is not a number") from None
+    if not 0 < value < 1:
         raise ConfigError("config: alpha must lie in (0, 1)")
     return value
 
 
 def cmd_coding(args: argparse.Namespace) -> int:
     alpha = _parse_alpha(args.alpha)
-    orbit_len = args.orbit_len or max(10 * args.lmax, 20_000)
+    orbit_len = max(10 * args.lmax, 20_000) if args.orbit_len is None else args.orbit_len
     wc = word_complexity(alpha, args.lmax, orbit_len)
     lines = [f"alpha = {alpha}   orbit length {wc.orbit_len}, guard hits {wc.guard_hits}"]
     for L in range(1, args.lmax + 1):

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import ConfigError, EscapeError, UndefinedPointError
 from .metric_core import (
-    EXACT_CAP,
     CountTable,
     MetricSpec,
     PointCloud,
@@ -84,7 +83,6 @@ def iterate_orbit(system: DynSystem, x, n: int) -> np.ndarray:
 class OrbitTable:
     """Precomputed orbits for every cloud point: orbits[i, k] = f^k(point i)."""
 
-    base: PointCloud
     depth: int
     orbits: np.ndarray  # (size, depth, dim)
 
@@ -129,7 +127,7 @@ def build_orbit_table(
             bad = int(np.flatnonzero(~ok)[0])
             raise EscapeError(k, orbits[bad, k - 1])
         orbits[:, k, :] = cur
-    return OrbitTable(cloud, reached, orbits[:, :reached, :])
+    return OrbitTable(reached, orbits[:, :reached, :])
 
 
 def bd_dist(system: DynSystem, spec: MetricSpec, x, y, n: int) -> float:
@@ -148,8 +146,8 @@ def bd_count_table(
 ) -> CountTable:
     """Separated/spanning counts over the (eps, n) grid under orbit metrics.
 
-    Counts are exact for clouds within ``EXACT_CAP`` points and greedy above
-    (see ``count_table``).  If some orbit escapes at step t < n_max the table
+    The table's ``mode`` says whether its counts are exact or greedy (see
+    ``count_table``).  If some orbit escapes at step t < n_max the table
     stops at n = t and ``truncated_at`` is t.
     """
     if n_max < 1:
@@ -168,7 +166,6 @@ class TransportVerdict:
     eps: float
     n: int
     witness_size: int
-    pairs_checked: int
     min_separation: float
 
     def line(self) -> str:
@@ -188,9 +185,9 @@ def inverse_transport_check(
 ) -> TransportVerdict:
     """Check that f^(n-1) of an (n,eps)-separated set is separated under f^(-1).
 
-    Takes the separated witness (exact within ``EXACT_CAP`` points, greedy
-    above), maps it forward n-1 steps, rebuilds backward orbits with the
-    inverse rule, and verifies every pair clears eps at some backward step.
+    Takes the separated witness of ``counts_from_matrix``, maps it forward
+    n-1 steps, rebuilds backward orbits with the inverse rule, and verifies
+    every pair clears eps at some backward step.
     Index reversal makes this an identity on the set of step distances, so
     it must pass with no slack.
     """
@@ -198,9 +195,8 @@ def inverse_transport_check(
         raise ConfigError(f"config: system {system.name!r} has no inverse")
     table = build_orbit_table(system, cloud, n)
     dmat, seed = last_orbit_matrix(table.orbits, spec)
-    order = farthest_point_order(dmat, seed) if cloud.size > EXACT_CAP else None
-    sep, _ = counts_from_matrix(dmat, eps, order=order)
-    witness = np.array(sep.witness, dtype=np.intp)
+    sep, _ = counts_from_matrix(dmat, eps, order=farthest_point_order(dmat, seed))
+    witness = np.array(sep, dtype=np.intp)
 
     # backward orbits of the transported set, recomputed through the inverse
     tips = table.orbits[witness, n - 1, :]
@@ -219,6 +215,5 @@ def inverse_transport_check(
         eps=eps,
         n=n,
         witness_size=len(witness),
-        pairs_checked=len(iu[0]),
         min_separation=min_sep,
     )

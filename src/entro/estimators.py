@@ -151,11 +151,7 @@ def _fit_window(counts: list[int], cap: float) -> tuple[tuple[int, int], bool]:
     return (1, min(3, len(counts))), True
 
 
-def entropy_estimate(
-    table: CountTable,
-    method: str = "bowen_dinaburg",
-    stabilization_tol: float = 0.05,
-) -> EntropyEstimate:
+def entropy_estimate(table: CountTable, stabilization_tol: float = 0.05) -> EntropyEstimate:
     """Headline entropy from a count table via per-epsilon growth rates.
 
     Rates are fitted to the separated counts.  Needs at least three epsilon
@@ -163,6 +159,7 @@ def entropy_estimate(
     with.  Adjacent rates closer than ``stabilization_tol`` agree.
     Saturated windows are flagged rather than hidden; disagreement across
     epsilon is reported as ``unstable`` and the smallest-epsilon rate is used.
+    The method is "friedland" when ``table.rho`` is set (lifted tables only).
     """
     if stabilization_tol <= 0:
         raise ConfigError("config: stabilization_tol must be > 0")
@@ -171,6 +168,9 @@ def entropy_estimate(
         raise ConfigError("config: need >= 3 epsilon values to extrapolate")
     n_seen = {r.n for r in table.rows}
     if not n_seen or max(n_seen) < 6:
+        cut = table.truncated_at
+        if cut is not None:
+            raise ConfigError(f"config: orbit table truncated at n={cut}; need n >= 6")
         raise ConfigError("config: need n_max >= 6 to extrapolate")
 
     cap = SATURATION_FRACTION * table.cloud_size
@@ -187,6 +187,7 @@ def entropy_estimate(
             headline = per[i].rate
             stabilized = per[i].epsilon
             break
+    method = "friedland" if table.rho is not None else "bowen_dinaburg"
     return EntropyEstimate(headline, tuple(per), method, stabilized, table.truncated_at)
 
 
@@ -298,6 +299,6 @@ def counts_csv_text(
             rate = rates.get(row.epsilon, float("nan"))
             lines.append(
                 f"{system},{metric_name},{row.epsilon!r},{row.n},"
-                f"{row.sep_count},{row.span_count},{row.mode},{rate!r}"
+                f"{row.sep_count},{row.span_count},{table.mode},{rate!r}"
             )
     return "\n".join(lines) + "\n"

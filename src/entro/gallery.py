@@ -769,7 +769,7 @@ def run_bundle(bundle: GalleryBundle, methods: tuple[str, ...] = ALL_METHODS) ->
         bc = compacta_estimate(system, bundle.metric, bundle.family, eps_list, n_max)
     if "friedland" in methods:
         fr_table = friedland_count_table(system, cloud, eps_list, n_max, rho=bundle.rho)
-        fr = entropy_estimate(fr_table, method="friedland")
+        fr = entropy_estimate(fr_table)
     if bd is not None and bc is not None and fr is not None:
         verdict = inequality_report(bd, bc, fr)
     return BundleRun(bundle, bd_table, bd, bc, fr_table, fr, verdict, time.perf_counter() - start)

@@ -8,17 +8,18 @@ Three metric families cover everything the estimators need:
 * ``sequence_rho`` -- geometrically weighted sum over blocks, the metric of a
   truncated orbit sequence with weight rho^(-i) on block i.
 
-Every count of one (eps, n) cell goes through ``counts_from_matrix``, and
-the cloud size alone picks how it counts: exactly within ``EXACT_CAP``
-points, greedily above.  The exact searches are branch and bound over
-eps-ball bitmasks (maximum independent set for separation, minimum set
-cover for spanning).  The greedy counts read each cell's eps-neighbour
-lists, scan the cloud in farthest-point order (separation) and run a lazy
-greedy set cover (spanning) over those lists; they are valid at any size.
-Separation uses the closed condition ``d >= eps``; spanning uses the strict
-``d < eps``.  Every count table is built by ``count_table``, which thresholds
-the dense matrix only until the largest scale's list turns sparse and then
-carries that list across scales and orders.
+Every count of one (eps, n) cell goes through ``counts_from_matrix``, which
+returns its separated and spanning witnesses as index lists, and the cloud
+size alone picks how it counts: exactly within ``EXACT_CAP`` points,
+greedily above.  The exact searches are branch and bound over eps-ball
+bitmasks (maximum independent set for separation, minimum set cover for
+spanning).  The greedy counts read each cell's eps-neighbour lists, scan
+the cloud in farthest-point order (separation) and run a lazy greedy set
+cover (spanning) over those lists; they are valid at any size.  Separation
+uses the closed condition ``d >= eps``; spanning uses the strict ``d < eps``.
+Every count table is built by ``count_table``, which thresholds the dense
+matrix only until the largest scale's list turns sparse and then carries
+that list across scales and orders.
 """
 
 from __future__ import annotations
@@ -43,13 +44,13 @@ __all__ = [
     "DUPLICATE_TOL",
     "MetricSpec",
     "PointCloud",
-    "SeparationResult",
     "CountRow",
     "CountTable",
     "pairwise_dist",
     "distance_matrix",
     "distance_tiles",
     "cloud_diameter",
+    "covering_radius",
     "counts_from_matrix",
     "count_table",
     "farthest_point_order",
@@ -247,19 +248,22 @@ def pairwise_dist(a, b, spec: MetricSpec) -> float:
     return float(distance_matrix(va[None, :], vb[None, :], spec)[0, 0])
 
 
-def cloud_diameter(cloud: PointCloud, spec: MetricSpec | None = None) -> float:
-    """Max pairwise distance; euclidean bounding-box bound above 4000 points."""
-    if spec is None:
-        spec = MetricSpec.euclidean()
-    if spec.kind == "euclidean" and cloud.size > 4000:
+def cloud_diameter(cloud: PointCloud) -> float:
+    """Euclidean max pairwise distance; the bounding-box diagonal above 4000 points."""
+    if cloud.size > 4000:
         return _box_diagonal(cloud.points)
-    return float(distance_matrix(cloud.points, cloud.points, spec).max())
+    return float(cdist(cloud.points, cloud.points).max())
 
 
 def _box_diagonal(points: np.ndarray) -> float:
     """Euclidean diagonal of the bounding box of the points along the last axis."""
     flat = points.reshape(-1, points.shape[-1])
     return float(np.linalg.norm(flat.max(axis=0) - flat.min(axis=0)))
+
+
+def covering_radius(points: np.ndarray, centers: np.ndarray) -> float:
+    """Largest euclidean distance from a row of ``points`` to its nearest row of ``centers``."""
+    return float(cdist(points, centers).min(axis=1).max())
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +450,9 @@ def _exact_min_spanning(balls: list[int], start: list[int]) -> list[int]:
 # public counting API
 
 
-@dataclass(frozen=True)
-class SeparationResult:
-    count: int
-    witness: tuple[int, ...]
-    mode: str
+def _count_mode(size: int) -> str:
+    """How a cloud of ``size`` points is counted: exactly within ``EXACT_CAP``, greedily above."""
+    return "exact" if size <= EXACT_CAP else "greedy"
 
 
 def counts_from_matrix(
@@ -458,14 +460,14 @@ def counts_from_matrix(
     eps: float,
     order: np.ndarray | None = None,
     neighbours: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[SeparationResult, SeparationResult]:
-    """Separated and spanning counts of one cell from its distance matrix.
+) -> tuple[list[int], list[int]]:
+    """Separated and spanning witnesses of one cell, as index lists, from its distance matrix.
 
-    Within ``EXACT_CAP`` points both counts are exact (branch and bound);
-    above it they are greedy (``_greedy_counts``), scanning in ``order``,
-    by default the farthest-point order from the row means.  ``neighbours``
-    is the cell's eps-neighbour lists ``(ptr, cols)``, exactly as
-    ``_eps_neighbours(dmat, eps)`` builds them when it is None;
+    Within ``EXACT_CAP`` points both are exact (branch and bound; ``order``
+    is not read); above it they are greedy (``_greedy_counts``), scanning in
+    ``order``, by default the farthest-point order from the row means.
+    ``neighbours`` is the cell's eps-neighbour lists ``(ptr, cols)``, exactly
+    as ``_eps_neighbours(dmat, eps)`` builds them when it is None;
     ``count_table`` passes the lists it built.  A diagonal entry >= eps (a
     point outside its own ball) is refused.
     """
@@ -475,20 +477,12 @@ def counts_from_matrix(
         raise ConfigError(f"config: distance matrix has a diagonal entry >= eps={eps:g}")
     if neighbours is None:
         neighbours = _eps_neighbours(dmat, eps)
-    if dmat.shape[0] <= EXACT_CAP:
-        mode = "exact"
+    if _count_mode(dmat.shape[0]) == "exact":
         balls = _ball_masks(dmat, eps)
-        sep = _exact_max_separated(balls)
-        span = _exact_min_spanning(balls, _greedy_cover(*neighbours))
-    else:
-        mode = "greedy"
-        if order is None:
-            order = farthest_point_order(dmat, dmat.mean(axis=1))
-        sep, span = _greedy_counts(*neighbours, order)
-    return (
-        SeparationResult(len(sep), tuple(sep), mode),
-        SeparationResult(len(span), tuple(span), mode),
-    )
+        return _exact_max_separated(balls), _exact_min_spanning(balls, _greedy_cover(*neighbours))
+    if order is None:
+        order = farthest_point_order(dmat, dmat.mean(axis=1))
+    return _greedy_counts(*neighbours, order)
 
 
 def orbit_metric_matrices(orbits: np.ndarray, spec: MetricSpec):
@@ -549,7 +543,6 @@ class CountRow:
     n: int
     sep_count: int
     span_count: int
-    mode: str
 
 
 @dataclass(frozen=True)
@@ -562,6 +555,11 @@ class CountTable:
     # the lifted metric's settings, set on tables of the lifted shift only
     rho: float | None = None
     truncation: int | None = None
+
+    @property
+    def mode(self) -> str:
+        """How every count of the table was made; its cloud size decides."""
+        return _count_mode(self.cloud_size)
 
     def eps_values(self) -> list[float]:
         seen: list[float] = []
@@ -589,10 +587,9 @@ def count_table(
 
     ``matrices`` yields ``(n, dmat, seed)`` like ``orbit_metric_matrices``
     and may reuse one buffer.  The stream must be entrywise non-decreasing
-    in n, as every running max of orbit distances is.  Above ``EXACT_CAP``
-    points all eps share one farthest-point order per n, started from
-    ``seed``.  Rows run over eps in list order, n ascending within each, and
-    carry the mode their counts used.
+    in n, as every running max of orbit distances is.  All eps share one
+    farthest-point order per n, started from ``seed`` (exact counts do not
+    read it).  Rows run over eps in list order, n ascending within each.
 
     Each cell's eps-neighbour lists are built here and passed to
     ``counts_from_matrix``.  At every n the largest eps goes first: its
@@ -612,7 +609,7 @@ def count_table(
         carried = None
         for n, dmat, seed in matrices:
             size = dmat.shape[0]
-            order = farthest_point_order(dmat, seed) if size > EXACT_CAP else None
+            order = farthest_point_order(dmat, seed)
             for k in cells:
                 eps = eps_list[k]
                 flat = _flat_below(dmat, eps, carried)
@@ -624,7 +621,7 @@ def count_table(
                     dmat, eps, order=order, neighbours=_row_lists(flat, size)
                 )
                 del flat  # free this cell's lists before the next cell or order builds its own
-                columns[k].append(CountRow(eps, n, sep.count, span.count, sep.mode))
+                columns[k].append(CountRow(eps, n, len(sep), len(span)))
     rows = tuple(row for column in columns for row in column)
     return CountTable(rows, cloud_size, truncated_at)
 
@@ -648,7 +645,7 @@ def dense_subsample(cloud: PointCloud, keep_fraction: float, seed: int) -> Point
     k = max(1, math.ceil(keep_fraction * cloud.size))
     idx = np.sort(rng.choice(cloud.size, size=k, replace=False))
     kept = cloud.points[idx]
-    radius = float(cdist(cloud.points, kept).min(axis=1).max())
+    radius = covering_radius(cloud.points, kept)
     return PointCloud(kept.copy(), cloud.mesh + radius, f"{cloud.label}|subsample")
 
 
@@ -682,7 +679,6 @@ def subsample_count_check(
     eps: float,
     keep_fraction: float,
     seed: int,
-    margin: float = 1e-9,
 ) -> SubsampleCountReport:
     """Verify the density-shifted count inequalities on one subsample draw."""
     if cloud.size > EXACT_CAP:
@@ -692,13 +688,14 @@ def subsample_count_check(
     if not eps > 0:
         raise ConfigError("config: eps must be > 0")
     sub = dense_subsample(cloud, keep_fraction, seed)
-    radius = float(cdist(cloud.points, sub.points).min(axis=1).max())
-    eps_sep = eps - 2 * radius - margin
+    radius = covering_radius(cloud.points, sub.points)
+    # both scales move 1e-9 further from eps to absorb rounding in the radius
+    eps_sep = eps - 2 * radius - 1e-9
     if eps_sep <= 0:
         raise ConfigError(
             f"config: subsample too sparse for eps={eps:g} (covering radius {radius:g})"
         )
-    eps_span = eps + 2 * radius + margin
+    eps_span = eps + 2 * radius + 1e-9
     sub_mat = distance_matrix(sub.points, sub.points, spec)
     sep_parent, span_parent = counts_from_matrix(
         distance_matrix(cloud.points, cloud.points, spec), eps
@@ -708,8 +705,8 @@ def subsample_count_check(
         eps=eps,
         eps_sep=eps_sep,
         eps_span=eps_span,
-        sep_parent=sep_parent.count,
-        sep_sub=counts_from_matrix(sub_mat, eps_sep)[0].count,
-        span_parent=span_parent.count,
-        span_sub=counts_from_matrix(sub_mat, eps_span)[1].count,
+        sep_parent=len(sep_parent),
+        sep_sub=len(counts_from_matrix(sub_mat, eps_sep)[0]),
+        span_parent=len(span_parent),
+        span_sub=len(counts_from_matrix(sub_mat, eps_span)[1]),
     )

@@ -229,7 +229,7 @@ def friedland_estimate(
     not part of the estimate.
     """
     table = friedland_count_table(system, cloud, eps_list, n_max, rho=rho, truncation=truncation)
-    return entropy_estimate(table, method="friedland")
+    return entropy_estimate(table)
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +365,7 @@ def semiconj_check(
     n: int,
     delta_up: float | None = None,
     modulus=None,
-    up_spec: MetricSpec | None = None,
     down_spec: MetricSpec | None = None,
-    residual_tol: float = 1e-9,
 ) -> SemiconjReport:
     """Verify count domination across a factor map on a small cloud.
 
@@ -375,14 +373,14 @@ def semiconj_check(
     array of their downstairs images; ``modulus`` bounds how far h can
     spread a distance (default: identity, i.e. 1-Lipschitz), and
     ``delta_up`` is the upstairs scale whose modulus value stays within
-    ``eps_down`` (default eps_down itself).  The cloud must fit the exact
-    counter; greedy counts cannot certify an inequality.
+    ``eps_down`` (default eps_down itself).  Upstairs distances are
+    euclidean, and h must intertwine the two steps within 1e-9.  The cloud
+    must fit the exact counter; greedy counts cannot certify an inequality.
     """
     if cloud.size > EXACT_CAP:
         raise TooLargeError(
             f"too-large: factor check needs exact counts, cap {EXACT_CAP}, got {cloud.size}"
         )
-    up_spec = up_spec or MetricSpec.euclidean()
     down_spec = down_spec or MetricSpec.euclidean()
     delta_up = eps_down if delta_up is None else delta_up
     mod = modulus or (lambda t: t)
@@ -395,14 +393,14 @@ def semiconj_check(
     down_pts = h(cloud.points)
     pushed = h(up_table.orbits[:, 1, :])
     worst = float(np.linalg.norm(pushed - down_system.step(down_pts), axis=1).max())
-    if worst > residual_tol:
+    if worst > 1e-9:
         raise NotSemiconjugateError(
-            f"not-semiconjugate: residual {worst:.3g} exceeds {residual_tol:g}"
+            f"not-semiconjugate: residual {worst:.3g} exceeds 1e-09"
         )
 
     down_cloud = PointCloud(down_pts, cloud.mesh, f"{cloud.label}|image")
     down_table = build_orbit_table(down_system, down_cloud, n)
-    up_mat, _ = last_orbit_matrix(up_table.orbits[:, :n], up_spec)
+    up_mat, _ = last_orbit_matrix(up_table.orbits[:, :n], MetricSpec.euclidean())
     down_mat, _ = last_orbit_matrix(down_table.orbits, down_spec)
     sep_up, span_up = counts_from_matrix(up_mat, delta_up)
     sep_down, span_down = counts_from_matrix(down_mat, eps_down)
@@ -411,8 +409,8 @@ def semiconj_check(
         eps_down=eps_down,
         delta_up=delta_up,
         n=n,
-        sep_up=sep_up.count,
-        sep_down=sep_down.count,
-        span_up=span_up.count,
-        span_down=span_down.count,
+        sep_up=len(sep_up),
+        sep_down=len(sep_down),
+        span_up=len(span_up),
+        span_down=len(span_down),
     )

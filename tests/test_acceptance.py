@@ -75,7 +75,7 @@ def test_c1_sandwich_counts(rng):
         eps = 0.8 * float(np.median(positive))
         sep, span = counts_from_matrix(dmat, eps)
         _, span_half = counts_from_matrix(dmat, eps / 2.0)
-        if not span.count <= sep.count <= span_half.count:
+        if not len(span) <= len(sep) <= len(span_half):
             violations += 1
     elapsed = time.monotonic() - start
     ok = violations == 0 and elapsed < 60.0

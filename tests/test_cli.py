@@ -191,6 +191,11 @@ class TestGalleryCommand:
         rc = main(["gallery", "annulus", "--variant", variant, "--mesh", "-0.5"])
         assert_config_error(rc, capsys.readouterr(), "mesh")
 
+    def test_truncated_table_names_its_step(self, capsys):
+        """Orbits of this escape bundle leave the domain at step 3, under n_max 8."""
+        rc = main(["gallery", "escape", "--l-max", "4", "--orbit-len", "101"])
+        assert_config_error(rc, capsys.readouterr(), "truncated at n=3")
+
     def test_methods_must_include_the_baseline(self, capsys):
         rc = main(
             ["gallery", "doubling", "--grid", "256", "--methods", "compacta"]
@@ -465,6 +470,17 @@ class TestCodingCommand:
         rc = main(["coding", "--alpha", "1.5"])
         assert rc == 1
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["0/5", "1/1", "-1/3", "0", "1"])
+    def test_cut_outside_unit_interval_exits_1(self, alpha, capsys):
+        """A fraction is held to (0, 1) like a decimal."""
+        rc = main(["coding", f"--alpha={alpha}", "--lmax", "4"])
+        assert_config_error(rc, capsys.readouterr(), "(0, 1)")
+
+    def test_zero_orbit_length_is_refused(self, capsys):
+        """An explicit 0 is not the default orbit; the length guard refuses it."""
+        rc = main(["coding", "--alpha", "13/21", "--lmax", "4", "--orbit-len", "0"])
+        assert_config_error(rc, capsys.readouterr(), "orbit_len 0 too short")
 
 
 ROOT = Path(__file__).resolve().parents[1]

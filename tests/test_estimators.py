@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ def synthetic_table(counts_by_eps, cloud_size):
     rows = []
     for eps, counts in counts_by_eps.items():
         for n, c in enumerate(counts, start=1):
-            rows.append(CountRow(eps, n, c, max(1, c - 1), "greedy"))
+            rows.append(CountRow(eps, n, c, max(1, c - 1)))
     return CountTable(tuple(rows), cloud_size)
 
 
@@ -115,6 +116,21 @@ class TestEntropyEstimate:
         assert loose.stable
         with pytest.raises(ConfigError):
             entropy_estimate(table, stabilization_tol=0)
+
+    def test_method_follows_the_table(self):
+        """Only lifted tables set ``rho``, so it names the method."""
+        counts = {eps: [2 ** n for n in range(1, 9)] for eps in (0.4, 0.2, 0.1)}
+        table = synthetic_table(counts, 10 ** 9)
+        assert entropy_estimate(table).method == "bowen_dinaburg"
+        assert entropy_estimate(replace(table, rho=4.0, truncation=9)).method == "friedland"
+
+    def test_truncated_table_names_its_step(self):
+        counts = {eps: [2, 4, 8] for eps in (0.4, 0.2, 0.1)}
+        table = replace(synthetic_table(counts, 100), truncated_at=3)
+        with pytest.raises(ConfigError, match="truncated at n=3"):
+            entropy_estimate(table)
+        with pytest.raises(ConfigError, match="n_max >= 6"):
+            entropy_estimate(replace(table, truncated_at=None))
 
 
 class TestCompactFamily:

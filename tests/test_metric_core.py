@@ -40,6 +40,7 @@ from entro.metric_core import (
     _greedy_counts,
     _row_lists,
     count_table,
+    covering_radius,
     farthest_point_order,
     orbit_metric_matrices,
 )
@@ -117,8 +118,8 @@ class TestExactCountsMatchOracle:
         dists = distance_matrix(cloud.points, cloud.points, spec)
         for eps in (0.15, 0.3, 0.6):
             got, _ = counts_from_matrix(dists, eps)
-            assert got.mode == "exact"
-            assert got.count == brute_max_separated(dists, eps)
+            assert CountTable((), len(dists)).mode == "exact"
+            assert len(got) == brute_max_separated(dists, eps)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_spanning(self, seed):
@@ -128,8 +129,8 @@ class TestExactCountsMatchOracle:
         dists = distance_matrix(cloud.points, cloud.points, spec)
         for eps in (0.15, 0.3, 0.6):
             _, got = counts_from_matrix(dists, eps)
-            assert got.mode == "exact"
-            assert got.count == brute_min_spanning(dists, eps)
+            assert CountTable((), len(dists)).mode == "exact"
+            assert len(got) == brute_min_spanning(dists, eps)
 
     def test_greedy_separated_is_lower_bound_and_valid(self):
         rng = np.random.default_rng(7)
@@ -140,7 +141,7 @@ class TestExactCountsMatchOracle:
         greedy, _ = _greedy_counts(
             *_eps_neighbours(dists, 0.25), farthest_point_order(dists, dists.mean(axis=1))
         )
-        assert len(greedy) <= exact.count
+        assert len(greedy) <= len(exact)
         pts = cloud.points[greedy]
         d = distance_matrix(pts, pts, spec)
         off = d[~np.eye(len(pts), dtype=bool)]
@@ -151,7 +152,7 @@ class TestExactCountsMatchOracle:
         cloud = random_cloud(rng, 10)
         spec = MetricSpec.euclidean()
         res, _ = counts_from_matrix(distance_matrix(cloud.points, cloud.points, spec), 0.3)
-        pts = cloud.points[list(res.witness)]
+        pts = cloud.points[res]
         d = distance_matrix(pts, pts, spec)
         off = d[~np.eye(len(pts), dtype=bool)]
         assert off.size == 0 or off.min() >= 0.3
@@ -196,8 +197,8 @@ class TestGreedyCountsMatchDenseScans:
         with pytest.raises(ConfigError, match="diagonal"):
             counts_from_matrix(dmat, 1e-9)
         np.fill_diagonal(dmat, 0.0)
-        sep, span = counts_from_matrix(dmat, 1e-9)
-        assert sep.mode == span.mode == mode
+        counts_from_matrix(dmat, 1e-9)
+        assert CountTable((), size).mode == mode
 
     def test_scale_extremes(self):
         dmat = oracle_matrix("symmetric", 11)
@@ -215,12 +216,12 @@ def dense_recount(matrices, eps_list: list[float]) -> list[tuple]:
         order = farthest_point_order(dmat, seed) if dmat.shape[0] > EXACT_CAP else None
         for k, eps in enumerate(eps_list):
             sep, span = counts_from_matrix(dmat, eps, order=order)
-            cells[k, n] = (eps, n, sep.count, span.count, sep.mode)
+            cells[k, n] = (eps, n, len(sep), len(span))
     return [cells[key] for key in sorted(cells)]
 
 
 def row_tuples(table: CountTable) -> list[tuple]:
-    return [(r.epsilon, r.n, r.sep_count, r.span_count, r.mode) for r in table.rows]
+    return [(r.epsilon, r.n, r.sep_count, r.span_count) for r in table.rows]
 
 
 @pytest.fixture()
@@ -285,11 +286,11 @@ class TestCarriedNeighbourLists:
         orbits = build_orbit_table(system, cloud, m + n_max - 1).orbits
         want = dense_recount(_lifted_matrices(orbits, n_max, rho, m), eps_list)
         assert row_tuples(table) == want
-        assert {r.mode for r in table.rows} == {"greedy"}
+        assert table.mode == "greedy"
 
 
 class TestCountsFor:
-    TABLE = CountTable((CountRow(0.5, 2, 3, 2, "exact"), CountRow(0.5, 1, 2, 1, "exact")), 4)
+    TABLE = CountTable((CountRow(0.5, 2, 3, 2), CountRow(0.5, 1, 2, 1)), 4)
 
     def test_picks_the_named_count(self):
         assert self.TABLE.counts_for(0.5) == [(1, 2), (2, 3)]
@@ -346,7 +347,7 @@ def test_sandwich_property(size, seed, eps):
     dmat = distance_matrix(cloud.points, cloud.points, MetricSpec.euclidean())
     sep, span = counts_from_matrix(dmat, eps)
     _, span_half = counts_from_matrix(dmat, eps / 2)
-    assert span.count <= sep.count <= span_half.count
+    assert len(span) <= len(sep) <= len(span_half)
 
 
 @settings(max_examples=40, deadline=None)
@@ -355,7 +356,7 @@ def test_exact_sep_nonincreasing_in_eps(size, seed):
     rng = np.random.default_rng(seed)
     cloud = PointCloud(rng.random((size, 2)), mesh=0.05)
     dmat = distance_matrix(cloud.points, cloud.points, MetricSpec.euclidean())
-    counts = [counts_from_matrix(dmat, eps)[0].count for eps in (0.1, 0.2, 0.4, 0.8)]
+    counts = [len(counts_from_matrix(dmat, eps)[0]) for eps in (0.1, 0.2, 0.4, 0.8)]
     assert counts == sorted(counts, reverse=True)
 
 
@@ -445,8 +446,8 @@ class TestExactCap:
     def test_greedy_has_no_cap(self, rng):
         pts = rng.random((EXACT_CAP + 20, 2))
         res, _ = counts_from_matrix(distance_matrix(pts, pts, MetricSpec.euclidean()), 0.1)
-        assert res.mode == "greedy"
-        assert res.count >= 1
+        assert CountTable((), len(pts)).mode == "greedy"
+        assert len(res) >= 1
 
 
 class TestDenseSubsample:
@@ -465,6 +466,12 @@ class TestDenseSubsample:
         sub = dense_subsample(cloud, 0.25, seed=1)
         radius = distance_matrix(cloud.points, sub.points, MetricSpec.euclidean()).min(axis=1).max()
         assert math.isclose(sub.mesh, 0.01 + radius)
+
+    def test_covering_radius(self):
+        pts = np.array([[0.0], [1.0], [3.0]])
+        assert covering_radius(pts, pts[:1]) == 3.0
+        assert covering_radius(pts, pts[1:]) == 1.0
+        assert covering_radius(pts, pts) == 0.0
 
     def test_keep_all_is_identity(self, rng):
         cloud = PointCloud(rng.random((10, 2)), 0.01)

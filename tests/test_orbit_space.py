@@ -211,7 +211,7 @@ class TestFriedlandCounts:
             doubling.system, cloud, MetricSpec.euclidean(), eps_list, 5
         )
         bd_rows = {(r.epsilon, r.n): r for r in bd.rows}
-        assert all(r.mode == "exact" for r in fr.rows)
+        assert fr.mode == "exact"
         for row in fr.rows:
             base = bd_rows[(row.epsilon, row.n)]
             assert row.sep_count >= base.sep_count
@@ -226,14 +226,14 @@ class TestFriedlandCounts:
         eps_list = [0.8, 0.4, 0.2]
         bd = bd_count_table(doubling.system, cloud, spec, eps_list, 4)
         fr = friedland_count_table(doubling.system, cloud, eps_list, 4, rho=4.0)
-        assert {r.mode for r in bd.rows + fr.rows} == {mode}
+        assert bd.mode == fr.mode == mode
         want = []
         orbits = build_orbit_table(doubling.system, cloud, 4).orbits
         for n, dmat, seed in orbit_metric_matrices(orbits, spec):
             order = farthest_point_order(dmat, seed) if mode == "greedy" else None
             for eps in eps_list:
                 sep, span = counts_from_matrix(dmat, eps, order=order)
-                want.append((eps, n, sep.count, span.count))
+                want.append((eps, n, len(sep), len(span)))
         got = [(r.epsilon, r.n, r.sep_count, r.span_count) for r in bd.rows]
         assert got == sorted(want, key=lambda w: (-w[0], w[1]))
 
@@ -295,7 +295,7 @@ class TestFriedlandCounts:
             order = farthest_point_order(run_mat, run_seed)
             for eps in eps_list:
                 sep, span = counts_from_matrix(run_mat, eps, order=order)
-                want[(eps, i + 1)] = (sep.count, span.count)
+                want[(eps, i + 1)] = (len(sep), len(span))
         got = {(r.epsilon, r.n): (r.sep_count, r.span_count) for r in table.rows}
         assert got == want
 
