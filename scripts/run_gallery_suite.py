@@ -2,13 +2,15 @@
 """Run the three estimators across the whole gallery and print the scoreboard.
 
 For every bundled system this reports the direct orbit-metric estimate, the
-compact-exhaustion estimate, the lifted-shift estimate, the wall time, and
-the cross-definition verdict.  The full run takes a couple of minutes; pass
+compact-exhaustion estimate, the lifted-shift estimate, the wall time, the
+process's peak resident memory so far (``ru_maxrss``, in MiB), and the
+cross-definition verdict.  The full run takes a couple of minutes; pass
 --only to look at one system.  Per-bundle CSV output lives in the CLI:
 `entro gallery NAME --out-dir DIR`.
 """
 
 import argparse
+import resource
 import sys
 
 from entro import inequality_report
@@ -31,7 +33,7 @@ def main() -> int:
 
     header = (
         f"{'system':<18} {'direct':>8} {'compacta':>9} {'lifted':>8}"
-        f" {'target':>8} {'time':>6}  verdict"
+        f" {'target':>8} {'time':>6} {'peak':>8}  verdict"
     )
     print(header)
     print("-" * len(header))
@@ -41,9 +43,12 @@ def main() -> int:
         verdict = inequality_report(run.bd, run.bc, run.fr, slack=args.slack)
         all_ok = all_ok and verdict.passed
         target = f"{bundle.target:.4f}" if bundle.target is not None else "-"
+        # ru_maxrss is in KiB on Linux
+        peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(
             f"{bundle.name:<18} {run.bd.headline:>8.4f} {run.bc.headline:>9.4f}"
-            f" {run.fr.headline:>8.4f} {target:>8} {run.elapsed:>5.1f}s  {verdict.line()}"
+            f" {run.fr.headline:>8.4f} {target:>8} {run.elapsed:>5.1f}s"
+            f" {peak_mib:>5.0f}MiB  {verdict.line()}"
         )
     return 0 if all_ok else 3
 

@@ -18,9 +18,10 @@ Subcommands:
 ``gallery.run_bundle`` and render its record, so they report the same
 numbers for the same system and settings.
 
-Exit codes: 0 success, 1 bad configuration, 2 runtime or io failure,
-3 a verdict line reported a failure.  All outputs are deterministic for a
-fixed config, and files are written atomically (tmp + rename).
+Exit codes: 0 success, 1 bad configuration or command line, 2 runtime or
+io failure, 3 a verdict line reported a failure.  All outputs are
+deterministic for a fixed config, and files are written atomically
+(tmp + rename).
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .gallery import ALL_METHODS, GalleryBundle, build_bundle, run_bundle
 from .metric_core import (
     EXACT_CAP,
     CountTable,
-    covering_radius,
     dense_subsample,
     subsample_count_check,
 )
@@ -325,9 +325,8 @@ def _verify_bundle(cfg: RunConfig, pairs: int, seed: int) -> tuple[str, bool]:
     idx = np.sort(rng.choice(bundle.cloud.size, size=k, replace=False))
     sub = bundle.cloud.subset(idx, f"{bundle.name}|verify{k}")
     kept = dense_subsample(sub, 0.7, seed=seed)
-    radius = covering_radius(sub.points, kept.points)
-    eps0 = max(mid_eps, 4.0 * radius + 1e-6)
-    rep = subsample_count_check(sub, bundle.metric, eps0, keep_fraction=0.7, seed=seed)
+    eps0 = max(mid_eps, 4.0 * (kept.mesh - sub.mesh) + 1e-6)
+    rep = subsample_count_check(sub, kept, bundle.metric, eps0)
     flags.append(rep.passed)
     lines.append(
         f"subsample-counts: {'pass' if rep.passed else 'FAIL'}"
@@ -427,8 +426,16 @@ def cmd_coding(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, the code for bad input."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="entro",
         description="entropy estimates for maps of totally bounded metric spaces",
     )

@@ -19,7 +19,11 @@ cover (spanning) over those lists; they are valid at any size.  Separation
 uses the closed condition ``d >= eps``; spanning uses the strict ``d < eps``.
 Every count table is built by ``count_table``, which thresholds the dense
 matrix only until the largest scale's list turns sparse and then carries
-that list across scales and orders.
+that list across scales and orders.  While it counts, a table holds its
+order-n matrix ``dmat``, one carried list and one cell's lists; the lifted
+table (``orbit_space``) also holds the upper half of its weighted sum S, in
+one array.  Distances arrive in row tiles and dense thresholds run in row
+bands, so no other N x N array, not even a boolean mask, is made.
 """
 
 from __future__ import annotations
@@ -233,10 +237,13 @@ def distance_tiles(pts, spec: MetricSpec):
     consumer that mirrors each tile gets the full matrix exactly.
     """
     pts = np.ascontiguousarray(pts, dtype=float)
-    size = pts.shape[0]
-    for r0 in range(0, size, TILE_ROWS):
-        r1 = min(r0 + TILE_ROWS, size)
+    for r0, r1 in _bands(pts.shape[0]):
         yield r0, r1, distance_matrix(pts[r0:r1], pts[r0:], spec)
+
+
+def _bands(size: int) -> list[tuple[int, int]]:
+    """Consecutive row bands ``(r0, r1)`` of ``TILE_ROWS`` rows covering ``size`` rows."""
+    return [(r0, min(r0 + TILE_ROWS, size)) for r0 in range(0, size, TILE_ROWS)]
 
 
 def pairwise_dist(a, b, spec: MetricSpec) -> float:
@@ -289,15 +296,34 @@ def farthest_point_order(dmat: np.ndarray, seed_dists: np.ndarray) -> np.ndarray
     return order
 
 
-def _flat_below(dmat: np.ndarray, eps: float, within: np.ndarray | None = None) -> np.ndarray:
-    """Ascending flat indices of the entries ``dmat < eps``.
+def _flat_below(
+    dmat: np.ndarray,
+    eps: float,
+    within: np.ndarray | None = None,
+    bound: int | None = None,
+) -> np.ndarray:
+    """Ascending int64 flat indices of the entries ``dmat < eps``.
 
     ``within``, if given, is an ascending array of flat indices holding every
-    such entry; only its entries are tested, not the whole matrix.
+    such entry; only its entries are tested, not the whole matrix.  Otherwise
+    the matrix is thresholded in bands of ``TILE_ROWS`` rows, and the indices
+    are written into one array of ``bound`` entries, which must have room
+    for them all; when ``bound`` is None a first pass over the bands counts
+    them.  So no N x N mask is built, and the result is a view of that array.
     """
-    if within is None:
-        return np.flatnonzero(dmat < eps)
-    return within[dmat.reshape(-1)[within] < eps]
+    if within is not None:
+        return within[dmat.reshape(-1)[within] < eps]
+    size = dmat.shape[0]
+    bands = _bands(size)
+    if bound is None:
+        bound = sum(int(np.count_nonzero(dmat[r0:r1] < eps)) for r0, r1 in bands)
+    flat = np.empty(bound, dtype=np.int64)
+    end = 0
+    for r0, r1 in bands:
+        hits = np.flatnonzero(dmat[r0:r1] < eps)
+        np.add(hits, r0 * size, out=flat[end:end + hits.size])
+        end += hits.size
+    return flat[:end]
 
 
 def _row_lists(flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -596,9 +622,13 @@ def count_table(
     entries hold those of every smaller eps at this n and, the stream being
     non-decreasing, those of every eps at later n.  Once that list holds at
     most ``CARRY_DENSITY`` of the matrix it is kept, and later cells test
-    only its entries; before that each cell thresholds the whole matrix.
-    One carried list and one cell's lists are alive at a time, and every
-    cell gets the same lists either way.
+    only its entries; before that each cell thresholds the whole matrix in
+    row bands (``_flat_below``), into an array sized by the latest
+    largest-eps count: the last order's for the largest eps, this order's
+    for every other, as both bound the cell's count.  Only the table's
+    first cell, with no count yet, takes a counting pass.  Besides the
+    stream's matrix, one carried list and one cell's lists are held at a
+    time, and no N x N temporary; every cell gets the same lists either way.
     """
     if any(not e > 0 for e in eps_list):
         raise ConfigError("config: eps values must be > 0")
@@ -606,17 +636,18 @@ def count_table(
     if eps_list:
         top = int(np.argmax(eps_list))
         cells = [top] + [k for k in range(len(eps_list)) if k != top]
-        carried = None
+        carried = top_count = None
         for n, dmat, seed in matrices:
             size = dmat.shape[0]
             order = farthest_point_order(dmat, seed)
             for k in cells:
                 eps = eps_list[k]
-                flat = _flat_below(dmat, eps, carried)
+                flat = _flat_below(dmat, eps, carried, top_count)
                 if k == top:
-                    carried = flat if flat.size <= CARRY_DENSITY * dmat.size else None
-                    if flat is carried:
-                        flat = flat.copy()
+                    top_count = flat.size
+                    carried = None  # free the old list before the copy
+                    if flat.size <= CARRY_DENSITY * dmat.size:
+                        carried = flat.copy()
                 sep, span = counts_from_matrix(
                     dmat, eps, order=order, neighbours=_row_lists(flat, size)
                 )
@@ -675,20 +706,27 @@ class SubsampleCountReport:
 
 def subsample_count_check(
     cloud: PointCloud,
+    sub: PointCloud,
     spec: MetricSpec,
     eps: float,
-    keep_fraction: float,
-    seed: int,
 ) -> SubsampleCountReport:
-    """Verify the density-shifted count inequalities on one subsample draw."""
+    """Verify the density-shifted count inequalities on one subsample draw.
+
+    ``sub`` is a draw of ``dense_subsample(cloud, ...)``, whose mesh exceeds
+    the cloud's by its covering radius within the cloud; that radius sets
+    the shifted scales.
+    """
     if cloud.size > EXACT_CAP:
         raise TooLargeError(
             f"too-large: subsample check needs exact counts, cap {EXACT_CAP}, got {cloud.size}"
         )
     if not eps > 0:
         raise ConfigError("config: eps must be > 0")
-    sub = dense_subsample(cloud, keep_fraction, seed)
-    radius = covering_radius(cloud.points, sub.points)
+    radius = sub.mesh - cloud.mesh
+    if radius < 0:
+        raise ConfigError(
+            "config: subsample mesh is below the cloud's; draw it with dense_subsample"
+        )
     # both scales move 1e-9 further from eps to absorb rounding in the radius
     eps_sep = eps - 2 * radius - 1e-9
     if eps_sep <= 0:

@@ -24,6 +24,7 @@ from .metric_core import (
     CountTable,
     MetricSpec,
     PointCloud,
+    _bands,
     _box_diagonal,
     _running_max,
     cloud_diameter,
@@ -128,13 +129,14 @@ def _lifted_matrices(orbits: np.ndarray, n_max: int, rho: float, m: int):
     sums S_i = sum_{j<M} rho^(-j) d(x_{i+j}, y_{i+j}), with M = ``m``.  Rather
     than hold M distance matrices, S advances by the identity
     S_{i+1} = rho * (S_i - D_i) + rho^(1-M) * D_{i+M}, in place.  S is
-    symmetric, so it is held as the row tiles of its upper triangle, and each
-    per-iterate matrix D_k arrives as the matching ``distance_tiles``; after a
-    tile of S is updated it goes into the running max, which is mirrored
-    below the diagonal.  So the running max and the upper half of S are held,
-    about 1.5 N x N matrices, and no slice matrix.  The seed runs the same
-    recurrence on distances to the slice centroids.  Base metric is
-    euclidean.
+    symmetric, so it is held as the row tiles of its upper triangle, views
+    into one float64 array (one allocation, returned whole when the stream
+    is dropped), and each per-iterate matrix D_k arrives as the matching
+    ``distance_tiles``; after a tile of S is updated it goes into the running
+    max, which is mirrored below the diagonal.  So the running max and the
+    upper half of S are held, about 1.5 N x N matrices, and no slice matrix
+    or other N x N temporary.  The seed runs the same recurrence on
+    distances to the slice centroids.  Base metric is euclidean.
     """
     size = orbits.shape[0]
     euclid = MetricSpec.euclidean()
@@ -147,8 +149,16 @@ def _lifted_matrices(orbits: np.ndarray, n_max: int, rho: float, m: int):
         return np.linalg.norm(pts - pts.mean(axis=0), axis=1)
 
     # S_0 and its seed analogue (distance to the running centroid sequence);
-    # the weight of D_0 is 1, so S_0 starts as D_0's tiles
-    s_tiles = list(slice_tiles(0))
+    # the weight of D_0 is 1, so S_0 starts as a copy of D_0's tiles, each
+    # tile a view into one array
+    s_buf = np.empty(sum((r1 - r0) * (size - r0) for r0, r1 in _bands(size)))
+    s_tiles = []
+    start = 0
+    for r0, r1, tile in slice_tiles(0):
+        s_t = s_buf[start:start + tile.size].reshape(tile.shape)
+        np.copyto(s_t, tile)
+        s_tiles.append((r0, r1, s_t))
+        start += tile.size
     s_seed = np.zeros(size)
     w = 1.0
     for j in range(m):
@@ -197,7 +207,8 @@ def friedland_count_table(
     The base metric of dhat is euclidean; there is no spec to pass.
     Sequences keep ``truncation`` blocks (default: enough that the dropped
     tail is below 1e-6); ``_lifted_matrices`` gives the order-n matrices and
-    holds their running max plus the upper half of S.
+    holds their running max plus the upper half of S in one array, which is
+    freed when the table returns.
     """
     if n_max < 1:
         raise ConfigError("config: n_max must be >= 1")

@@ -246,11 +246,8 @@ def test_c7_comparison_lemmas(suite_results, rng):
         idx = np.sort(rng.choice(base.size, size=24, replace=False))
         small = base.subset(idx, f"sub{draw}")
         kept = dense_subsample(small, 0.7, seed=draw)
-        radius = float(
-            distance_matrix(small.points, kept.points, euclid).min(axis=1).max()
-        )
-        eps = max(0.4, 4.0 * radius + 1e-6)
-        report = subsample_count_check(small, euclid, eps, 0.7, seed=draw)
+        eps = max(0.4, 4.0 * (kept.mesh - small.mesh) + 1e-6)
+        report = subsample_count_check(small, kept, euclid, eps)
         if not report.passed:
             sub_bad += 1
 

@@ -483,6 +483,31 @@ class TestCodingCommand:
         assert_config_error(rc, capsys.readouterr(), "orbit_len 0 too short")
 
 
+class TestUsageErrors:
+    """argparse's own refusals exit 1, the code for bad input, not its 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        # argparse reads -1/3 as an option, so --alpha has no value
+        [["coding", "--alpha", "-1/3"], ["coding"], ["coding", "--lmax", "x"]],
+        ids=["negative-cut", "no-alpha", "bad-lmax"],
+    )
+    def test_usage_error_exits_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert "usage: entro coding" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["coding", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: entro" in capsys.readouterr().out
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -508,6 +533,19 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "bowen-dinaburg" in proc.stdout
+
+    def test_usage_error_exit_status(self):
+        proc = run_python("-m", "entro.cli", "coding")
+        assert proc.returncode == 1
+        assert "the following arguments are required: --alpha" in proc.stderr
+
+    def test_gallery_suite_prints_peak_memory(self):
+        proc = run_python(str(ROOT / "scripts" / "run_gallery_suite.py"), "--only", "escape2")
+        assert proc.returncode == 0, proc.stderr
+        header, _, line = proc.stdout.splitlines()
+        assert header.split()[6] == "peak"
+        assert line.startswith("escape2")
+        assert line.split()[6].endswith("MiB")
 
     def test_eps_refinement_sweep_runs(self):
         proc = run_python(

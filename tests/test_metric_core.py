@@ -6,6 +6,7 @@ branch-and-bound and greedy code paths they certify.
 
 import heapq
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -32,6 +33,7 @@ from entro import metric_core
 from entro.dynamics import build_orbit_table
 from entro.gallery import build_doubling
 from entro.metric_core import (
+    CARRY_DENSITY,
     TILE_ROWS,
     CountRow,
     CountTable,
@@ -230,9 +232,9 @@ def carried_tests(monkeypatch):
     seen: list[bool] = []
     flat_below = metric_core._flat_below
 
-    def spy(dmat, eps, within=None):
+    def spy(dmat, eps, within=None, bound=None):
         seen.append(within is not None)
-        return flat_below(dmat, eps, within)
+        return flat_below(dmat, eps, within, bound)
 
     monkeypatch.setattr(metric_core, "_flat_below", spy)
     return seen
@@ -287,6 +289,45 @@ class TestCarriedNeighbourLists:
         want = dense_recount(_lifted_matrices(orbits, n_max, rho, m), eps_list)
         assert row_tuples(table) == want
         assert table.mode == "greedy"
+
+
+class TestBandedThreshold:
+    """Dense thresholds built band by band equal one threshold of the whole matrix."""
+
+    @pytest.mark.parametrize("size", [1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 200])
+    def test_equals_flatnonzero(self, size):
+        rng = np.random.default_rng(size)
+        pts = rng.random((size, 2))
+        dmat = distance_matrix(pts, pts, MetricSpec.euclidean())
+        off_diagonal = dmat[~np.eye(size, dtype=bool)]
+        # below every off-diagonal entry, a middle scale, above every entry
+        scales = [off_diagonal.min() if size > 1 else 1.0, 0.3, float(dmat.max()) + 1]
+        for eps in scales:
+            want = np.flatnonzero(dmat < eps)
+            for bound in (None, want.size, want.size + 7):
+                got = _flat_below(dmat, eps, bound=bound)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, want)
+
+    def test_dense_cells_hold_no_square_temporary(self):
+        """A single-order stream thresholds every cell densely; the peak stays
+        near one cell's int64 list, far below an N x N boolean mask."""
+        rng = np.random.default_rng(5)
+        size = 2000
+        pts = rng.random((size, 2))
+        dmat = distance_matrix(pts, pts, MetricSpec.euclidean())
+        seed = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
+        eps_list = [0.1, 0.2, 0.05]
+        nnz = int(np.count_nonzero(dmat < max(eps_list)))
+        assert nnz > CARRY_DENSITY * dmat.size  # too dense to carry
+        tracemalloc.start()
+        try:
+            table = count_table(iter([(1, dmat, seed)]), eps_list, size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * nnz + size * size / 4
+        assert row_tuples(table) == dense_recount(iter([(1, dmat, seed)]), eps_list)
 
 
 class TestCountsFor:
@@ -440,8 +481,9 @@ class TestExactCap:
         """The check needs exact counts, so it refuses a cloud above the cap
         rather than fall back to greedy ones."""
         cloud = PointCloud(rng.random((EXACT_CAP + 1, 2)), 0.01)
+        sub = dense_subsample(cloud, 0.7, seed=0)
         with pytest.raises(TooLargeError):
-            subsample_count_check(cloud, MetricSpec.euclidean(), 0.5, keep_fraction=0.7, seed=0)
+            subsample_count_check(cloud, sub, MetricSpec.euclidean(), 0.5)
 
     def test_greedy_has_no_cap(self, rng):
         pts = rng.random((EXACT_CAP + 20, 2))
@@ -482,7 +524,7 @@ class TestSubsampleCheck:
     def test_passes_on_random_cloud(self, rng):
         cloud = PointCloud(rng.random((18, 2)), 0.05)
         spec = MetricSpec.euclidean()
-        rep = subsample_count_check(cloud, spec, eps=0.9, keep_fraction=0.6, seed=2)
+        rep = subsample_count_check(cloud, dense_subsample(cloud, 0.6, seed=2), spec, eps=0.9)
         assert rep.passed
         assert rep.sep_sub >= rep.sep_parent or rep.eps_sep < rep.eps
         assert rep.span_sub <= rep.span_parent + 1e-9
@@ -493,4 +535,12 @@ class TestSubsampleCheck:
         cloud = PointCloud(rng.random((18, 2)), 0.05)
         spec = MetricSpec.euclidean()
         with pytest.raises(ConfigError):
-            subsample_count_check(cloud, spec, eps=0.01, keep_fraction=0.3, seed=2)
+            subsample_count_check(cloud, dense_subsample(cloud, 0.3, seed=2), spec, eps=0.01)
+
+    def test_subsample_finer_than_cloud_rejected(self, rng):
+        """The radius is read off the subsample's mesh, so a subsample whose
+        mesh is below the cloud's is not a dense_subsample draw."""
+        cloud = PointCloud(rng.random((18, 2)), 0.05)
+        sub = PointCloud(cloud.points[:12], 0.01)
+        with pytest.raises(ConfigError, match="dense_subsample"):
+            subsample_count_check(cloud, sub, MetricSpec.euclidean(), eps=0.9)
