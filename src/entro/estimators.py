@@ -155,13 +155,14 @@ def entropy_estimate(table: CountTable, stabilization_tol: float = 0.05) -> Entr
     """Headline entropy from a count table via per-epsilon growth rates.
 
     Rates are fitted to the separated counts.  Needs at least three epsilon
-    values and n_max >= 6 so the stabilization scan has something to work
-    with.  Adjacent rates closer than ``stabilization_tol`` agree.
+    values, each once, and n_max >= 6 so the stabilization scan has
+    something to work with.  Adjacent rates closer than
+    ``stabilization_tol`` agree.
     Saturated windows are flagged rather than hidden; disagreement across
     epsilon is reported as ``unstable`` and the smallest-epsilon rate is used.
     The method is "friedland" when ``table.rho`` is set (lifted tables only).
     """
-    if stabilization_tol <= 0:
+    if not stabilization_tol > 0:
         raise ConfigError("config: stabilization_tol must be > 0")
     eps_vals = sorted(table.eps_values(), reverse=True)
     if len(eps_vals) < 3:
@@ -176,7 +177,10 @@ def entropy_estimate(table: CountTable, stabilization_tol: float = 0.05) -> Entr
     cap = SATURATION_FRACTION * table.cloud_size
     per: list[PerEpsRate] = []
     for eps in eps_vals:
-        counts = [c for _, c in table.counts_for(eps, "sep")]
+        pairs = table.counts_for(eps, "sep")
+        if len({n for n, _ in pairs}) < len(pairs):
+            raise ConfigError(f"config: scale eps={eps:g} repeats in the count table")
+        counts = [c for _, c in pairs]
         window, saturated = _fit_window(counts, cap)
         per.append(PerEpsRate(eps, max(0.0, growth_rate(counts, window)), window, saturated))
 
@@ -270,7 +274,7 @@ def _headline(value) -> float:
 
 def inequality_report(bd, bc, fr, slack: float = 0.15) -> InequalityVerdict:
     """Check |FR - BD| <= slack and BD >= Bc - slack on headline values."""
-    if slack < 0:
+    if not slack >= 0:
         raise ConfigError("config: slack must be >= 0")
     hbd, hbc, hfr = _headline(bd), _headline(bc), _headline(fr)
     return InequalityVerdict(

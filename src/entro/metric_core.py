@@ -14,9 +14,13 @@ size alone picks how it counts: exactly within ``EXACT_CAP`` points,
 greedily above.  The exact searches are branch and bound over eps-ball
 bitmasks (maximum independent set for separation, minimum set cover for
 spanning).  The greedy counts read each cell's eps-neighbour lists, scan
-the cloud in farthest-point order (separation) and run a lazy greedy set
-cover (spanning) over those lists; they are valid at any size.  Separation
-uses the closed condition ``d >= eps``; spanning uses the strict ``d < eps``.
+the cloud in farthest-point order (separation) and run a greedy set cover
+(spanning) over those lists; they are valid at any size.  The cover keeps
+every ball's uncovered count exact, lowering it through each covered
+point's inward list (the lists of the transposed matrix, the lists
+themselves for the symmetric matrices of a table), and takes the balls
+that add one point each in one step.  Separation uses the closed condition
+``d >= eps``; spanning uses the strict ``d < eps``.
 Every count table is built by ``count_table``, which thresholds the dense
 matrix only until the largest scale's list turns sparse and then carries
 that list across scales and orders.  While it counts, a table holds its
@@ -28,7 +32,6 @@ bands, so no other N x N array, not even a boolean mask, is made.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -348,42 +351,68 @@ def _greedy_separated(ptr: np.ndarray, cols: np.ndarray, order: np.ndarray) -> l
     return chosen
 
 
-def _greedy_cover(ptr: np.ndarray, cols: np.ndarray) -> list[int]:
-    """Lazy-evaluation greedy set cover over eps-balls centered at cloud points."""
-    n = len(ptr) - 1
-    uncovered = np.ones(n, dtype=bool)
-    heap = [(-c, i) for i, c in enumerate(np.diff(ptr).tolist())]
-    heapq.heapify(heap)
-    bounds = ptr.tolist()
+def _greedy_cover(
+    ptr: np.ndarray, cols: np.ndarray, inward: tuple[np.ndarray, np.ndarray]
+) -> list[int]:
+    """Greedy set cover by the eps-balls ``cols[ptr[i]:ptr[i+1]]``, in pick order.
+
+    Each step picks the smallest index whose ball holds the most uncovered
+    points.  Every ball's uncovered count is kept exact in one ``gain``
+    array: covering point c subtracts 1 from each ball holding c, the balls
+    of c's *inward* list ``in_cols[in_ptr[c]:in_ptr[c+1]]`` (row c of the
+    transposed matrix's lists; the lists themselves when the matrix is
+    symmetric).  Each point's inward list is read once, when it is covered,
+    the lists of ``TILE_ROWS`` covered points at a time.  Once the largest
+    gain is 1, every ball holding an uncovered point holds only that point,
+    and greedy takes, in ascending index, the smallest ball holding each one:
+    the first entry of its inward list, as lists ascend within each row.
+    Every ball must hold its own center.  Lists that are not each other's
+    transpose show as a pick whose new points differ from its gain, or a
+    last step that takes a ball twice or one that adds nothing, and are
+    refused.
+    """
+    in_ptr, in_cols = inward
+    size = len(ptr) - 1
+    gain = np.diff(ptr)
+    uncovered = np.ones(size, dtype=bool)
+    bounds, in_bounds = ptr.tolist(), in_ptr.tolist()
     chosen: list[int] = []
-    remaining = n
-    while remaining > 0:
-        negc, i = heapq.heappop(heap)
+    while True:
+        i = int(gain.argmax())
+        if gain[i] < 2:
+            break
+        chosen.append(i)
         ball = cols[bounds[i]:bounds[i + 1]]
         fresh = ball[uncovered[ball]]
-        now = len(fresh)
-        if now == 0:
-            continue
-        if now < -negc:
-            heapq.heappush(heap, (-now, i))
-            continue
-        chosen.append(i)
+        if fresh.size != gain[i]:
+            raise ConfigError("config: inward lists are not the transposed eps-neighbour lists")
         uncovered[fresh] = False
-        remaining -= now
-    return chosen
+        for k in range(0, fresh.size, TILE_ROWS):
+            band = fresh[k:k + TILE_ROWS].tolist()
+            held = np.concatenate([in_cols[in_bounds[c]:in_bounds[c + 1]] for c in band])
+            gain -= np.bincount(held, minlength=size)
+    last = np.sort(in_cols[in_ptr[:-1][uncovered]])
+    if not ((gain[last] == 1).all() and np.diff(last).all()):
+        raise ConfigError("config: inward lists are not the transposed eps-neighbour lists")
+    return chosen + last.tolist()
 
 
 def _greedy_counts(
-    ptr: np.ndarray, cols: np.ndarray, order: np.ndarray
+    ptr: np.ndarray,
+    cols: np.ndarray,
+    order: np.ndarray,
+    inward: tuple[np.ndarray, np.ndarray],
 ) -> tuple[list[int], list[int]]:
     """Greedy separated and spanning witnesses from one set of eps-neighbour lists.
 
     The separated scan follows ``order``.  The spanning witness is the
-    smaller of the lazy set cover and the maximal separated witness (which
-    always spans), so ``span <= sep`` holds for greedy counts too.
+    smaller of the greedy cover (``_greedy_cover``, walking the ``inward``
+    lists, those of the transposed matrix) and the maximal separated
+    witness (which always spans), so ``span <= sep`` holds for greedy
+    counts too.
     """
     sep = _greedy_separated(ptr, cols, order)
-    span = _greedy_cover(ptr, cols)
+    span = _greedy_cover(ptr, cols, inward)
     if len(span) > len(sep):
         span = sep
     return sep, span
@@ -494,21 +523,35 @@ def counts_from_matrix(
     ``order``, by default the farthest-point order from the row means.
     ``neighbours`` is the cell's eps-neighbour lists ``(ptr, cols)``, exactly
     as ``_eps_neighbours(dmat, eps)`` builds them when it is None;
-    ``count_table`` passes the lists it built.  A diagonal entry >= eps (a
-    point outside its own ball) is refused.
+    ``count_table`` passes the lists it built.  The greedy cover also walks
+    each point's inward list, the lists of ``dmat.T``: passed ``neighbours``
+    serve as their own inward lists, so they must come from a symmetric
+    ``dmat``, as every matrix of ``count_table`` is; otherwise they are built
+    from ``dmat.T`` unless ``dmat`` is symmetric.  A diagonal entry >= eps
+    (a point outside its own ball) is refused, and so are passed lists of
+    an asymmetric ``dmat`` once the cover meets the mismatch.
     """
     if not eps > 0:
         raise ConfigError("config: eps must be > 0")
     if not (np.diagonal(dmat) < eps).all():
         raise ConfigError(f"config: distance matrix has a diagonal entry >= eps={eps:g}")
+    inward = neighbours
     if neighbours is None:
-        neighbours = _eps_neighbours(dmat, eps)
+        neighbours = inward = _eps_neighbours(dmat, eps)
+        if not _symmetric(dmat):
+            inward = _eps_neighbours(dmat.T, eps)
     if _count_mode(dmat.shape[0]) == "exact":
         balls = _ball_masks(dmat, eps)
-        return _exact_max_separated(balls), _exact_min_spanning(balls, _greedy_cover(*neighbours))
+        start = _greedy_cover(*neighbours, inward)
+        return _exact_max_separated(balls), _exact_min_spanning(balls, start)
     if order is None:
         order = farthest_point_order(dmat, dmat.mean(axis=1))
-    return _greedy_counts(*neighbours, order)
+    return _greedy_counts(*neighbours, order, inward)
+
+
+def _symmetric(dmat: np.ndarray) -> bool:
+    """Whether ``dmat == dmat.T`` bit for bit, compared in row bands."""
+    return all(np.array_equal(dmat[r0:r1], dmat[:, r0:r1].T) for r0, r1 in _bands(len(dmat)))
 
 
 def orbit_metric_matrices(orbits: np.ndarray, spec: MetricSpec):
@@ -613,7 +656,9 @@ def count_table(
 
     ``matrices`` yields ``(n, dmat, seed)`` like ``orbit_metric_matrices``
     and may reuse one buffer.  The stream must be entrywise non-decreasing
-    in n, as every running max of orbit distances is.  All eps share one
+    in n, as every running max of orbit distances is, and symmetric bit for
+    bit, as the mirror in ``_running_max`` makes it: each cell's lists are
+    also its greedy cover's inward lists.  All eps share one
     farthest-point order per n, started from ``seed`` (exact counts do not
     read it).  Rows run over eps in list order, n ascending within each.
 

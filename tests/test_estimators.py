@@ -116,6 +116,19 @@ class TestEntropyEstimate:
         assert loose.stable
         with pytest.raises(ConfigError):
             entropy_estimate(table, stabilization_tol=0)
+        with pytest.raises(ConfigError, match="stabilization_tol"):
+            entropy_estimate(table, stabilization_tol=float("nan"))
+
+    def test_repeated_scale_refused(self):
+        """A repeated scale doubles its rows per n, which would corrupt its fit."""
+        bundle = build_doubling(grid=512)
+        table = bd_count_table(
+            bundle.system, bundle.cloud, bundle.metric, [0.16, 0.08, 0.08, 0.04], 8
+        )
+        with pytest.raises(ConfigError, match="eps=0.08 repeats"):
+            entropy_estimate(table)
+        once = replace(table, rows=tuple(r for i, r in enumerate(table.rows) if i < 16 or i >= 24))
+        assert math.isclose(entropy_estimate(once).headline, math.log(2.0))
 
     def test_method_follows_the_table(self):
         """Only lifted tables set ``rho``, so it names the method."""
@@ -203,6 +216,12 @@ class TestInequalityReport:
         bc = flat_estimate(3)
         verdict = inequality_report(bd, bc, bd)
         assert not verdict.bd_bc_ok
+
+    @pytest.mark.parametrize("slack", [-0.1, float("nan")])
+    def test_bad_slack_refused(self, slack):
+        est = flat_estimate(2)
+        with pytest.raises(ConfigError, match="slack"):
+            inequality_report(est, est, est, slack=slack)
 
 
 class TestEstimateCsv:

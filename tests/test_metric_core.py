@@ -40,6 +40,7 @@ from entro.metric_core import (
     _eps_neighbours,
     _flat_below,
     _greedy_counts,
+    _greedy_cover,
     _row_lists,
     count_table,
     covering_radius,
@@ -140,9 +141,8 @@ class TestExactCountsMatchOracle:
         spec = MetricSpec.euclidean()
         dists = distance_matrix(cloud.points, cloud.points, spec)
         exact, _ = counts_from_matrix(dists, 0.25)
-        greedy, _ = _greedy_counts(
-            *_eps_neighbours(dists, 0.25), farthest_point_order(dists, dists.mean(axis=1))
-        )
+        lists = _eps_neighbours(dists, 0.25)
+        greedy, _ = _greedy_counts(*lists, farthest_point_order(dists, dists.mean(axis=1)), lists)
         assert len(greedy) <= len(exact)
         pts = cloud.points[greedy]
         d = distance_matrix(pts, pts, spec)
@@ -185,12 +185,18 @@ class TestGreedyCountsMatchDenseScans:
         scales = [lo / 2, lo, 0.3, 1.0, 2.0, 3.0, 2 * dmat.max() + 1]
         order = farthest_point_order(dmat, dmat.mean(axis=1))
         for eps in scales:
-            sep, span = _greedy_counts(*_eps_neighbours(dmat, eps), order)
+            lists, inward = _eps_neighbours(dmat, eps), _eps_neighbours(dmat.T, eps)
+            sep, span = _greedy_counts(*lists, order, inward)
             want_sep = dense_greedy_separated(dmat, order, eps)
             want_span = dense_greedy_cover(dmat, eps)
+            # the cover itself, even where the separated witness is smaller
+            assert _greedy_cover(*lists, inward) == want_span
             if len(want_span) > len(want_sep):
                 want_span = want_sep
             assert (sep, span) == (want_sep, want_span)
+        if off.size == dmat.size - len(dmat):  # every ball a singleton at lo / 2
+            lists, inward = _eps_neighbours(dmat, lo / 2), _eps_neighbours(dmat.T, lo / 2)
+            assert _greedy_cover(*lists, inward) == list(range(len(dmat)))
 
     @pytest.mark.parametrize("size, mode", [(30, "greedy"), (10, "exact")])
     def test_point_outside_its_own_ball_is_refused(self, size, mode):
@@ -202,12 +208,35 @@ class TestGreedyCountsMatchDenseScans:
         counts_from_matrix(dmat, 1e-9)
         assert CountTable((), size).mode == mode
 
+    def test_gain_one_step_starts_partway(self):
+        """Two tight clusters are picked one by one, then the isolated points at once."""
+        rng = np.random.default_rng(4)
+        grid = np.array([(5.0 + i, float(j)) for i in range(10) for j in range(5)])
+        pts = np.vstack([rng.random((30, 2)) * 0.1, 3 + rng.random((20, 2)) * 0.1, grid])
+        dmat = distance_matrix(pts, pts, MetricSpec.euclidean())
+        ptr, cols = _eps_neighbours(dmat, 0.2)
+        got = _greedy_cover(ptr, cols, (ptr, cols))
+        assert got == dense_greedy_cover(dmat, 0.2) == [0, 30] + list(range(50, 100))
+
+    def test_mismatched_inward_lists_refused(self):
+        """Forward lists of an asymmetric matrix are not its inward lists."""
+        dmat = np.array([[0.0, 1.0, 1.0], [5.0, 0.0, 5.0], [5.0, 5.0, 0.0]])
+        lists = _eps_neighbours(dmat, 2.0)
+        assert _greedy_cover(*lists, _eps_neighbours(dmat.T, 2.0)) == [0]
+        with pytest.raises(ConfigError, match="inward"):
+            _greedy_cover(*lists, lists)
+        with pytest.raises(ConfigError, match="inward"):
+            counts_from_matrix(dmat, 2.0, neighbours=lists)
+        assert counts_from_matrix(dmat, 2.0)[1] == [0]
+
     def test_scale_extremes(self):
         dmat = oracle_matrix("symmetric", 11)
         order = farthest_point_order(dmat, dmat.mean(axis=1))
-        sep, span = _greedy_counts(*_eps_neighbours(dmat, 1e-9), order)
+        lists = _eps_neighbours(dmat, 1e-9)
+        sep, span = _greedy_counts(*lists, order, lists)
         assert len(sep) == len(span) == len(dmat)
-        sep, span = _greedy_counts(*_eps_neighbours(dmat, 2 * dmat.max() + 1), order)
+        lists = _eps_neighbours(dmat, 2 * dmat.max() + 1)
+        sep, span = _greedy_counts(*lists, order, lists)
         assert len(sep) == len(span) == 1
 
 
