@@ -22,6 +22,7 @@ from .metric_core import (
     CountTable,
     MetricSpec,
     PointCloud,
+    _refuse_repeated_scales,
     count_table,
     counts_from_matrix,
     farthest_point_order,
@@ -148,14 +149,16 @@ def bd_count_table(
 
     The table's ``mode`` says whether its counts are exact or greedy (see
     ``count_table``).  If some orbit escapes at step t < n_max the table
-    stops at n = t and ``truncated_at`` is t.
+    stops at n = t and ``truncated_at`` is t.  A scale listed twice is
+    refused before any orbit is built.
     """
     if n_max < 1:
         raise ConfigError("config: n_max must be >= 1")
+    _refuse_repeated_scales(eps_list)
     table = build_orbit_table(system, cloud, n_max, allow_truncation=True)
     truncated = table.depth if table.depth < n_max else None
     matrices = orbit_metric_matrices(table.orbits, spec)
-    return count_table(matrices, eps_list, cloud.size, truncated)
+    return count_table(matrices, eps_list, cloud.size, table.depth, truncated)
 
 
 @dataclass(frozen=True)

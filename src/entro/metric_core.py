@@ -23,11 +23,15 @@ that add one point each in one step.  Separation uses the closed condition
 ``d >= eps``; spanning uses the strict ``d < eps``.
 Every count table is built by ``count_table``, which thresholds the dense
 matrix only until the largest scale's list turns sparse and then carries
-that list across scales and orders.  While it counts, a table holds its
-order-n matrix ``dmat``, one carried list and one cell's lists; the lifted
-table (``orbit_space``) also holds the upper half of its weighted sum S, in
-one array.  Distances arrive in row tiles and dense thresholds run in row
-bands, so no other N x N array, not even a boolean mask, is made.
+that list across scales and orders.  Its stream of order-n matrices is
+non-decreasing in n, so once that list holds only the diagonal (every pair
+at least the largest scale apart) every later cell counts the whole cloud:
+the table fills those rows and closes the stream, which builds no later
+order.  While it counts, a table holds its order-n matrix ``dmat``, one
+carried list and one cell's lists; the lifted table (``orbit_space``) also
+holds the upper half of its weighted sum S, in one array.  Distances arrive
+in row tiles and dense thresholds run in row bands, so no other N x N
+array, not even a boolean mask, is made.
 """
 
 from __future__ import annotations
@@ -646,21 +650,38 @@ class CountTable:
         return sorted(rows)
 
 
+def _refuse_repeated_scales(eps_list: list[float]) -> None:
+    """Refuse a scale listed twice, whose cells a table would count twice."""
+    for i, eps in enumerate(eps_list):
+        if eps in eps_list[:i]:
+            raise ConfigError(f"config: scale eps={eps:g} repeats in the scale list")
+
+
 def count_table(
     matrices,
     eps_list: list[float],
     cloud_size: int,
+    orders: int,
     truncated_at: int | None = None,
 ) -> CountTable:
     """Counts over the (eps, n) grid from a stream of order-n matrices.
 
-    ``matrices`` yields ``(n, dmat, seed)`` like ``orbit_metric_matrices``
-    and may reuse one buffer.  The stream must be entrywise non-decreasing
-    in n, as every running max of orbit distances is, and symmetric bit for
-    bit, as the mirror in ``_running_max`` makes it: each cell's lists are
-    also its greedy cover's inward lists.  All eps share one
-    farthest-point order per n, started from ``seed`` (exact counts do not
-    read it).  Rows run over eps in list order, n ascending within each.
+    ``matrices`` is an iterator of ``(n, dmat, seed)`` for n = 1 ..
+    ``orders``, like the generator ``orbit_metric_matrices``, and may reuse
+    one buffer.  The stream must be entrywise non-decreasing in n, as every
+    running max of orbit distances is, and symmetric bit for bit, as the
+    mirror in ``_running_max`` makes it: each cell's lists are also its
+    greedy cover's inward lists.  All eps share one farthest-point order per
+    n, started from ``seed`` (exact counts do not read it).  Rows run over
+    eps in list order, n ascending within each.
+
+    Once the largest eps's list at some n < ``orders`` holds only the N
+    diagonal entries (0, so below every eps), every pair is at least every
+    eps apart at that n and, the stream being non-decreasing, at every later
+    n; so every later cell counts sep = span = N.  Those rows are filled in,
+    and the stream is not pulled again (a generator is closed, freeing its
+    buffers), so its later orders are never built.  A stream that ends
+    before ``orders`` without that, or runs past it, is refused.
 
     Each cell's eps-neighbour lists are built here and passed to
     ``counts_from_matrix``.  At every n the largest eps goes first: its
@@ -682,6 +703,7 @@ def count_table(
         top = int(np.argmax(eps_list))
         cells = [top] + [k for k in range(len(eps_list)) if k != top]
         carried = top_count = None
+        n = 0
         for n, dmat, seed in matrices:
             size = dmat.shape[0]
             order = farthest_point_order(dmat, seed)
@@ -698,6 +720,18 @@ def count_table(
                 )
                 del flat  # free this cell's lists before the next cell or order builds its own
                 columns[k].append(CountRow(eps, n, len(sep), len(span)))
+            if top_count == size and n < orders:
+                if hasattr(matrices, "close"):
+                    matrices.close()  # frees a generator's buffers; no later order is built
+                later = range(n + 1, orders + 1)
+                for k, eps in enumerate(eps_list):
+                    columns[k].extend(CountRow(eps, m, size, size) for m in later)
+                break
+        else:
+            if n != orders:
+                raise ConfigError(
+                    f"config: matrix stream stopped at n = {n}, not at orders = {orders}"
+                )
     rows = tuple(row for column in columns for row in column)
     return CountTable(rows, cloud_size, truncated_at)
 

@@ -26,6 +26,7 @@ from .metric_core import (
     PointCloud,
     _bands,
     _box_diagonal,
+    _refuse_repeated_scales,
     _running_max,
     cloud_diameter,
     count_table,
@@ -208,12 +209,15 @@ def friedland_count_table(
     Sequences keep ``truncation`` blocks (default: enough that the dropped
     tail is below 1e-6); ``_lifted_matrices`` gives the order-n matrices and
     holds their running max plus the upper half of S in one array, which is
-    freed when the table returns.
+    freed when the table returns, or as soon as ``count_table`` finds every
+    pair separated at the largest scale.  A scale listed twice is refused
+    before any orbit is built.
     """
     if n_max < 1:
         raise ConfigError("config: n_max must be >= 1")
     if not 1 < rho < math.inf:
         raise ConfigError("config: rho must be a finite number > 1")
+    _refuse_repeated_scales(eps_list)
 
     probe = build_orbit_table(system, cloud, min(n_max, 4))
     diam = _box_diagonal(probe.orbits)
@@ -223,7 +227,7 @@ def friedland_count_table(
 
     table = build_orbit_table(system, cloud, m + n_max - 1)
     matrices = _lifted_matrices(table.orbits, n_max, rho, m)
-    return replace(count_table(matrices, eps_list, cloud.size), rho=rho, truncation=m)
+    return replace(count_table(matrices, eps_list, cloud.size, n_max), rho=rho, truncation=m)
 
 
 def friedland_estimate(

@@ -20,6 +20,7 @@ from entro import (
     growth_rate,
     inequality_report,
 )
+from entro import dynamics, orbit_space
 from entro.gallery import build_doubling, build_escape
 
 
@@ -122,13 +123,29 @@ class TestEntropyEstimate:
     def test_repeated_scale_refused(self):
         """A repeated scale doubles its rows per n, which would corrupt its fit."""
         bundle = build_doubling(grid=512)
-        table = bd_count_table(
-            bundle.system, bundle.cloud, bundle.metric, [0.16, 0.08, 0.08, 0.04], 8
-        )
+        table = bd_count_table(bundle.system, bundle.cloud, bundle.metric, [0.16, 0.08, 0.04], 8)
+        twice = replace(table, rows=table.rows + tuple(r for r in table.rows if r.epsilon == 0.08))
         with pytest.raises(ConfigError, match="eps=0.08 repeats"):
-            entropy_estimate(table)
-        once = replace(table, rows=tuple(r for i, r in enumerate(table.rows) if i < 16 or i >= 24))
-        assert math.isclose(entropy_estimate(once).headline, math.log(2.0))
+            entropy_estimate(twice)
+        assert math.isclose(entropy_estimate(table).headline, math.log(2.0))
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda b, eps: dynamics.bd_count_table(b.system, b.cloud, b.metric, eps, 6),
+         lambda b, eps: orbit_space.friedland_count_table(b.system, b.cloud, eps, 6)],
+        ids=["bd_count_table", "friedland_count_table"],
+    )
+    def test_builders_refuse_a_repeated_scale(self, build, monkeypatch):
+        """A table builder names the repeated scale before it builds any orbit."""
+
+        def no_orbits(*args, **kwargs):
+            raise AssertionError("an orbit table was built")
+
+        bundle = build_doubling(grid=256)
+        monkeypatch.setattr(dynamics, "build_orbit_table", no_orbits)
+        monkeypatch.setattr(orbit_space, "build_orbit_table", no_orbits)
+        with pytest.raises(ConfigError, match="eps=0.08 repeats"):
+            build(bundle, [0.16, 0.08, 0.04, 0.08])
 
     def test_method_follows_the_table(self):
         """Only lifted tables set ``rho``, so it names the method."""

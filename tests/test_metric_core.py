@@ -29,8 +29,8 @@ from entro import (
     pairwise_dist,
     subsample_count_check,
 )
-from entro import metric_core
-from entro.dynamics import build_orbit_table
+from entro import metric_core, orbit_space
+from entro.dynamics import DynSystem, bd_count_table, build_orbit_table
 from entro.gallery import build_doubling
 from entro.metric_core import (
     CARRY_DENSITY,
@@ -300,7 +300,7 @@ class TestCarriedNeighbourLists:
         spec = MetricSpec.euclidean()
         # the largest scale in the middle, and one scale twice
         eps_list = [0.1, 0.2, 1.5, 0.05, 0.2]
-        table = count_table(orbit_metric_matrices(orbits, spec), eps_list, len(orbits))
+        table = count_table(orbit_metric_matrices(orbits, spec), eps_list, len(orbits), len(spread))
         carried = list(carried_tests)
         assert row_tuples(table) == dense_recount(orbit_metric_matrices(orbits, spec), eps_list)
         assert len(carried) == len(eps_list) * len(spread)
@@ -311,13 +311,97 @@ class TestCarriedNeighbourLists:
         system = build_doubling(grid=256).system
         theta = np.arange(256) * (2.0 * math.pi / 256)
         cloud = PointCloud(np.column_stack([np.cos(theta), np.sin(theta)]), 0.05)
-        eps_list, n_max, rho, m = [0.4, 0.8, 0.2, 0.4], 4, 4.0, 6
+        eps_list, n_max, rho, m = [0.4, 0.8, 0.2, 0.1], 4, 4.0, 6
         table = friedland_count_table(system, cloud, eps_list, n_max, rho=rho, truncation=m)
         assert any(carried_tests)
         orbits = build_orbit_table(system, cloud, m + n_max - 1).orbits
         want = dense_recount(_lifted_matrices(orbits, n_max, rho, m), eps_list)
         assert row_tuples(table) == want
         assert table.mode == "greedy"
+
+
+def spread_at(size: int, depth: int, at: int) -> np.ndarray:
+    """Orbits in one tight cluster except slice ``at - 1``, which spaces the
+    points 1 apart on a line: from order ``at`` on every pair is >= 1 apart."""
+    orbits = np.random.default_rng(size).random((size, depth, 2)) * 0.3
+    orbits[:, at - 1, 0] = np.arange(size)
+    return orbits
+
+
+def pulled(stream, log: list):
+    """``stream``, logging the n of each order it yields, then "closed"."""
+    try:
+        for item in stream:
+            log.append(item[0])
+            yield item
+    finally:
+        log.append("closed")
+
+
+class TestSaturatedTables:
+    """Once every pair is the largest scale apart, later rows are the cloud
+    size, and the stream is neither pulled further nor kept open."""
+
+    eps_list = [0.1, 0.5, 0.05]
+    spec = MetricSpec.euclidean()
+
+    @pytest.mark.parametrize("size", [60, EXACT_CAP // 2], ids=["greedy", "exact"])
+    def test_stops_at_the_saturating_order(self, size):
+        orbits = spread_at(size, 5, 2)
+        log: list = []
+        stream = pulled(orbit_metric_matrices(orbits, self.spec), log)
+        table = count_table(stream, self.eps_list, size, 5)
+        assert log == [1, 2, "closed"]  # ``stream`` is still referenced, so count_table closed it
+        assert table.mode == ("greedy" if size > EXACT_CAP else "exact")
+        assert row_tuples(table) == dense_recount(
+            orbit_metric_matrices(orbits, self.spec), self.eps_list
+        )
+        assert [r.n for r in table.rows if r.sep_count == r.span_count == size] == [2, 3, 4, 5] * 3
+        # a plain iterator, which has nothing to close, gives the same table
+        kept = [(n, d.copy(), s.copy()) for n, d, s in orbit_metric_matrices(orbits, self.spec)]
+        assert count_table(iter(kept), self.eps_list, size, 5) == table
+
+    def test_truncated_direct_table(self):
+        """Saturated at n = 4, escaped at step 5: rows up to the escape, same ``truncated_at``."""
+        system = DynSystem("times4", 1, lambda x: 4.0 * x, lambda x: np.abs(x[:, 0]) < 1000.0)
+        cloud = PointCloud(np.arange(50)[:, None] * 0.02, 0.01)
+        table = bd_count_table(system, cloud, self.spec, self.eps_list, 8)
+        orbits = build_orbit_table(system, cloud, 8, allow_truncation=True).orbits
+        assert orbits.shape[1] == table.truncated_at == 5
+        assert len(table.rows) == len(self.eps_list) * 5
+        assert row_tuples(table) == dense_recount(
+            orbit_metric_matrices(orbits, self.spec), self.eps_list
+        )
+        assert dict(table.counts_for(0.5))[4] == cloud.size
+        assert dict(table.counts_for(0.5))[3] < cloud.size
+
+    def test_short_or_long_stream_refused(self):
+        orbits = spread_at(40, 3, 3)[:, :2]  # never saturates
+        with pytest.raises(ConfigError, match="stopped at n = 2, not at orders = 4"):
+            count_table(orbit_metric_matrices(orbits, self.spec), self.eps_list, 40, 4)
+        with pytest.raises(ConfigError, match="stopped at n = 2, not at orders = 1"):
+            count_table(orbit_metric_matrices(orbits, self.spec), self.eps_list, 40, 1)
+
+    def test_lifted_table(self, monkeypatch):
+        system = build_doubling(grid=64).system
+        theta = np.arange(64) * (2.0 * math.pi / 64)
+        cloud = PointCloud(np.column_stack([np.cos(theta), np.sin(theta)]), 0.05)
+        n_max, rho, m = 8, 4.0, 6
+        log: list = []
+        streams = []
+        lifted = orbit_space._lifted_matrices
+
+        def spy(*args):
+            streams.append(pulled(lifted(*args), log))
+            return streams[-1]
+
+        monkeypatch.setattr(orbit_space, "_lifted_matrices", spy)
+        table = friedland_count_table(system, cloud, self.eps_list, n_max, rho=rho, truncation=m)
+        assert log[-1] == "closed"
+        assert log[:-1] == list(range(1, len(log))) and len(log) - 1 < n_max
+        orbits = build_orbit_table(system, cloud, m + n_max - 1).orbits
+        want = dense_recount(lifted(orbits, n_max, rho, m), self.eps_list)
+        assert row_tuples(table) == want
 
 
 class TestBandedThreshold:
@@ -351,7 +435,7 @@ class TestBandedThreshold:
         assert nnz > CARRY_DENSITY * dmat.size  # too dense to carry
         tracemalloc.start()
         try:
-            table = count_table(iter([(1, dmat, seed)]), eps_list, size)
+            table = count_table(iter([(1, dmat, seed)]), eps_list, size, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

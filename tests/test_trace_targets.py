@@ -41,18 +41,40 @@ def test_attribute_readers_find_their_names():
     assert {"orbits", "depth"} <= {f.name for f in dataclasses.fields(OrbitTable)}
 
 
-def test_every_cell_is_one_counts_span():
-    """The ``metric_core.counts`` layer sees each (eps, n) cell of a table once,
-    whichever path built the cell's neighbour lists."""
-    theta = np.arange(300) * (2.0 * np.pi / 300)
-    cloud = PointCloud(np.column_stack([np.cos(theta), np.sin(theta)]), 0.05)
-    eps_list, n_max = [0.2, 0.8, 0.4, 0.2], 5
+def circle(size: int) -> PointCloud:
+    theta = np.arange(size) * (2.0 * np.pi / size)
+    return PointCloud(np.column_stack([np.cos(theta), np.sin(theta)]), 0.05)
+
+
+def traced_table(cloud: PointCloud, eps_list: list[float], n_max: int):
     tracing = load_tracing()
     with tracing.Tracer(tracing.LAYER_TARGETS).installed() as tracer:
         table = bd_count_table(
             build_doubling(grid=64).system, cloud, MetricSpec.euclidean(), eps_list, n_max
         )
-    names = [span[0] for span in tracer.spans]
+    return table, [span[0] for span in tracer.spans]
+
+
+def test_every_cell_is_one_counts_span():
+    """In a table that never has every pair the largest scale apart, the
+    ``metric_core.counts`` layer sees each (eps, n) cell once, whichever path
+    built the cell's neighbour lists."""
+    cloud = circle(300)
+    eps_list, n_max = [0.2, 0.8, 0.4, 0.1], 5
+    table, names = traced_table(cloud, eps_list, n_max)
     assert len(table.rows) == len(eps_list) * n_max
+    assert dict(table.counts_for(0.8))[n_max] < cloud.size  # no order saturates
     assert names.count("metric_core.counts") == len(table.rows)
     assert names.count("metric_core.fpo") == n_max
+
+
+def test_saturated_table_counts_only_up_to_its_saturating_order():
+    """Once every pair is the largest scale apart, no later order is counted."""
+    cloud = circle(64)
+    eps_list, n_max = [0.8, 0.4, 0.2], 8
+    table, names = traced_table(cloud, eps_list, n_max)
+    top = dict(table.counts_for(0.8))
+    saturating = min(n for n, count in top.items() if count == cloud.size)
+    assert saturating < n_max and len(table.rows) == len(eps_list) * n_max
+    assert names.count("metric_core.fpo") == saturating
+    assert names.count("metric_core.counts") == len(eps_list) * saturating
