@@ -279,16 +279,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_gallery(args: argparse.Namespace) -> int:
     params = {}
-    for key in ("N", "depth", "L_max", "orbit_len", "grid"):
+    for key in ("N", "depth", "L_max", "orbit_len", "grid", "direction", "variant", "mesh"):
         v = getattr(args, key.lower(), None)
         if v is not None:
             params[key] = v
-    if args.direction is not None:
-        params["direction"] = args.direction
-    if args.variant is not None:
-        params["variant"] = args.variant
-    if args.mesh is not None:
-        params["mesh"] = args.mesh
     raw = {
         "system": args.name,
         "params": params,

@@ -84,8 +84,11 @@ def iterate_orbit(system: DynSystem, x, n: int) -> np.ndarray:
 class OrbitTable:
     """Precomputed orbits for every cloud point: orbits[i, k] = f^k(point i)."""
 
-    depth: int
     orbits: np.ndarray  # (size, depth, dim)
+
+    @property
+    def depth(self) -> int:
+        return self.orbits.shape[1]
 
 
 def build_orbit_table(
@@ -128,7 +131,7 @@ def build_orbit_table(
             bad = int(np.flatnonzero(~ok)[0])
             raise EscapeError(k, orbits[bad, k - 1])
         orbits[:, k, :] = cur
-    return OrbitTable(reached, orbits[:, :reached, :])
+    return OrbitTable(orbits[:, :reached])
 
 
 def bd_dist(system: DynSystem, spec: MetricSpec, x, y, n: int) -> float:

@@ -15,12 +15,12 @@ greedily above.  The exact searches are branch and bound over eps-ball
 bitmasks (maximum independent set for separation, minimum set cover for
 spanning).  The greedy counts read each cell's eps-neighbour lists, scan
 the cloud in farthest-point order (separation) and run a greedy set cover
-(spanning) over those lists; they are valid at any size.  The cover keeps
-every ball's uncovered count exact, lowering it through each covered
-point's inward list (the lists of the transposed matrix, the lists
-themselves for the symmetric matrices of a table), and takes the balls
-that add one point each in one step.  Separation uses the closed condition
-``d >= eps``; spanning uses the strict ``d < eps``.
+(spanning) over those lists; they are valid at any size.  Every matrix
+counted is a symmetric distance matrix, so the balls holding a point are
+the points of its own ball: the cover keeps every ball's uncovered count
+exact, lowering it through each covered point's own list, and takes the
+balls that add one point each in one step.  Separation uses the closed
+condition ``d >= eps``; spanning uses the strict ``d < eps``.
 Every count table is built by ``count_table``, which thresholds the dense
 matrix only until the largest scale's list turns sparse and then carries
 that list across scales and orders.  Its stream of order-n matrices is
@@ -355,31 +355,27 @@ def _greedy_separated(ptr: np.ndarray, cols: np.ndarray, order: np.ndarray) -> l
     return chosen
 
 
-def _greedy_cover(
-    ptr: np.ndarray, cols: np.ndarray, inward: tuple[np.ndarray, np.ndarray]
-) -> list[int]:
+def _greedy_cover(ptr: np.ndarray, cols: np.ndarray) -> list[int]:
     """Greedy set cover by the eps-balls ``cols[ptr[i]:ptr[i+1]]``, in pick order.
 
     Each step picks the smallest index whose ball holds the most uncovered
     points.  Every ball's uncovered count is kept exact in one ``gain``
-    array: covering point c subtracts 1 from each ball holding c, the balls
-    of c's *inward* list ``in_cols[in_ptr[c]:in_ptr[c+1]]`` (row c of the
-    transposed matrix's lists; the lists themselves when the matrix is
-    symmetric).  Each point's inward list is read once, when it is covered,
-    the lists of ``TILE_ROWS`` covered points at a time.  Once the largest
-    gain is 1, every ball holding an uncovered point holds only that point,
-    and greedy takes, in ascending index, the smallest ball holding each one:
-    the first entry of its inward list, as lists ascend within each row.
-    Every ball must hold its own center.  Lists that are not each other's
-    transpose show as a pick whose new points differ from its gain, or a
-    last step that takes a ball twice or one that adds nothing, and are
-    refused.
+    array: covering point c subtracts 1 from each ball holding c, which for
+    the lists of a symmetric matrix are the points of c's own ball.  Each
+    point's list is read once more, when it is covered, the lists of
+    ``TILE_ROWS`` covered points at a time.  Once the largest gain is 1,
+    every ball holding an uncovered point holds only that point, and greedy
+    takes, in ascending index, the smallest ball holding each one: the first
+    entry of its list, as lists ascend within each row.  Every ball must
+    hold its own center.  Lists of an asymmetric matrix are refused where
+    they show as a pick whose new points differ from its gain, or a last
+    step that takes a ball twice or one that adds nothing; not every
+    mismatch shows.
     """
-    in_ptr, in_cols = inward
     size = len(ptr) - 1
     gain = np.diff(ptr)
     uncovered = np.ones(size, dtype=bool)
-    bounds, in_bounds = ptr.tolist(), in_ptr.tolist()
+    bounds = ptr.tolist()
     chosen: list[int] = []
     while True:
         i = int(gain.argmax())
@@ -389,37 +385,16 @@ def _greedy_cover(
         ball = cols[bounds[i]:bounds[i + 1]]
         fresh = ball[uncovered[ball]]
         if fresh.size != gain[i]:
-            raise ConfigError("config: inward lists are not the transposed eps-neighbour lists")
+            raise ConfigError("config: eps-neighbour lists are not those of a symmetric matrix")
         uncovered[fresh] = False
         for k in range(0, fresh.size, TILE_ROWS):
             band = fresh[k:k + TILE_ROWS].tolist()
-            held = np.concatenate([in_cols[in_bounds[c]:in_bounds[c + 1]] for c in band])
+            held = np.concatenate([cols[bounds[c]:bounds[c + 1]] for c in band])
             gain -= np.bincount(held, minlength=size)
-    last = np.sort(in_cols[in_ptr[:-1][uncovered]])
+    last = np.sort(cols[ptr[:-1][uncovered]])
     if not ((gain[last] == 1).all() and np.diff(last).all()):
-        raise ConfigError("config: inward lists are not the transposed eps-neighbour lists")
+        raise ConfigError("config: eps-neighbour lists are not those of a symmetric matrix")
     return chosen + last.tolist()
-
-
-def _greedy_counts(
-    ptr: np.ndarray,
-    cols: np.ndarray,
-    order: np.ndarray,
-    inward: tuple[np.ndarray, np.ndarray],
-) -> tuple[list[int], list[int]]:
-    """Greedy separated and spanning witnesses from one set of eps-neighbour lists.
-
-    The separated scan follows ``order``.  The spanning witness is the
-    smaller of the greedy cover (``_greedy_cover``, walking the ``inward``
-    lists, those of the transposed matrix) and the maximal separated
-    witness (which always spans), so ``span <= sep`` holds for greedy
-    counts too.
-    """
-    sep = _greedy_separated(ptr, cols, order)
-    span = _greedy_cover(ptr, cols, inward)
-    if len(span) > len(sep):
-        span = sep
-    return sep, span
 
 
 # ---------------------------------------------------------------------------
@@ -522,39 +497,47 @@ def counts_from_matrix(
 ) -> tuple[list[int], list[int]]:
     """Separated and spanning witnesses of one cell, as index lists, from its distance matrix.
 
-    Within ``EXACT_CAP`` points both are exact (branch and bound; ``order``
-    is not read); above it they are greedy (``_greedy_counts``), scanning in
-    ``order``, by default the farthest-point order from the row means.
-    ``neighbours`` is the cell's eps-neighbour lists ``(ptr, cols)``, exactly
-    as ``_eps_neighbours(dmat, eps)`` builds them when it is None;
-    ``count_table`` passes the lists it built.  The greedy cover also walks
-    each point's inward list, the lists of ``dmat.T``: passed ``neighbours``
-    serve as their own inward lists, so they must come from a symmetric
-    ``dmat``, as every matrix of ``count_table`` is; otherwise they are built
-    from ``dmat.T`` unless ``dmat`` is symmetric.  A diagonal entry >= eps
-    (a point outside its own ball) is refused, and so are passed lists of
-    an asymmetric ``dmat`` once the cover meets the mismatch.
+    ``dmat`` must be a symmetric distance matrix; a non-square, asymmetric
+    or NaN-holding one is refused, and so is a diagonal entry >= eps (a
+    point outside its own ball).  Within ``EXACT_CAP`` points both witnesses
+    are exact (branch and bound; ``order`` is not read).  Above it the
+    separated witness is a greedy scan in ``order``, by default the
+    farthest-point order from the row means, and the spanning witness is the
+    smaller of the greedy cover and that separated witness (which always
+    spans), so ``span <= sep`` holds for greedy counts too.  ``neighbours``
+    is the cell's eps-neighbour lists ``(ptr, cols)``, exactly as
+    ``_eps_neighbours(dmat, eps)`` builds them when it is None;
+    ``count_table`` passes the lists it built, from a matrix symmetric by
+    construction, and symmetry is then not tested again: lists of an
+    asymmetric matrix are refused only where the cover meets a mismatch.
     """
     if not eps > 0:
         raise ConfigError("config: eps must be > 0")
+    if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
+        raise ConfigError(f"config: distance matrix of shape {dmat.shape} is not square")
     if not (np.diagonal(dmat) < eps).all():
         raise ConfigError(f"config: distance matrix has a diagonal entry >= eps={eps:g}")
-    inward = neighbours
     if neighbours is None:
-        neighbours = inward = _eps_neighbours(dmat, eps)
         if not _symmetric(dmat):
-            inward = _eps_neighbours(dmat.T, eps)
+            raise ConfigError("config: distance matrix is not symmetric or holds NaN")
+        neighbours = _eps_neighbours(dmat, eps)
     if _count_mode(dmat.shape[0]) == "exact":
         balls = _ball_masks(dmat, eps)
-        start = _greedy_cover(*neighbours, inward)
-        return _exact_max_separated(balls), _exact_min_spanning(balls, start)
+        return _exact_max_separated(balls), _exact_min_spanning(balls, _greedy_cover(*neighbours))
     if order is None:
         order = farthest_point_order(dmat, dmat.mean(axis=1))
-    return _greedy_counts(*neighbours, order, inward)
+    sep = _greedy_separated(*neighbours, order)
+    span = _greedy_cover(*neighbours)
+    if len(span) > len(sep):
+        span = sep
+    return sep, span
 
 
 def _symmetric(dmat: np.ndarray) -> bool:
-    """Whether ``dmat == dmat.T`` bit for bit, compared in row bands."""
+    """Whether the square ``dmat`` equals its transpose bit for bit, compared in row bands.
+
+    NaN equals nothing, so a matrix holding one is not symmetric.
+    """
     return all(np.array_equal(dmat[r0:r1], dmat[:, r0:r1].T) for r0, r1 in _bands(len(dmat)))
 
 
@@ -670,10 +653,11 @@ def count_table(
     ``orders``, like the generator ``orbit_metric_matrices``, and may reuse
     one buffer.  The stream must be entrywise non-decreasing in n, as every
     running max of orbit distances is, and symmetric bit for bit, as the
-    mirror in ``_running_max`` makes it: each cell's lists are also its
-    greedy cover's inward lists.  All eps share one farthest-point order per
-    n, started from ``seed`` (exact counts do not read it).  Rows run over
-    eps in list order, n ascending within each.
+    mirror in ``_running_max`` makes it (``counts_from_matrix`` does not
+    test it again for the lists passed in).  Above ``EXACT_CAP`` points all
+    eps share one farthest-point order per n, started from ``seed``; exact
+    counts do not read one, so none is built.  Rows run over eps in list
+    order, n ascending within each.
 
     Once the largest eps's list at some n < ``orders`` holds only the N
     diagonal entries (0, so below every eps), every pair is at least every
@@ -706,7 +690,7 @@ def count_table(
         n = 0
         for n, dmat, seed in matrices:
             size = dmat.shape[0]
-            order = farthest_point_order(dmat, seed)
+            order = farthest_point_order(dmat, seed) if _count_mode(size) == "greedy" else None
             for k in cells:
                 eps = eps_list[k]
                 flat = _flat_below(dmat, eps, carried, top_count)

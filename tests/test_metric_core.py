@@ -39,8 +39,8 @@ from entro.metric_core import (
     CountTable,
     _eps_neighbours,
     _flat_below,
-    _greedy_counts,
     _greedy_cover,
+    _greedy_separated,
     _row_lists,
     count_table,
     covering_radius,
@@ -141,8 +141,8 @@ class TestExactCountsMatchOracle:
         spec = MetricSpec.euclidean()
         dists = distance_matrix(cloud.points, cloud.points, spec)
         exact, _ = counts_from_matrix(dists, 0.25)
-        lists = _eps_neighbours(dists, 0.25)
-        greedy, _ = _greedy_counts(*lists, farthest_point_order(dists, dists.mean(axis=1)), lists)
+        order = farthest_point_order(dists, dists.mean(axis=1))
+        greedy = _greedy_separated(*_eps_neighbours(dists, 0.25), order)
         assert len(greedy) <= len(exact)
         pts = cloud.points[greedy]
         d = distance_matrix(pts, pts, spec)
@@ -177,7 +177,7 @@ class TestGreedyCountsMatchDenseScans:
     """Greedy counts over eps-neighbour lists equal the dense-row scans."""
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric", "integer"])
+    @pytest.mark.parametrize("kind", ["symmetric", "integer"])
     def test_counts_and_witnesses(self, kind, seed):
         dmat = oracle_matrix(kind, seed)
         off = dmat[dmat > 0]
@@ -185,23 +185,24 @@ class TestGreedyCountsMatchDenseScans:
         scales = [lo / 2, lo, 0.3, 1.0, 2.0, 3.0, 2 * dmat.max() + 1]
         order = farthest_point_order(dmat, dmat.mean(axis=1))
         for eps in scales:
-            lists, inward = _eps_neighbours(dmat, eps), _eps_neighbours(dmat.T, eps)
-            sep, span = _greedy_counts(*lists, order, inward)
+            lists = _eps_neighbours(dmat, eps)
             want_sep = dense_greedy_separated(dmat, order, eps)
             want_span = dense_greedy_cover(dmat, eps)
+            assert _greedy_separated(*lists, order) == want_sep
             # the cover itself, even where the separated witness is smaller
-            assert _greedy_cover(*lists, inward) == want_span
-            if len(want_span) > len(want_sep):
-                want_span = want_sep
-            assert (sep, span) == (want_sep, want_span)
+            assert _greedy_cover(*lists) == want_span
+            if len(dmat) > EXACT_CAP:
+                if len(want_span) > len(want_sep):
+                    want_span = want_sep
+                assert counts_from_matrix(dmat, eps, order=order) == (want_sep, want_span)
         if off.size == dmat.size - len(dmat):  # every ball a singleton at lo / 2
-            lists, inward = _eps_neighbours(dmat, lo / 2), _eps_neighbours(dmat.T, lo / 2)
-            assert _greedy_cover(*lists, inward) == list(range(len(dmat)))
+            assert _greedy_cover(*_eps_neighbours(dmat, lo / 2)) == list(range(len(dmat)))
 
     @pytest.mark.parametrize("size, mode", [(30, "greedy"), (10, "exact")])
     def test_point_outside_its_own_ball_is_refused(self, size, mode):
         """Both counting paths refuse the matrix; the cloud size picks the path."""
         dmat = np.random.default_rng(size).random((size, size))
+        dmat += dmat.T
         with pytest.raises(ConfigError, match="diagonal"):
             counts_from_matrix(dmat, 1e-9)
         np.fill_diagonal(dmat, 0.0)
@@ -215,29 +216,42 @@ class TestGreedyCountsMatchDenseScans:
         pts = np.vstack([rng.random((30, 2)) * 0.1, 3 + rng.random((20, 2)) * 0.1, grid])
         dmat = distance_matrix(pts, pts, MetricSpec.euclidean())
         ptr, cols = _eps_neighbours(dmat, 0.2)
-        got = _greedy_cover(ptr, cols, (ptr, cols))
+        got = _greedy_cover(ptr, cols)
         assert got == dense_greedy_cover(dmat, 0.2) == [0, 30] + list(range(50, 100))
 
     def test_mismatched_inward_lists_refused(self):
-        """Forward lists of an asymmetric matrix are not its inward lists."""
+        """Lists of an asymmetric matrix passed as ``neighbours`` are refused:
+        point 0's ball holds 1 and 2, but theirs do not hold 0."""
         dmat = np.array([[0.0, 1.0, 1.0], [5.0, 0.0, 5.0], [5.0, 5.0, 0.0]])
         lists = _eps_neighbours(dmat, 2.0)
-        assert _greedy_cover(*lists, _eps_neighbours(dmat.T, 2.0)) == [0]
-        with pytest.raises(ConfigError, match="inward"):
-            _greedy_cover(*lists, lists)
-        with pytest.raises(ConfigError, match="inward"):
+        with pytest.raises(ConfigError, match="not those of a symmetric matrix"):
+            _greedy_cover(*lists)
+        with pytest.raises(ConfigError, match="not those of a symmetric matrix"):
             counts_from_matrix(dmat, 2.0, neighbours=lists)
-        assert counts_from_matrix(dmat, 2.0)[1] == [0]
+
+    def test_matrix_that_is_no_distance_is_refused(self):
+        """Only a square, symmetric, NaN-free matrix is counted, on the greedy
+        path (102 points) and the exact one (3 points) alike."""
+        dmat = oracle_matrix("symmetric", 0)
+        counts_from_matrix(dmat, 0.3)
+        skew = dmat.copy()
+        skew[0, 1] += 0.1
+        nan = dmat.copy()
+        nan[0, 1] = nan[1, 0] = np.nan
+        for bad in (skew, nan, np.array([[0.0, 1.0, 1.0], [5.0, 0.0, 5.0], [5.0, 5.0, 0.0]])):
+            with pytest.raises(ConfigError, match="not symmetric"):
+                counts_from_matrix(bad, 2.0)
+        for shape in ((3, 5), (30, 40), (40, 30)):
+            with pytest.raises(ConfigError, match="not square"):
+                counts_from_matrix(np.zeros(shape), 0.3)
 
     def test_scale_extremes(self):
         dmat = oracle_matrix("symmetric", 11)
         order = farthest_point_order(dmat, dmat.mean(axis=1))
         lists = _eps_neighbours(dmat, 1e-9)
-        sep, span = _greedy_counts(*lists, order, lists)
-        assert len(sep) == len(span) == len(dmat)
+        assert len(_greedy_separated(*lists, order)) == len(_greedy_cover(*lists)) == len(dmat)
         lists = _eps_neighbours(dmat, 2 * dmat.max() + 1)
-        sep, span = _greedy_counts(*lists, order, lists)
-        assert len(sep) == len(span) == 1
+        assert len(_greedy_separated(*lists, order)) == len(_greedy_cover(*lists)) == 1
 
 
 def dense_recount(matrices, eps_list: list[float]) -> list[tuple]:

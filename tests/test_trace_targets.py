@@ -6,7 +6,6 @@ show when a traced benchmark run breaks.  These tests read that file; they
 change nothing in it.
 """
 
-import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -15,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from entro import MetricSpec, PointCloud
-from entro.dynamics import OrbitTable, bd_count_table
+from entro.dynamics import bd_count_table, build_orbit_table
 from entro.gallery import build_doubling
 from entro.metric_core import counts_from_matrix
 
@@ -38,7 +37,8 @@ def test_layer_targets_resolve():
 def test_attribute_readers_find_their_names():
     assert list(inspect.signature(bd_count_table).parameters)[1] == "cloud"
     assert list(inspect.signature(counts_from_matrix).parameters)[0] == "dmat"
-    assert {"orbits", "depth"} <= {f.name for f in dataclasses.fields(OrbitTable)}
+    table = build_orbit_table(build_doubling(grid=64).system, circle(8), 3)
+    assert table.orbits.shape[0] * table.depth == 8 * 3
 
 
 def circle(size: int) -> PointCloud:
@@ -78,3 +78,14 @@ def test_saturated_table_counts_only_up_to_its_saturating_order():
     assert saturating < n_max and len(table.rows) == len(eps_list) * n_max
     assert names.count("metric_core.fpo") == saturating
     assert names.count("metric_core.counts") == len(eps_list) * saturating
+
+
+def test_exact_table_builds_no_farthest_point_order():
+    """Exact counts do not read a farthest-point order, so none is built."""
+    cloud = circle(20)
+    eps_list, n_max = [1.9, 0.4], 3
+    table, names = traced_table(cloud, eps_list, n_max)
+    assert table.mode == "exact" and len(table.rows) == len(eps_list) * n_max
+    assert dict(table.counts_for(1.9))[n_max] < cloud.size  # no order saturates
+    assert names.count("metric_core.fpo") == 0
+    assert names.count("metric_core.counts") == len(table.rows)
