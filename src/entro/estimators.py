@@ -224,18 +224,23 @@ def compacta_estimate(
 
     Each member cloud gets its own count table (orbits run in the full space;
     only the separated subsets are drawn from the member) and the headline is
-    the max over member headlines.  Members whose orbits escape before step
-    ``n_max`` (their table is truncated) are skipped; ``members`` of the
-    result records each member's headline or escape step.
+    the max over member headlines.  The tables come from one call that
+    counts a member that is an exact sub-cloud of a larger member from
+    sub-blocks of that member's matrices, and equal members once; each table
+    equals the member's own ``bd_count_table``.  Members whose orbits escape
+    before step ``n_max`` (their table is truncated) are skipped; ``members``
+    of the result records each member's headline or escape step.
     """
+    tables = _dyn._bd_count_tables(system, family.members, spec, eps_list, n_max)
+    return _compacta_supremum(family.members, tables)
+
+
+def _compacta_supremum(members, tables) -> EntropyEstimate:
+    """The compacta estimate from each member's table or the ``EscapeError`` its orbits raised."""
     results: list[EntropyEstimate] = []
     outcomes: list[MemberOutcome] = []
-    for member in family.members:
-        try:
-            table = _dyn.bd_count_table(system, member, spec, eps_list, n_max)
-            escaped_at = table.truncated_at
-        except EscapeError as exc:
-            escaped_at = exc.step
+    for member, table in zip(members, tables):
+        escaped_at = table.step if isinstance(table, EscapeError) else table.truncated_at
         headline = None
         if escaped_at is None:
             results.append(entropy_estimate(table))

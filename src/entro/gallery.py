@@ -29,13 +29,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import DynSystem, bd_count_table, pointwise
-from .errors import ConfigError, MeshError, UndefinedPointError
+from .dynamics import DynSystem, _bd_count_tables, pointwise
+from .errors import ConfigError, EscapeError, MeshError, UndefinedPointError
 from .estimators import (
     CompactFamily,
     EntropyEstimate,
     InequalityVerdict,
-    compacta_estimate,
+    _compacta_supremum,
     entropy_estimate,
     inequality_report,
 )
@@ -177,6 +177,54 @@ def interval_step_inv(y: float) -> float:
     return 1.0 / j + (y - 1.0 / (j + 1)) * (j + 1) / (j - 1)
 
 
+def _interval_steps(x: np.ndarray) -> np.ndarray:
+    """``interval_step`` of each entry of ``x``, bit for bit."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        j = np.where(x > 0, np.trunc(1.0 / x), 0.0)
+        deeper = 1.0 / (j + 2) + (x - 1.0 / (j + 1)) * j / (j + 2)
+    return np.where(j <= 1, np.minimum((4.0 * x - 1.0) / 3.0, 1.0), deeper)
+
+
+def _interval_steps_inv(y: np.ndarray) -> np.ndarray:
+    """``interval_step_inv`` of each entry of ``y`` in (0, 1], bit for bit."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        j = np.trunc(1.0 / y)
+        shallower = 1.0 / j + (y - 1.0 / (j + 1)) * (j + 1) / (j - 1)
+    return np.where(y >= 1.0 / 3.0, np.minimum((3.0 * y + 1.0) / 4.0, 1.0), shallower)
+
+
+def _crumple_heights(N: int, x: np.ndarray) -> np.ndarray:
+    """``crumple_height`` of each entry of ``x``, bit for bit.
+
+    Lap counts and indices are int64, converted to float where the scalar
+    rule converts Python ints.  An interval so deep that its lap count
+    passes 2**61 goes through the scalar rule instead.
+    """
+    if (x <= 0.0).any():
+        raise UndefinedPointError(0, x[x <= 0.0][:1])
+    deepest = 1
+    while N ** deepest < 2**61:
+        deepest += 1
+    j = np.maximum(np.trunc(1.0 / x), 1.0)
+    fits = j <= deepest
+    j = np.where(fits, j, 1.0)
+    laps = N ** (j.astype(np.int64) - 1)
+    t = np.minimum(np.maximum((1.0 / j - x) * j * (j + 1), 0.0), 1.0)
+    pos = t * laps
+    i = np.minimum(pos.astype(np.int64), laps - 1)
+    u = pos - i
+    k = (laps - 1) // (N - 1) + i  # the global lap index, lap_start_index(N, j) + i
+    heights = np.where(x >= 1.0, 1.0, np.where(k % 2 == 0, 1.0, -1.0) * (1.0 - 2.0 * u))
+    if not fits.all():
+        heights[~fits] = [crumple_height(N, float(v)) for v in x[~fits]]
+    return heights
+
+
+def _in_unit_interval(pts: np.ndarray) -> np.ndarray:
+    """Whether each point's first coordinate lies in (0, 1], with 1e-9 of slack above."""
+    return (0.0 < pts[:, 0]) & (pts[:, 0] <= 1.0 + 1e-9)
+
+
 def crumple_system(N: int, direction: str = "forward") -> DynSystem:
     """The curve homeomorphism as a planar system on graph points (x, height)."""
     if N < 2:
@@ -184,24 +232,21 @@ def crumple_system(N: int, direction: str = "forward") -> DynSystem:
     if direction not in ("forward", "inverse"):
         raise ConfigError(f"config: direction must be forward or inverse, got {direction!r}")
 
-    def fwd(p: np.ndarray) -> np.ndarray:
-        x = interval_step(float(p[0]))
-        return np.array([x, crumple_height(N, x)])
+    def fwd(pts: np.ndarray) -> np.ndarray:
+        x = _interval_steps(pts[:, 0])
+        return np.column_stack([x, _crumple_heights(N, x)])
 
-    def bwd(p: np.ndarray) -> np.ndarray:
-        x = interval_step_inv(float(p[0]))
-        return np.array([x, crumple_height(N, x)])
-
-    def domain(p: np.ndarray) -> bool:
-        return 0.0 < float(p[0]) <= 1.0 + 1e-9
+    def bwd(pts: np.ndarray) -> np.ndarray:
+        x = _interval_steps_inv(pts[:, 0])
+        return np.column_stack([x, _crumple_heights(N, x)])
 
     step, inverse = (fwd, bwd) if direction == "forward" else (bwd, fwd)
     return DynSystem(
         name=f"crumple{N}-{direction}",
         dim=2,
-        step=pointwise(step),
-        domain=pointwise(domain),
-        inverse=pointwise(inverse),
+        step=step,
+        domain=_in_unit_interval,
+        inverse=inverse,
     )
 
 
@@ -331,10 +376,6 @@ def word_concatenation(N: int, L_max: int) -> list[int]:
     return out
 
 
-def _escape_index(b: float) -> int:
-    return int(round(1.0 / b - 1.0))
-
-
 def build_escape(
     N: int = 2,
     L_max: int = 6,
@@ -363,31 +404,26 @@ def build_escape(
         [s[i % concat_len] + 1 for i in range(orbit_len)], dtype=float
     )
 
-    def step(p: np.ndarray) -> np.ndarray:
-        b = float(p[0])
-        i = _escape_index(b)
-        return np.array([b / (1.0 + b), heights[i + 1]])
+    def index(b: np.ndarray) -> np.ndarray:
+        # np.rint rounds half to even, as round() does
+        return np.rint(1.0 / b - 1.0)
 
-    def inverse(p: np.ndarray) -> np.ndarray:
-        b = float(p[0])
-        i = _escape_index(b)
-        if i < 1:
-            raise UndefinedPointError(0, p)
-        return np.array([b / (1.0 - b), heights[i - 1]])
+    def step(pts: np.ndarray) -> np.ndarray:
+        b = pts[:, 0]
+        return np.column_stack([b / (1.0 + b), heights[index(b).astype(np.intp) + 1]])
 
-    def domain(p: np.ndarray) -> bool:
-        b = float(p[0])
-        if not 0.0 < b <= 1.0 + 1e-9:
-            return False
-        return _escape_index(b) < orbit_len - 1
+    def inverse(pts: np.ndarray) -> np.ndarray:
+        b = pts[:, 0]
+        i = index(b).astype(np.intp)
+        if (i < 1).any():
+            raise UndefinedPointError(0, pts[np.argmax(i < 1)])
+        return np.column_stack([b / (1.0 - b), heights[i - 1]])
 
-    system = DynSystem(
-        name=f"escape{N}",
-        dim=2,
-        step=pointwise(step),
-        domain=pointwise(domain),
-        inverse=pointwise(inverse),
-    )
+    def domain(pts: np.ndarray) -> np.ndarray:
+        ok = _in_unit_interval(pts)
+        return ok & (index(np.where(ok, pts[:, 0], 1.0)) < orbit_len - 1)
+
+    system = DynSystem(name=f"escape{N}", dim=2, step=step, domain=domain, inverse=inverse)
     idx = np.arange(concat_len)
     pts = np.column_stack([1.0 / (1.0 + idx), heights[:concat_len]])
     cloud = PointCloud(pts, mesh, f"escape{N}|orbit0..{concat_len - 1}")
@@ -645,22 +681,12 @@ def build_interval_homeo(mesh: float = 0.0125) -> GalleryBundle:
     if not 0 < mesh <= 0.25:
         raise ConfigError("config: mesh must be in (0, 0.25]")
     xs = np.arange(mesh, 1.0 + 1e-12, mesh)[:, None]
-
-    def step(p: np.ndarray) -> np.ndarray:
-        return np.array([interval_step(float(p[0]))])
-
-    def inverse(p: np.ndarray) -> np.ndarray:
-        return np.array([interval_step_inv(float(p[0]))])
-
-    def domain(p: np.ndarray) -> bool:
-        return 0.0 < float(p[0]) <= 1.0 + 1e-9
-
     system = DynSystem(
         name="interval-homeo",
         dim=1,
-        step=pointwise(step),
-        domain=pointwise(domain),
-        inverse=pointwise(inverse),
+        step=lambda pts: _interval_steps(pts[:, 0])[:, None],
+        domain=_in_unit_interval,
+        inverse=lambda pts: _interval_steps_inv(pts[:, 0])[:, None],
     )
     cloud = PointCloud(xs, mesh, "interval-homeo|grid")
     members = tuple(
@@ -750,9 +776,13 @@ def run_bundle(bundle: GalleryBundle, methods: tuple[str, ...] = ALL_METHODS) ->
 
     The run uses the bundle's scales, orders and rho (``with_settings``
     changes them); ``methods`` names the estimators to run (see
-    ``ALL_METHODS``).  The verdict uses the default slack of
-    ``inequality_report``.  The lifted estimate has a euclidean base metric,
-    so it refuses a bundle with any other metric.
+    ``ALL_METHODS``).  The direct table and the compact members' tables are
+    counted in one call: a member that is an exact sub-cloud of the bundle
+    cloud (or of a larger member) is counted from sub-blocks of that cloud's
+    matrices, and a member equal to the bundle cloud shares its table; every
+    table equals the one ``bd_count_table`` gives.  The verdict uses the
+    default slack of ``inequality_report``.  The lifted estimate has a
+    euclidean base metric, so it refuses a bundle with any other metric.
     """
     start = time.perf_counter()
     system, cloud, eps_list, n_max = bundle.system, bundle.cloud, bundle.eps_list, bundle.n_max
@@ -762,11 +792,17 @@ def run_bundle(bundle: GalleryBundle, methods: tuple[str, ...] = ALL_METHODS) ->
             f" got {bundle.metric.describe()}"
         )
     bd_table = bd = bc = fr_table = fr = verdict = None
-    if "bowen_dinaburg" in methods:
-        bd_table = bd_count_table(system, cloud, bundle.metric, eps_list, n_max)
+    clouds = (cloud,) if "bowen_dinaburg" in methods else ()
+    members = bundle.family.members if "compacta" in methods else ()
+    if clouds or members:
+        tables = _bd_count_tables(system, clouds + members, bundle.metric, eps_list, n_max)
+    if clouds:
+        bd_table = tables[0]
+        if isinstance(bd_table, EscapeError):
+            raise bd_table
         bd = entropy_estimate(bd_table)
-    if "compacta" in methods:
-        bc = compacta_estimate(system, bundle.metric, bundle.family, eps_list, n_max)
+    if members:
+        bc = _compacta_supremum(members, tables[len(clouds):])
     if "friedland" in methods:
         fr_table = friedland_count_table(system, cloud, eps_list, n_max, rho=bundle.rho)
         fr = entropy_estimate(fr_table)

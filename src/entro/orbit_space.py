@@ -26,10 +26,10 @@ from .metric_core import (
     PointCloud,
     _bands,
     _box_diagonal,
+    _count_table,
     _refuse_repeated_scales,
     _running_max,
     cloud_diameter,
-    count_table,
     counts_from_matrix,
     distance_tiles,
     last_orbit_matrix,
@@ -209,7 +209,7 @@ def friedland_count_table(
     Sequences keep ``truncation`` blocks (default: enough that the dropped
     tail is below 1e-6); ``_lifted_matrices`` gives the order-n matrices and
     holds their running max plus the upper half of S in one array, which is
-    freed when the table returns, or as soon as ``count_table`` finds every
+    freed when the table returns, or as soon as ``_count_table`` finds every
     pair separated at the largest scale.  A scale listed twice is refused
     before any orbit is built.
     """
@@ -227,7 +227,7 @@ def friedland_count_table(
 
     table = build_orbit_table(system, cloud, m + n_max - 1)
     matrices = _lifted_matrices(table.orbits, n_max, rho, m)
-    return replace(count_table(matrices, eps_list, cloud.size, n_max), rho=rho, truncation=m)
+    return replace(_count_table(matrices, eps_list, cloud.size, n_max), rho=rho, truncation=m)
 
 
 def friedland_estimate(

@@ -20,6 +20,7 @@ from entro import (
     default_suite,
     iterate_orbit,
 )
+from entro.dynamics import DynSystem, build_orbit_table, pointwise
 from entro.gallery import (
     crumple_height,
     crumple_system,
@@ -32,6 +33,8 @@ from entro.gallery import (
     run_bundle,
     word_concatenation,
 )
+from entro.metric_core import _box_diagonal
+from entro.orbit_space import choose_truncation
 
 
 class TestLapBookkeeping:
@@ -493,6 +496,87 @@ class TestArrayRules:
                 assert out.shape == (50, system.dim) and out.dtype == np.float64
             for i in range(50):
                 assert np.array_equal(rule(pts[i : i + 1])[0], out[i])
+
+
+def scalar_crumple(N: int, direction: str) -> DynSystem:
+    """The crumple system from the scalar reference rules, lifted row by row."""
+
+    def fwd(p):
+        x = interval_step(float(p[0]))
+        return np.array([x, crumple_height(N, x)])
+
+    def bwd(p):
+        x = interval_step_inv(float(p[0]))
+        return np.array([x, crumple_height(N, x)])
+
+    step, inverse = (fwd, bwd) if direction == "forward" else (bwd, fwd)
+    return DynSystem("scalar", 2, pointwise(step), pointwise(in_unit_interval),
+                     pointwise(inverse))
+
+
+def in_unit_interval(p) -> bool:
+    return 0.0 < float(p[0]) <= 1.0 + 1e-9
+
+
+def scalar_escape(N: int, L_max: int = 6) -> DynSystem:
+    """The escape system with one symbol height per orbit index, rule by rule on one point."""
+    word = word_concatenation(N, L_max)
+    orbit_len = len(word) + 64
+    heights = np.array([word[i % len(word)] + 1 for i in range(orbit_len)], dtype=float)
+
+    def index(p) -> int:
+        return int(round(1.0 / float(p[0]) - 1.0))
+
+    def step(p):
+        return np.array([p[0] / (1.0 + p[0]), heights[index(p) + 1]])
+
+    def inverse(p):
+        if index(p) < 1:
+            raise UndefinedPointError(0, p)
+        return np.array([p[0] / (1.0 - p[0]), heights[index(p) - 1]])
+
+    def domain(p) -> bool:
+        return in_unit_interval(p) and index(p) < orbit_len - 1
+
+    return DynSystem("scalar", 2, pointwise(step), pointwise(domain), pointwise(inverse))
+
+
+def scalar_interval() -> DynSystem:
+    return DynSystem(
+        "scalar", 1,
+        pointwise(lambda p: np.array([interval_step(float(p[0]))])),
+        pointwise(in_unit_interval),
+        pointwise(lambda p: np.array([interval_step_inv(float(p[0]))])),
+    )
+
+
+class TestArrayRulesMatchScalarRules:
+    """Orbit tables from the array rules equal, bit for bit, the tables of
+    the scalar reference rules lifted by ``pointwise``."""
+
+    @pytest.mark.parametrize(
+        "bundle, reference",
+        [pytest.param(build_crumple(N, direction=d), scalar_crumple(N, d), id=f"crumple{N}-{d}")
+         for N in (2, 3) for d in ("forward", "inverse")]
+        + [pytest.param(build_escape(N), scalar_escape(N), id=f"escape{N}") for N in (2, 3)]
+        + [pytest.param(build_interval_homeo(), scalar_interval(), id="interval-homeo")],
+    )
+    def test_orbit_tables(self, bundle, reference):
+        n_max = bundle.n_max
+        probe = build_orbit_table(bundle.system, bundle.cloud, min(n_max, 4)).orbits
+        m = choose_truncation(bundle.rho, max(_box_diagonal(probe), 1e-12))
+        lifted = m + n_max - 1
+        clouds = [bundle.cloud] + [
+            c for c in bundle.family.members if not np.array_equal(c.points, bundle.cloud.points)
+        ]
+        for cloud in clouds:
+            want = build_orbit_table(reference, cloud, lifted).orbits
+            assert np.array_equal(build_orbit_table(bundle.system, cloud, lifted).orbits, want)
+            assert np.array_equal(
+                build_orbit_table(bundle.system, cloud, n_max).orbits, want[:, :n_max]
+            )
+        pts = bundle.cloud.points[1:]  # the escape inverse is undefined at the first point
+        assert np.array_equal(bundle.system.inverse(pts), reference.inverse(pts))
 
 
 class TestRunBundle:

@@ -37,12 +37,12 @@ from entro.metric_core import (
     TILE_ROWS,
     CountRow,
     CountTable,
+    _count_table,
     _eps_neighbours,
     _flat_below,
     _greedy_cover,
     _greedy_separated,
     _row_lists,
-    count_table,
     covering_radius,
     farthest_point_order,
     orbit_metric_matrices,
@@ -255,7 +255,7 @@ class TestGreedyCountsMatchDenseScans:
 
 
 def dense_recount(matrices, eps_list: list[float]) -> list[tuple]:
-    """Every cell counted on its own from the whole matrix, in ``count_table``'s row order."""
+    """Every cell counted on its own from the whole matrix, in ``_count_table``'s row order."""
     cells = {}
     for n, dmat, seed in matrices:
         order = farthest_point_order(dmat, seed) if dmat.shape[0] > EXACT_CAP else None
@@ -271,7 +271,7 @@ def row_tuples(table: CountTable) -> list[tuple]:
 
 @pytest.fixture()
 def carried_tests(monkeypatch):
-    """Records, per threshold ``count_table`` makes, whether it tested a carried list."""
+    """Records, per threshold ``_count_table`` makes, whether it tested a carried list."""
     seen: list[bool] = []
     flat_below = metric_core._flat_below
 
@@ -314,7 +314,7 @@ class TestCarriedNeighbourLists:
         spec = MetricSpec.euclidean()
         # the largest scale in the middle, and one scale twice
         eps_list = [0.1, 0.2, 1.5, 0.05, 0.2]
-        table = count_table(orbit_metric_matrices(orbits, spec), eps_list, len(orbits), len(spread))
+        table = _count_table(orbit_metric_matrices(orbits, spec), eps_list, len(orbits), len(spread))
         carried = list(carried_tests)
         assert row_tuples(table) == dense_recount(orbit_metric_matrices(orbits, spec), eps_list)
         assert len(carried) == len(eps_list) * len(spread)
@@ -364,8 +364,8 @@ class TestSaturatedTables:
         orbits = spread_at(size, 5, 2)
         log: list = []
         stream = pulled(orbit_metric_matrices(orbits, self.spec), log)
-        table = count_table(stream, self.eps_list, size, 5)
-        assert log == [1, 2, "closed"]  # ``stream`` is still referenced, so count_table closed it
+        table = _count_table(stream, self.eps_list, size, 5)
+        assert log == [1, 2, "closed"]  # ``stream`` is still referenced, so _count_table closed it
         assert table.mode == ("greedy" if size > EXACT_CAP else "exact")
         assert row_tuples(table) == dense_recount(
             orbit_metric_matrices(orbits, self.spec), self.eps_list
@@ -373,7 +373,7 @@ class TestSaturatedTables:
         assert [r.n for r in table.rows if r.sep_count == r.span_count == size] == [2, 3, 4, 5] * 3
         # a plain iterator, which has nothing to close, gives the same table
         kept = [(n, d.copy(), s.copy()) for n, d, s in orbit_metric_matrices(orbits, self.spec)]
-        assert count_table(iter(kept), self.eps_list, size, 5) == table
+        assert _count_table(iter(kept), self.eps_list, size, 5) == table
 
     def test_truncated_direct_table(self):
         """Saturated at n = 4, escaped at step 5: rows up to the escape, same ``truncated_at``."""
@@ -392,9 +392,9 @@ class TestSaturatedTables:
     def test_short_or_long_stream_refused(self):
         orbits = spread_at(40, 3, 3)[:, :2]  # never saturates
         with pytest.raises(ConfigError, match="stopped at n = 2, not at orders = 4"):
-            count_table(orbit_metric_matrices(orbits, self.spec), self.eps_list, 40, 4)
+            _count_table(orbit_metric_matrices(orbits, self.spec), self.eps_list, 40, 4)
         with pytest.raises(ConfigError, match="stopped at n = 2, not at orders = 1"):
-            count_table(orbit_metric_matrices(orbits, self.spec), self.eps_list, 40, 1)
+            _count_table(orbit_metric_matrices(orbits, self.spec), self.eps_list, 40, 1)
 
     def test_lifted_table(self, monkeypatch):
         system = build_doubling(grid=64).system
@@ -449,7 +449,7 @@ class TestBandedThreshold:
         assert nnz > CARRY_DENSITY * dmat.size  # too dense to carry
         tracemalloc.start()
         try:
-            table = count_table(iter([(1, dmat, seed)]), eps_list, size, 1)
+            table = _count_table(iter([(1, dmat, seed)]), eps_list, size, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -15,7 +15,7 @@ import numpy as np
 
 from entro import MetricSpec, PointCloud
 from entro.dynamics import bd_count_table, build_orbit_table
-from entro.gallery import build_doubling
+from entro.gallery import build_doubling, run_bundle
 from entro.metric_core import counts_from_matrix
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -89,3 +89,29 @@ def test_exact_table_builds_no_farthest_point_order():
     assert dict(table.counts_for(1.9))[n_max] < cloud.size  # no order saturates
     assert names.count("metric_core.fpo") == 0
     assert names.count("metric_core.counts") == len(table.rows)
+
+
+def counted_cells(table) -> int:
+    """The cells a table counted: every scale up to the order where all
+    pairs are the largest scale apart, or up to its last order."""
+    top = table.counts_for(max(table.eps_values()))
+    orders = min([n for n, count in top if count == table.cloud_size] + [top[-1][0]])
+    return len(table.eps_values()) * orders
+
+
+def test_bundle_cloud_member_is_not_counted_again():
+    """``run_bundle`` counts the direct table and the compact members in one
+    pass: the member equal to the bundle cloud adds no cells."""
+    bundle = build_doubling(grid=256)
+    members = bundle.family.members
+    assert [m.size for m in members] == [64, 128, 256]
+    tracing = load_tracing()
+    with tracing.Tracer(tracing.LAYER_TARGETS).installed() as tracer:
+        run = run_bundle(bundle, methods=("bowen_dinaburg", "compacta"))
+    names = [span[0] for span in tracer.spans]
+    spec = bundle.metric
+    eps_list, n_max = list(bundle.eps_list), bundle.n_max
+    small = [bd_count_table(bundle.system, m, spec, eps_list, n_max) for m in members[:2]]
+    assert names.count("metric_core.counts") == (
+        counted_cells(run.bd_table) + sum(counted_cells(t) for t in small)
+    )
