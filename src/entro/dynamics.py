@@ -7,8 +7,7 @@ largest step every orbit survives.
 
 The order-n orbit metric between two points is the max over the first n
 iterates of the base distance.  Count tables are built incrementally: one
-running-max distance matrix per n, shared by all epsilon values and by every
-exact sub-cloud counted in the same call.
+running-max distance matrix per n, shared by all epsilon values.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ConfigError, EscapeError, UndefinedPointError
 from .metric_core import (
@@ -25,8 +23,6 @@ from .metric_core import (
     MetricSpec,
     PointCloud,
     _count_table,
-    _count_tables,
-    _orbit_seeds,
     _refuse_repeated_scales,
     counts_from_matrix,
     farthest_point_order,
@@ -54,10 +50,8 @@ class DynSystem:
 
     ``step`` and ``inverse`` map a (k, dim) float array of points to the
     (k, dim) array of their images, and ``domain`` returns k bools; a rule
-    written for one point is lifted with ``pointwise``.  A row's image must
-    not depend on the other rows, bit for bit, as a sub-cloud's orbits are
-    read from the rows of a larger cloud's (see ``_bd_count_tables``).
-    ``inverse`` is None for a map with no inverse.
+    written for one point is lifted with ``pointwise``.  ``inverse`` is None
+    for a map with no inverse.
     """
 
     name: str
@@ -161,10 +155,13 @@ def bd_count_table(
     table stops at n = t and ``truncated_at`` is t.  A scale listed twice is
     refused before any orbit is built.
     """
-    (table,) = _bd_count_tables(system, [cloud], spec, eps_list, n_max)
-    if isinstance(table, EscapeError):
-        raise table
-    return table
+    if n_max < 1:
+        raise ConfigError("config: n_max must be >= 1")
+    _refuse_repeated_scales(eps_list)
+    table = build_orbit_table(system, cloud, n_max, allow_truncation=True)
+    truncated = table.depth if table.depth < n_max else None
+    matrices = orbit_metric_matrices(table.orbits, spec)
+    return _count_table(matrices, eps_list, cloud.size, table.depth, truncated)
 
 
 def _bd_count_tables(
@@ -173,71 +170,26 @@ def _bd_count_tables(
     spec: MetricSpec,
     eps_list: list[float],
     n_max: int,
-) -> list[CountTable | EscapeError]:
-    """``bd_count_table`` of each cloud, or the ``EscapeError`` its orbit table raised.
+):
+    """Yield ``bd_count_table`` of each cloud in turn, or the ``EscapeError`` it raised.
 
-    The largest cloud not yet counted is a root.  Every other cloud that is
-    an exact sub-cloud of it (each row found with a k-d tree at distance 0,
-    then compared bit for bit) is counted from the root's orbit table and
-    matrix stream: its order-n matrix is the root's sub-block on its rows,
-    which is its own running max entry for entry, and its farthest-point
-    seed comes from its own rows of the root's orbits.  So each table
-    equals the one its cloud's own stream gives, and a cloud equal to
-    another is counted once.  A root whose orbits escape before ``n_max``
-    is counted alone, and the other clouds wait for the next root: a
-    sub-cloud may outlive the root's escape.
+    A cloud whose points equal an earlier cloud's, bit for bit, is not
+    counted again: it gets that cloud's table (or error).  Each table is
+    counted only when asked for, so a caller that stops at an error counts
+    no later cloud.
     """
-    if n_max < 1:
-        raise ConfigError("config: n_max must be >= 1")
-    _refuse_repeated_scales(eps_list)
-    tables: list = [None] * len(clouds)
-    pending = sorted(range(len(clouds)), key=lambda i: -clouds[i].size)
-    while pending:
-        r, pending = pending[0], pending[1:]
-        root = clouds[r]
+    counted: list[tuple[PointCloud, CountTable | EscapeError]] = []
+    for cloud in clouds:
+        seen = [table for c, table in counted if np.array_equal(c.points, cloud.points)]
+        if seen:
+            yield seen[0]
+            continue
         try:
-            orbits = build_orbit_table(system, root, n_max, allow_truncation=True).orbits
+            table = bd_count_table(system, cloud, spec, eps_list, n_max)
         except EscapeError as exc:
-            tables[r] = exc
-            continue
-        matrices = orbit_metric_matrices(orbits, spec)
-        depth = orbits.shape[1]
-        if depth < n_max:
-            tables[r] = _count_table(matrices, eps_list, root.size, depth, depth)
-            continue
-        # the clouds counted on each distinct row set of the root, keyed by its bytes
-        views = {np.arange(root.size).tobytes(): (None, [r])}
-        tree = cKDTree(root.points) if pending else None
-        later = []
-        for i in pending:
-            idx = _rows_in(tree, root.points, clouds[i].points)
-            if idx is None:
-                later.append(i)
-            else:
-                views.setdefault(idx.tobytes(), (idx, []))[1].append(i)
-        pending = later
-        streams = [
-            None if idx is None else (idx, _orbit_seeds(orbits, idx, spec))
-            for idx, _ in views.values()
-        ]
-        counted = _count_tables(matrices, streams, eps_list, n_max)
-        for (_, group), rows in zip(views.values(), counted):
-            shared = CountTable(rows, clouds[group[0]].size)
-            for i in group:
-                tables[i] = shared
-    return tables
-
-
-def _rows_in(tree: cKDTree, root: np.ndarray, pts: np.ndarray) -> np.ndarray | None:
-    """Indices of the rows of ``root`` equal bit for bit to the rows of ``pts``.
-
-    None when some row of ``pts`` is not a row of ``root``; ``tree`` is the
-    k-d tree of ``root``.
-    """
-    dist, idx = tree.query(pts)
-    if not (dist == 0).all() or not np.array_equal(root[idx], pts):
-        return None
-    return idx
+            table = exc
+        counted.append((cloud, table))
+        yield table
 
 
 @dataclass(frozen=True)

@@ -224,12 +224,10 @@ def compacta_estimate(
 
     Each member cloud gets its own count table (orbits run in the full space;
     only the separated subsets are drawn from the member) and the headline is
-    the max over member headlines.  The tables come from one call that
-    counts a member that is an exact sub-cloud of a larger member from
-    sub-blocks of that member's matrices, and equal members once; each table
-    equals the member's own ``bd_count_table``.  Members whose orbits escape
-    before step ``n_max`` (their table is truncated) are skipped; ``members``
-    of the result records each member's headline or escape step.
+    the max over member headlines; a member equal to an earlier one shares
+    its table.  Members whose orbits escape before step ``n_max`` (their
+    table is truncated) are skipped; ``members`` of the result records each
+    member's headline or escape step.
     """
     tables = _dyn._bd_count_tables(system, family.members, spec, eps_list, n_max)
     return _compacta_supremum(family.members, tables)

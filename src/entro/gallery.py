@@ -776,13 +776,12 @@ def run_bundle(bundle: GalleryBundle, methods: tuple[str, ...] = ALL_METHODS) ->
 
     The run uses the bundle's scales, orders and rho (``with_settings``
     changes them); ``methods`` names the estimators to run (see
-    ``ALL_METHODS``).  The direct table and the compact members' tables are
-    counted in one call: a member that is an exact sub-cloud of the bundle
-    cloud (or of a larger member) is counted from sub-blocks of that cloud's
-    matrices, and a member equal to the bundle cloud shares its table; every
-    table equals the one ``bd_count_table`` gives.  The verdict uses the
-    default slack of ``inequality_report``.  The lifted estimate has a
-    euclidean base metric, so it refuses a bundle with any other metric.
+    ``ALL_METHODS``).  The direct table is counted first, and a bundle cloud
+    whose orbits escape raises before any member is counted; a compact
+    member whose points equal the bundle cloud's shares the direct table
+    instead of being counted again.  The verdict uses the default slack of
+    ``inequality_report``.  The lifted estimate has a euclidean base metric,
+    so it refuses a bundle with any other metric.
     """
     start = time.perf_counter()
     system, cloud, eps_list, n_max = bundle.system, bundle.cloud, bundle.eps_list, bundle.n_max
@@ -794,15 +793,14 @@ def run_bundle(bundle: GalleryBundle, methods: tuple[str, ...] = ALL_METHODS) ->
     bd_table = bd = bc = fr_table = fr = verdict = None
     clouds = (cloud,) if "bowen_dinaburg" in methods else ()
     members = bundle.family.members if "compacta" in methods else ()
-    if clouds or members:
-        tables = _bd_count_tables(system, clouds + members, bundle.metric, eps_list, n_max)
+    tables = _bd_count_tables(system, clouds + members, bundle.metric, eps_list, n_max)
     if clouds:
-        bd_table = tables[0]
+        bd_table = next(tables)
         if isinstance(bd_table, EscapeError):
             raise bd_table
         bd = entropy_estimate(bd_table)
     if members:
-        bc = _compacta_supremum(members, tables[len(clouds):])
+        bc = _compacta_supremum(members, tables)
     if "friedland" in methods:
         fr_table = friedland_count_table(system, cloud, eps_list, n_max, rho=bundle.rho)
         fr = entropy_estimate(fr_table)

@@ -21,20 +21,17 @@ the points of its own ball: the cover keeps every ball's uncovered count
 exact, lowering it through each covered point's own list, and takes the
 balls that add one point each in one step.  Separation uses the closed
 condition ``d >= eps``; spanning uses the strict ``d < eps``.
-Every count table is built by the private ``_count_tables``, which counts
-one stream of order-n matrices for its own cloud and for any sub-clouds of
-it, each from its principal sub-block; ``_count_table`` is the one-cloud
-case.  A table thresholds the dense matrix only until the largest scale's
-list turns sparse and then carries that list across scales and orders.  Its
-stream of order-n matrices is non-decreasing in n, so once that list holds
-only the diagonal (every pair at least the largest scale apart) every later
-cell counts the whole cloud: the table fills those rows, and once every
-table of a stream has stopped the stream is closed, which builds no later
-order.  While it counts, a stream holds its order-n matrix ``dmat``, one
-sub-block copy, one cell's lists and a carried list per table; the lifted
-table (``orbit_space``) also holds the upper half of its weighted sum S, in
-one array.  Distances arrive in row tiles and dense thresholds run in row
-bands, so no other N x N array, not even a boolean mask, is made.
+Every count table is built by the private ``_count_table``, which
+thresholds the dense matrix only until the largest scale's list turns
+sparse and then carries that list across scales and orders.  Its stream of
+order-n matrices is non-decreasing in n, so once that list holds only the
+diagonal (every pair at least the largest scale apart) every later cell
+counts the whole cloud: the table fills those rows and closes the stream,
+which builds no later order.  While it counts, a table holds its order-n matrix ``dmat``, one
+carried list and one cell's lists; the lifted table (``orbit_space``) also
+holds the upper half of its weighted sum S, in one array.  Distances arrive
+in row tiles and dense thresholds run in row bands, so no other N x N
+array, not even a boolean mask, is made.
 """
 
 from __future__ import annotations
@@ -79,7 +76,7 @@ DUPLICATE_TOL = 1e-12
 # Rows per tile of ``distance_tiles``; on a 7032-point cloud (2 vCPUs), 32 to
 # 256 rows timed within 10 % of each other.
 TILE_ROWS = 64
-# Largest share of the N x N entries that a count table carries as one
+# Largest share of the N x N entries that ``_count_table`` carries as one
 # neighbour list.  On doubling's order-2 matrix (N = 4096, one thread),
 # testing a carried list took 0.23 of a dense threshold's time at this
 # density, 0.5 at 1/8 and 0.94 at 1/4; at 1/16 the carried flat indices
@@ -508,8 +505,8 @@ def counts_from_matrix(
     smaller of the greedy cover and that separated witness (which always
     spans), so ``span <= sep`` holds for greedy counts too.  ``neighbours``
     is the cell's eps-neighbour lists ``(ptr, cols)``, exactly as
-    ``_eps_neighbours(dmat, eps)`` builds them when it is None; a count
-    table passes the lists it built, from a matrix symmetric by
+    ``_eps_neighbours(dmat, eps)`` builds them when it is None;
+    ``_count_table`` passes the lists it built, from a matrix symmetric by
     construction, and symmetry is then not tested again: lists of an
     asymmetric matrix are refused only where the cover meets a mismatch.
     """
@@ -559,30 +556,10 @@ def orbit_metric_matrices(orbits: np.ndarray, spec: MetricSpec):
     def slices():
         for k in range(orbits.shape[1]):
             sl = orbits[:, k, :]
-            yield distance_tiles(sl, spec), _centroid_distances(sl, spec)
+            centroid = sl.mean(axis=0)
+            yield distance_tiles(sl, spec), distance_matrix(sl, centroid[None, :], spec)[:, 0]
 
     return _running_max(orbits.shape[0], slices())
-
-
-def _centroid_distances(sl: np.ndarray, spec: MetricSpec) -> np.ndarray:
-    """Each row's distance to the centroid of the slice ``sl``."""
-    return distance_matrix(sl, sl.mean(axis=0)[None, :], spec)[:, 0]
-
-
-def _orbit_seeds(orbits: np.ndarray, rows: np.ndarray, spec: MetricSpec):
-    """The ``seed`` of each order of ``orbit_metric_matrices(orbits[rows], spec)``, alone.
-
-    Builds no distance matrix, so a sub-cloud counted from sub-blocks of a
-    larger cloud's stream takes its own farthest-point start from here.
-    ``orbits[rows]`` is copied when the first seed is asked for, into the
-    layout of the sub-cloud's own orbit table, so its slice centroids are
-    the same bits.  Like that stream, it updates one array in place.
-    """
-    orbits = orbits[rows]
-    run_seed = np.zeros(orbits.shape[0])
-    for k in range(orbits.shape[1]):
-        np.maximum(run_seed, _centroid_distances(orbits[:, k, :], spec), out=run_seed)
-        yield run_seed
 
 
 def last_orbit_matrix(orbits: np.ndarray, spec: MetricSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -662,131 +639,6 @@ def _refuse_repeated_scales(eps_list: list[float]) -> None:
             raise ConfigError(f"config: scale eps={eps:g} repeats in the scale list")
 
 
-class _TableCells:
-    """The rows of one count table and its counting state, one order at a time."""
-
-    def __init__(self, eps_list: list[float]):
-        self.eps_list = eps_list
-        self.top = int(np.argmax(eps_list))
-        self.cells = [self.top] + [k for k in range(len(eps_list)) if k != self.top]
-        self.columns: list[list[CountRow]] = [[] for _ in eps_list]
-        self.carried = self.top_count = None
-        self.n = self.size = 0
-
-    @property
-    def saturated(self) -> bool:
-        """Whether the largest scale's list of the last order counted held only the diagonal."""
-        return self.top_count == self.size
-
-    def count(self, n: int, dmat: np.ndarray, seed: np.ndarray) -> None:
-        """Count every cell of order ``n`` from its matrix and farthest-point seed."""
-        size = self.size = dmat.shape[0]
-        self.n = n
-        order = farthest_point_order(dmat, seed) if _count_mode(size) == "greedy" else None
-        for k in self.cells:
-            eps = self.eps_list[k]
-            flat = _flat_below(dmat, eps, self.carried, self.top_count)
-            if k == self.top:
-                self.top_count = flat.size
-                self.carried = None  # free the old list before the copy
-                if flat.size <= CARRY_DENSITY * dmat.size:
-                    self.carried = flat.copy()
-            sep, span = counts_from_matrix(
-                dmat, eps, order=order, neighbours=_row_lists(flat, size)
-            )
-            del flat  # free this cell's lists before the next cell or order builds its own
-            self.columns[k].append(CountRow(eps, n, len(sep), len(span)))
-
-    def rows(self, orders: int) -> tuple[CountRow, ...]:
-        """The rows, eps-major; every order after the last one counted has sep = span = N."""
-        later = range(self.n + 1, orders + 1)
-        for eps, column in zip(self.eps_list, self.columns):
-            column.extend(CountRow(eps, m, self.size, self.size) for m in later)
-        return tuple(row for column in self.columns for row in column)
-
-
-def _count_tables(
-    matrices, views, eps_list: list[float], orders: int
-) -> list[tuple[CountRow, ...]]:
-    """The rows of one count table per view, counted from one stream of order-n matrices.
-
-    ``matrices`` is an iterator of ``(n, dmat, seed)`` for n = 1 ..
-    ``orders``, like the generator ``orbit_metric_matrices``, and may reuse
-    one buffer.  The stream must be entrywise non-decreasing in n, as every
-    running max of orbit distances is, and symmetric bit for bit, as the
-    mirror in ``_running_max`` makes it (``counts_from_matrix`` does not
-    test it again for the lists passed in).  A view of None counts the
-    stream's own cloud.  A view ``(rows, seeds)`` counts the sub-cloud of
-    the index array ``rows``: at each order its matrix is the sub-block
-    ``dmat[np.ix_(rows, rows)]`` (``_sub_block``), copied for one view at a
-    time and freed before the next, which is the sub-cloud's own matrix
-    entry for entry, and its seed is the next item of the iterator
-    ``seeds`` (see ``_orbit_seeds``).  Above ``EXACT_CAP`` points all eps of a view share
-    one farthest-point order per n, started from its seed; exact counts do
-    not read one, so none is built.  Rows run over eps in list order, n
-    ascending within each.
-
-    Once the largest eps's list of a view at some n < ``orders`` holds only
-    the N diagonal entries (0, so below every eps), every pair is at least
-    every eps apart at that n and, the stream being non-decreasing, at every
-    later n; so every later cell counts sep = span = N.  The view's later
-    rows are filled in and its later orders not counted.  Once every view
-    has stopped so, the stream is not pulled again (a generator is closed,
-    freeing its buffers), so its later orders are never built.  A stream
-    that ends before ``orders`` without that, or runs past it, is refused.
-
-    Each cell's eps-neighbour lists are built here and passed to
-    ``counts_from_matrix``.  At every n the largest eps goes first: its
-    entries hold those of every smaller eps at this n and, the stream being
-    non-decreasing, those of every eps at later n.  Once that list holds at
-    most ``CARRY_DENSITY`` of the view's matrix it is kept, and later cells
-    of the view test only its entries; before that each cell thresholds the
-    whole matrix in row bands (``_flat_below``), into an array sized by the
-    latest largest-eps count: the last order's for the largest eps, this
-    order's for every other, as both bound the cell's count.  Only a view's
-    first cell, with no count yet, takes a counting pass.  Every cell gets
-    the same lists either way.
-    """
-    if any(not e > 0 for e in eps_list):
-        raise ConfigError("config: eps values must be > 0")
-    if not eps_list:
-        return [() for _ in views]
-    tables = [_TableCells(eps_list) for _ in views]
-    n = 0
-    for n, dmat, seed in matrices:
-        for cells, view in zip(tables, views):
-            if cells.saturated:
-                continue
-            if view is None:
-                cells.count(n, dmat, seed)
-            else:
-                rows, seeds = view
-                cells.count(n, _sub_block(dmat, rows), next(seeds))
-        if n < orders and all(cells.saturated for cells in tables):
-            if hasattr(matrices, "close"):
-                matrices.close()  # frees a generator's buffers; no later order is built
-            break
-    else:
-        if n != orders:
-            raise ConfigError(
-                f"config: matrix stream stopped at n = {n}, not at orders = {orders}"
-            )
-    return [cells.rows(orders) for cells in tables]
-
-
-def _sub_block(dmat: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``dmat[np.ix_(rows, rows)]``, a new C-contiguous array.
-
-    Rows that run consecutively upward are copied as one slice: for 2048
-    such rows of a 4096-point matrix that took 11 ms against the gather's
-    30 ms (one thread, 2 vCPU Xeon).
-    """
-    start, size = int(rows[0]), len(rows)
-    if rows[-1] == start + size - 1 and (np.diff(rows) == 1).all():
-        return dmat[start:start + size, start:start + size].copy()
-    return dmat[np.ix_(rows, rows)]
-
-
 def _count_table(
     matrices,
     eps_list: list[float],
@@ -794,8 +646,76 @@ def _count_table(
     orders: int,
     truncated_at: int | None = None,
 ) -> CountTable:
-    """The count table of the stream's own cloud (see ``_count_tables``)."""
-    (rows,) = _count_tables(matrices, [None], eps_list, orders)
+    """Counts over the (eps, n) grid from a stream of order-n matrices.
+
+    ``matrices`` is an iterator of ``(n, dmat, seed)`` for n = 1 ..
+    ``orders``, like the generator ``orbit_metric_matrices``, and may reuse
+    one buffer.  The stream must be entrywise non-decreasing in n, as every
+    running max of orbit distances is, and symmetric bit for bit, as the
+    mirror in ``_running_max`` makes it (``counts_from_matrix`` does not
+    test it again for the lists passed in).  Above ``EXACT_CAP`` points all
+    eps share one farthest-point order per n, started from ``seed``; exact
+    counts do not read one, so none is built.  Rows run over eps in list
+    order, n ascending within each.
+
+    Once the largest eps's list at some n < ``orders`` holds only the N
+    diagonal entries (0, so below every eps), every pair is at least every
+    eps apart at that n and, the stream being non-decreasing, at every later
+    n; so every later cell counts sep = span = N.  Those rows are filled in,
+    and the stream is not pulled again (a generator is closed, freeing its
+    buffers), so its later orders are never built.  A stream that ends
+    before ``orders`` without that, or runs past it, is refused.
+
+    Each cell's eps-neighbour lists are built here and passed to
+    ``counts_from_matrix``.  At every n the largest eps goes first: its
+    entries hold those of every smaller eps at this n and, the stream being
+    non-decreasing, those of every eps at later n.  Once that list holds at
+    most ``CARRY_DENSITY`` of the matrix it is kept, and later cells test
+    only its entries; before that each cell thresholds the whole matrix in
+    row bands (``_flat_below``), into an array sized by the latest
+    largest-eps count: the last order's for the largest eps, this order's
+    for every other, as both bound the cell's count.  Only the table's
+    first cell, with no count yet, takes a counting pass.  Besides the
+    stream's matrix, one carried list and one cell's lists are held at a
+    time, and no N x N temporary; every cell gets the same lists either way.
+    """
+    if any(not e > 0 for e in eps_list):
+        raise ConfigError("config: eps values must be > 0")
+    columns: list[list[CountRow]] = [[] for _ in eps_list]
+    if eps_list:
+        top = int(np.argmax(eps_list))
+        cells = [top] + [k for k in range(len(eps_list)) if k != top]
+        carried = top_count = None
+        n = 0
+        for n, dmat, seed in matrices:
+            size = dmat.shape[0]
+            order = farthest_point_order(dmat, seed) if _count_mode(size) == "greedy" else None
+            for k in cells:
+                eps = eps_list[k]
+                flat = _flat_below(dmat, eps, carried, top_count)
+                if k == top:
+                    top_count = flat.size
+                    carried = None  # free the old list before the copy
+                    if flat.size <= CARRY_DENSITY * dmat.size:
+                        carried = flat.copy()
+                sep, span = counts_from_matrix(
+                    dmat, eps, order=order, neighbours=_row_lists(flat, size)
+                )
+                del flat  # free this cell's lists before the next cell or order builds its own
+                columns[k].append(CountRow(eps, n, len(sep), len(span)))
+            if top_count == size and n < orders:
+                if hasattr(matrices, "close"):
+                    matrices.close()  # frees a generator's buffers; no later order is built
+                later = range(n + 1, orders + 1)
+                for k, eps in enumerate(eps_list):
+                    columns[k].extend(CountRow(eps, m, size, size) for m in later)
+                break
+        else:
+            if n != orders:
+                raise ConfigError(
+                    f"config: matrix stream stopped at n = {n}, not at orders = {orders}"
+                )
+    rows = tuple(row for column in columns for row in column)
     return CountTable(rows, cloud_size, truncated_at)
 
 

@@ -164,22 +164,16 @@ def times4() -> DynSystem:
     return DynSystem("times4", 1, lambda x: 4.0 * x, lambda x: np.abs(x[:, 0]) < 1000.0)
 
 
-class TestSharedStream:
-    """Clouds counted in one call: each table equals the cloud's own ``bd_count_table``."""
+class TestCloudsCountedInTurn:
+    """``_bd_count_tables``: each table equals the cloud's own ``bd_count_table``,
+    and a cloud equal to an earlier one is not counted again."""
 
     spec = MetricSpec.euclidean()
 
     def counted(self, system, clouds, eps_list, n_max, monkeypatch):
-        """The tables of one shared call, and how many orbit tables it built."""
-        built = []
-        build = dynamics.build_orbit_table
-
-        def spy(*args, **kwargs):
-            built.append(args[1].size)
-            return build(*args, **kwargs)
-
-        monkeypatch.setattr(dynamics, "build_orbit_table", spy)
-        tables = _bd_count_tables(system, clouds, self.spec, eps_list, n_max)
+        """The tables of one call, and the size of each orbit table it built."""
+        built = spy_orbit_tables(monkeypatch)
+        tables = list(_bd_count_tables(system, clouds, self.spec, eps_list, n_max))
         monkeypatch.undo()
         return tables, built
 
@@ -187,63 +181,35 @@ class TestSharedStream:
         return [bd_count_table(system, c, self.spec, eps_list, n_max) for c in clouds]
 
     @pytest.mark.parametrize("eps_list", [[0.4, 0.2, 0.1], []], ids=["scales", "no-scales"])
-    def test_nested_prefixes_of_a_circle(self, doubling, monkeypatch, eps_list):
-        pts = doubling.cloud.points
-        # listed out of size order, one prefix of exact-count size, and one
-        # sub-cloud whose rows are not consecutive in the circle's
-        clouds = [PointCloud(pts[:k].copy(), 0.05) for k in (64, 256, 20, 128)]
-        clouds.append(PointCloud(pts[5::3].copy(), 0.05))
-        n_max = 6
-        tables, built = self.counted(doubling.system, clouds, eps_list, n_max, monkeypatch)
-        assert built == [256]
-        assert tables == self.separate(doubling.system, clouds, eps_list, n_max)
-        assert [t.mode for t in tables] == ["greedy", "greedy", "exact", "greedy", "greedy"]
-
-    def test_sub_cloud_stops_before_its_root(self, doubling, monkeypatch):
-        """A sub-cloud whose pairs all separate stops counting; its root, which
-        holds a cluster that never separates, is counted to ``n_max``."""
-        arc = doubling.cloud.points[:64]
-        theta = 3.0 + np.arange(30) * 1e-7
-        cluster = np.column_stack([np.cos(theta), np.sin(theta)])
-        clouds = [PointCloud(arc.copy(), 0.05), PointCloud(np.vstack([arc, cluster]), 0.05)]
-        eps_list, n_max = [0.4, 0.2, 0.1], 9
-        tables, built = self.counted(doubling.system, clouds, eps_list, n_max, monkeypatch)
-        assert built == [94]
-        assert tables == self.separate(doubling.system, clouds, eps_list, n_max)
-        top = [dict(t.counts_for(0.4)) for t in tables]
-        assert top[0][n_max - 1] == 64 and top[1][n_max] < 94
-
-    def test_near_nested_member_keeps_its_own_stream(self, doubling, monkeypatch):
-        pts = doubling.cloud.points[:128]
-        near = PointCloud(pts[:64] + np.array([1e-12, 0.0]), 0.05)
-        root = PointCloud(pts.copy(), 0.05)
-        CompactFamily((near, root))  # within the family's nesting tolerance
-        eps_list, n_max = [0.4, 0.2, 0.1], 6
-        tables, built = self.counted(doubling.system, [near, root], eps_list, n_max, monkeypatch)
-        assert built == [128, 64]
-        assert tables == self.separate(doubling.system, [near, root], eps_list, n_max)
-
-    def test_repeated_cloud_is_counted_once(self, doubling, monkeypatch):
+    def test_repeated_cloud_is_counted_once(self, doubling, monkeypatch, eps_list):
         pts = doubling.cloud.points[::2]
-        clouds = [PointCloud(pts.copy(), 0.05), PointCloud(pts[:40].copy(), 0.05),
+        clouds = [PointCloud(pts.copy(), 0.05), PointCloud(pts[:20].copy(), 0.05),
                   PointCloud(pts.copy(), 0.05)]
-        eps_list, n_max = [0.4, 0.2, 0.1], 5
+        n_max = 5
         tables, built = self.counted(doubling.system, clouds, eps_list, n_max, monkeypatch)
-        assert built == [128]
+        assert built == [128, 20]
         assert tables[0] is tables[2]
         assert tables == self.separate(doubling.system, clouds, eps_list, n_max)
+        assert [t.mode for t in tables] == ["greedy", "exact", "greedy"]
 
-    def test_sub_cloud_outlives_a_truncated_root(self, monkeypatch):
-        """The root escapes at step 2; its sub-clouds are counted from their
-        own orbits and keep their own truncation (None, and 5)."""
+    def test_near_equal_cloud_keeps_its_own_table(self, doubling, monkeypatch):
+        pts = doubling.cloud.points[:128]
+        near = PointCloud(pts + np.array([1e-12, 0.0]), 0.05)
+        clouds = [PointCloud(pts.copy(), 0.05), near]
+        CompactFamily((near, clouds[0]))  # within the family's nesting tolerance
+        eps_list, n_max = [0.4, 0.2, 0.1], 6
+        tables, built = self.counted(doubling.system, clouds, eps_list, n_max, monkeypatch)
+        assert built == [128, 128]
+        assert tables == self.separate(doubling.system, clouds, eps_list, n_max)
+
+    def test_each_cloud_keeps_its_own_truncation(self, monkeypatch):
         small = np.arange(30)[:, None] * 0.01  # 0.29 * 4**5 < 1000
         mid = np.arange(50)[:, None] * 0.02  # 0.98 * 4**5 >= 1000
         clouds = [PointCloud(small, 0.01), PointCloud(np.vstack([mid, [[100.0]]]), 0.01),
                   PointCloud(mid, 0.01)]
         eps_list, n_max = [0.5, 0.1, 0.05], 6
-        tables, built = self.counted(times4(), clouds, eps_list, n_max, monkeypatch)
+        tables, _ = self.counted(times4(), clouds, eps_list, n_max, monkeypatch)
         assert [t.truncated_at for t in tables] == [None, 2, 5]
-        assert built == [51, 50, 30]
         assert tables == self.separate(times4(), clouds, eps_list, n_max)
 
     def test_member_whose_start_leaves_the_domain(self, monkeypatch):
@@ -261,9 +227,25 @@ class TestSharedStream:
         assert [m.escaped_at for m in bc.members] == [None, 0]
         bundle = GalleryBundle("times4", times4(), self.spec, outside, family, None,
                                tuple(eps_list), n_max)
+        built = spy_orbit_tables(monkeypatch)
         with pytest.raises(EscapeError):
             run_bundle(bundle, methods=("bowen_dinaburg", "compacta"))
+        assert built == [31]  # the bundle cloud raised before any member was counted
+        monkeypatch.undo()
         assert run_bundle(bundle, methods=("compacta",)).bc == bc
+
+
+def spy_orbit_tables(monkeypatch) -> list[int]:
+    """A list that records the size of every orbit table ``dynamics`` builds."""
+    built = []
+    build = dynamics.build_orbit_table
+
+    def spy(*args, **kwargs):
+        built.append(args[1].size)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "build_orbit_table", spy)
+    return built
 
 
 class TestInverseTransport:

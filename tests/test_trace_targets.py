@@ -100,8 +100,8 @@ def counted_cells(table) -> int:
 
 
 def test_bundle_cloud_member_is_not_counted_again():
-    """``run_bundle`` counts the direct table and the compact members in one
-    pass: the member equal to the bundle cloud adds no cells."""
+    """``run_bundle`` gives the member equal to the bundle cloud the direct
+    table: that member adds no cells."""
     bundle = build_doubling(grid=256)
     members = bundle.family.members
     assert [m.size for m in members] == [64, 128, 256]
