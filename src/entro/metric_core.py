@@ -13,25 +13,29 @@ returns its separated and spanning witnesses as index lists, and the cloud
 size alone picks how it counts: exactly within ``EXACT_CAP`` points,
 greedily above.  The exact searches are branch and bound over eps-ball
 bitmasks (maximum independent set for separation, minimum set cover for
-spanning).  The greedy counts read each cell's eps-neighbour lists, scan
-the cloud in farthest-point order (separation) and run a greedy set cover
-(spanning) over those lists; they are valid at any size.  Every matrix
-counted is a symmetric distance matrix, so the balls holding a point are
-the points of its own ball: the cover keeps every ball's uncovered count
-exact, lowering it through each covered point's own list, and takes the
-balls that add one point each in one step.  Separation uses the closed
-condition ``d >= eps``; spanning uses the strict ``d < eps``.
-Every count table is built by the private ``_count_table``, which
-thresholds the dense matrix only until the largest scale's list turns
-sparse and then carries that list across scales and orders.  Its stream of
-order-n matrices is non-decreasing in n, so once that list holds only the
-diagonal (every pair at least the largest scale apart) every later cell
-counts the whole cloud: the table fills those rows and closes the stream,
-which builds no later order.  While it counts, a table holds its order-n matrix ``dmat``, one
-carried list and one cell's lists; the lifted table (``orbit_space``) also
-holds the upper half of its weighted sum S, in one array.  Distances arrive
-in row tiles and dense thresholds run in row bands, so no other N x N
-array, not even a boolean mask, is made.
+spanning).  The greedy counts read each cell's eps-balls, scan the cloud in
+farthest-point order (separation) and run a greedy set cover (spanning)
+over them; they are valid at any size.  A cell holds its balls either as
+the N x N boolean mask ``dmat < eps`` (one byte per pair) or as int64 row
+lists of the pairs below eps (eight bytes per such pair), and both give the
+same witnesses.  Every matrix counted is a symmetric distance matrix, so the
+balls holding a point are the points of its own ball: the cover keeps every
+ball's uncovered count exact, lowering it through each covered point's own
+ball, and takes the balls that add one point each in one step.  Separation
+uses the closed condition ``d >= eps``; spanning uses the strict ``d < eps``.
+Every count table is built by the private ``_count_table``: its dense cells
+count from one mask buffer, until the largest scale's cell turns sparse;
+that cell's list is then carried across scales and orders, and every later
+cell counts from lists of its entries.  Its stream of order-n matrices is
+non-decreasing in n, so once that cell holds only the diagonal (every pair
+at least the largest scale apart) every later cell counts the whole cloud:
+the table fills those rows and closes the stream, which builds no later
+order.  While it counts, a table holds its order-n matrix ``dmat``, the
+mask buffer (1/8 of ``dmat``'s bytes) or one carried list, and one cell's
+lists; the lifted table (``orbit_space``) also holds the upper half of its
+weighted sum S, in one array.  Distances arrive in row tiles and the other
+temporaries are at most ``TILE_ROWS`` rows long, so no other N x N array is
+made.
 """
 
 from __future__ import annotations
@@ -314,22 +318,24 @@ def _flat_below(
     such entry; only its entries are tested, not the whole matrix.  Otherwise
     the matrix is thresholded in bands of ``TILE_ROWS`` rows, and the indices
     are written into one array of ``bound`` entries, which must have room
-    for them all; when ``bound`` is None a first pass over the bands counts
-    them.  So no N x N mask is built, and the result is a view of that array.
+    for them all; when ``bound`` is None ``_count_below`` counts them first.
+    So no N x N mask is built, and the result is a view of that array.
     """
     if within is not None:
         return within[dmat.reshape(-1)[within] < eps]
     size = dmat.shape[0]
-    bands = _bands(size)
-    if bound is None:
-        bound = sum(int(np.count_nonzero(dmat[r0:r1] < eps)) for r0, r1 in bands)
-    flat = np.empty(bound, dtype=np.int64)
+    flat = np.empty(_count_below(dmat, eps) if bound is None else bound, dtype=np.int64)
     end = 0
-    for r0, r1 in bands:
+    for r0, r1 in _bands(size):
         hits = np.flatnonzero(dmat[r0:r1] < eps)
         np.add(hits, r0 * size, out=flat[end:end + hits.size])
         end += hits.size
     return flat[:end]
+
+
+def _count_below(dmat: np.ndarray, eps: float) -> int:
+    """The number of entries ``dmat < eps``, counted in bands of ``TILE_ROWS`` rows."""
+    return sum(int(np.count_nonzero(dmat[r0:r1] < eps)) for r0, r1 in _bands(dmat.shape[0]))
 
 
 def _row_lists(flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -339,11 +345,6 @@ def _row_lists(flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return ptr, flat
 
 
-def _eps_neighbours(dmat: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise lists of the entries ``dmat < eps``: row i is ``cols[ptr[i]:ptr[i+1]]``."""
-    return _row_lists(_flat_below(dmat, eps), dmat.shape[0])
-
-
 def _greedy_separated(ptr: np.ndarray, cols: np.ndarray, order: np.ndarray) -> list[int]:
     blocked = np.zeros(len(ptr) - 1, dtype=bool)
     chosen: list[int] = []
@@ -351,6 +352,17 @@ def _greedy_separated(ptr: np.ndarray, cols: np.ndarray, order: np.ndarray) -> l
         if not blocked[i]:
             chosen.append(i)
             blocked[cols[ptr[i]:ptr[i + 1]]] = True
+    return chosen
+
+
+def _mask_separated(mask: np.ndarray, order: np.ndarray) -> list[int]:
+    """``_greedy_separated`` over the eps-balls held as the rows of a boolean mask."""
+    blocked = np.zeros(len(mask), dtype=bool)
+    chosen: list[int] = []
+    for i in order.tolist():
+        if not blocked[i]:
+            chosen.append(i)
+            blocked |= mask[i]
     return chosen
 
 
@@ -372,25 +384,64 @@ def _greedy_cover(ptr: np.ndarray, cols: np.ndarray) -> list[int]:
     mismatch shows.
     """
     size = len(ptr) - 1
-    gain = np.diff(ptr)
-    uncovered = np.ones(size, dtype=bool)
     bounds = ptr.tolist()
+
+    def fresh(i: int, uncovered: np.ndarray) -> np.ndarray:
+        ball = cols[bounds[i]:bounds[i + 1]]
+        return ball[uncovered[ball]]
+
+    def held(band: np.ndarray) -> np.ndarray:
+        return np.bincount(
+            np.concatenate([cols[bounds[c]:bounds[c + 1]] for c in band.tolist()]),
+            minlength=size,
+        )
+
+    return _exact_gain_cover(np.diff(ptr), fresh, held, lambda rows: cols[ptr[rows]])
+
+
+def _mask_cover(mask: np.ndarray) -> list[int]:
+    """``_greedy_cover`` over the eps-balls held as the rows of a boolean mask.
+
+    Gains start as the row sums.  A band of covered points lowers them by
+    its rows' sum, added up in uint8 (a band has ``TILE_ROWS`` < 256 rows),
+    and the first entry of a ball is the first True of its row.
+    """
+    rows = mask.view(np.uint8)
+    return _exact_gain_cover(
+        np.count_nonzero(mask, axis=1),
+        lambda i, uncovered: np.flatnonzero(mask[i] & uncovered),
+        lambda band: np.add.reduce(rows[band], axis=0, dtype=np.uint8),
+        lambda band: mask[band].argmax(axis=1),
+    )
+
+
+def _exact_gain_cover(gain: np.ndarray, fresh, held, first) -> list[int]:
+    """The loop of ``_greedy_cover``, whichever way a cell holds its balls.
+
+    ``gain`` is every ball's size, lowered here in place.  ``fresh(i,
+    uncovered)`` gives the uncovered points of ball i, ``held(band)`` how
+    many points of ``band`` each ball holds, and ``first(band)`` the
+    smallest ball holding each point of ``band``; bands have at most
+    ``TILE_ROWS`` points.
+    """
+    uncovered = np.ones(len(gain), dtype=bool)
     chosen: list[int] = []
     while True:
         i = int(gain.argmax())
         if gain[i] < 2:
             break
         chosen.append(i)
-        ball = cols[bounds[i]:bounds[i + 1]]
-        fresh = ball[uncovered[ball]]
-        if fresh.size != gain[i]:
+        new = fresh(i, uncovered)
+        if new.size != gain[i]:
             raise ConfigError("config: eps-neighbour lists are not those of a symmetric matrix")
-        uncovered[fresh] = False
-        for k in range(0, fresh.size, TILE_ROWS):
-            band = fresh[k:k + TILE_ROWS].tolist()
-            held = np.concatenate([cols[bounds[c]:bounds[c + 1]] for c in band])
-            gain -= np.bincount(held, minlength=size)
-    last = np.sort(cols[ptr[:-1][uncovered]])
+        uncovered[new] = False
+        for k in range(0, new.size, TILE_ROWS):
+            gain -= held(new[k:k + TILE_ROWS])
+    rest = np.flatnonzero(uncovered)
+    last = np.empty(rest.size, dtype=np.intp)
+    for k in range(0, rest.size, TILE_ROWS):
+        last[k:k + TILE_ROWS] = first(rest[k:k + TILE_ROWS])
+    last.sort()
     if not ((gain[last] == 1).all() and np.diff(last).all()):
         raise ConfigError("config: eps-neighbour lists are not those of a symmetric matrix")
     return chosen + last.tolist()
@@ -400,9 +451,9 @@ def _greedy_cover(ptr: np.ndarray, cols: np.ndarray) -> list[int]:
 # exact counting (branch and bound, bitmask sets)
 
 
-def _ball_masks(dmat: np.ndarray, eps: float) -> list[int]:
-    """Row i as a bitmask of the points j with ``dmat[i, j] < eps``, i included."""
-    rows = np.packbits(dmat < eps, axis=1, bitorder="little")
+def _ball_masks(mask: np.ndarray) -> list[int]:
+    """Row i of the boolean mask ``dmat < eps`` as a bitmask of the points of ball i."""
+    rows = np.packbits(mask, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
@@ -492,7 +543,7 @@ def counts_from_matrix(
     dmat: np.ndarray,
     eps: float,
     order: np.ndarray | None = None,
-    neighbours: tuple[np.ndarray, np.ndarray] | None = None,
+    neighbours: np.ndarray | tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[list[int], list[int]]:
     """Separated and spanning witnesses of one cell, as index lists, from its distance matrix.
 
@@ -504,10 +555,12 @@ def counts_from_matrix(
     farthest-point order from the row means, and the spanning witness is the
     smaller of the greedy cover and that separated witness (which always
     spans), so ``span <= sep`` holds for greedy counts too.  ``neighbours``
-    is the cell's eps-neighbour lists ``(ptr, cols)``, exactly as
-    ``_eps_neighbours(dmat, eps)`` builds them when it is None;
-    ``_count_table`` passes the lists it built, from a matrix symmetric by
-    construction, and symmetry is then not tested again: lists of an
+    holds the cell's eps-balls, either as the boolean mask ``dmat < eps``
+    (one byte per pair), which is built when it is None, or as row lists
+    ``(ptr, cols)``, row i being ``cols[ptr[i]:ptr[i+1]]`` ascending (eight
+    bytes per pair below eps).  Both give the same witnesses.
+    ``_count_table`` passes the balls it built, from a matrix symmetric by
+    construction, and symmetry is then not tested again: balls of an
     asymmetric matrix are refused only where the cover meets a mismatch.
     """
     if not eps > 0:
@@ -519,14 +572,15 @@ def counts_from_matrix(
     if neighbours is None:
         if not _symmetric(dmat):
             raise ConfigError("config: distance matrix is not symmetric or holds NaN")
-        neighbours = _eps_neighbours(dmat, eps)
+        neighbours = dmat < eps
+    masked = isinstance(neighbours, np.ndarray)
+    span = _mask_cover(neighbours) if masked else _greedy_cover(*neighbours)
     if _count_mode(dmat.shape[0]) == "exact":
-        balls = _ball_masks(dmat, eps)
-        return _exact_max_separated(balls), _exact_min_spanning(balls, _greedy_cover(*neighbours))
+        balls = _ball_masks(neighbours if masked else dmat < eps)
+        return _exact_max_separated(balls), _exact_min_spanning(balls, span)
     if order is None:
         order = farthest_point_order(dmat, dmat.mean(axis=1))
-    sep = _greedy_separated(*neighbours, order)
-    span = _greedy_cover(*neighbours)
+    sep = _mask_separated(neighbours, order) if masked else _greedy_separated(*neighbours, order)
     if len(span) > len(sep):
         span = sep
     return sep, span
@@ -666,18 +720,20 @@ def _count_table(
     buffers), so its later orders are never built.  A stream that ends
     before ``orders`` without that, or runs past it, is refused.
 
-    Each cell's eps-neighbour lists are built here and passed to
-    ``counts_from_matrix``.  At every n the largest eps goes first: its
-    entries hold those of every smaller eps at this n and, the stream being
-    non-decreasing, those of every eps at later n.  Once that list holds at
-    most ``CARRY_DENSITY`` of the matrix it is kept, and later cells test
-    only its entries; before that each cell thresholds the whole matrix in
-    row bands (``_flat_below``), into an array sized by the latest
-    largest-eps count: the last order's for the largest eps, this order's
-    for every other, as both bound the cell's count.  Only the table's
-    first cell, with no count yet, takes a counting pass.  Besides the
-    stream's matrix, one carried list and one cell's lists are held at a
-    time, and no N x N temporary; every cell gets the same lists either way.
+    Each cell's eps-balls are built here and passed to
+    ``counts_from_matrix``, as one N x N boolean mask or as row lists.  At
+    every n the largest eps goes first: its entries hold those of every
+    smaller eps at this n and, the stream being non-decreasing, those of
+    every eps at later n.  Once that cell holds at most ``CARRY_DENSITY`` of
+    the matrix its flat indices are kept, and every later cell tests only
+    those entries and counts from the row lists they give.  Before that a
+    cell counts from the mask ``dmat < eps``, written into one buffer that
+    every such cell of the table reuses; only the table's first cell, with
+    no count yet, is counted in row bands first, so a sparse one builds its
+    list band by band and no mask.  Exact-size tables always count from the
+    mask.  Besides the stream's matrix, the mask buffer or one carried list,
+    and one cell's lists are held at a time; every cell gets the same
+    witnesses either way.
     """
     if any(not e > 0 for e in eps_list):
         raise ConfigError("config: eps values must be > 0")
@@ -685,23 +741,32 @@ def _count_table(
     if eps_list:
         top = int(np.argmax(eps_list))
         cells = [top] + [k for k in range(len(eps_list)) if k != top]
-        carried = top_count = None
+        carried = top_count = mask = None
         n = 0
         for n, dmat, seed in matrices:
             size = dmat.shape[0]
-            order = farthest_point_order(dmat, seed) if _count_mode(size) == "greedy" else None
+            greedy = _count_mode(size) == "greedy"
+            order = farthest_point_order(dmat, seed) if greedy else None
             for k in cells:
                 eps = eps_list[k]
-                flat = _flat_below(dmat, eps, carried, top_count)
+                if carried is not None:
+                    balls = _flat_below(dmat, eps, carried)
+                elif greedy and top_count is None and (
+                    (count := _count_below(dmat, eps)) <= CARRY_DENSITY * dmat.size
+                ):
+                    balls = _flat_below(dmat, eps, bound=count)
+                else:
+                    balls = mask = np.less(dmat, eps, out=mask)
                 if k == top:
-                    top_count = flat.size
-                    carried = None  # free the old list before the copy
-                    if flat.size <= CARRY_DENSITY * dmat.size:
-                        carried = flat.copy()
-                sep, span = counts_from_matrix(
-                    dmat, eps, order=order, neighbours=_row_lists(flat, size)
-                )
-                del flat  # free this cell's lists before the next cell or order builds its own
+                    carried = None  # free the old list before the new one is made
+                    masked = balls.dtype == bool
+                    top_count = int(np.count_nonzero(balls)) if masked else balls.size
+                    if greedy and top_count <= CARRY_DENSITY * dmat.size:
+                        carried = np.flatnonzero(balls) if masked else balls.copy()
+                        mask = None  # no later cell of the table counts from a mask
+                neighbours = balls if balls.dtype == bool else _row_lists(balls, size)
+                sep, span = counts_from_matrix(dmat, eps, order=order, neighbours=neighbours)
+                del balls, neighbours  # free this cell's lists before the next cell builds its own
                 columns[k].append(CountRow(eps, n, len(sep), len(span)))
             if top_count == size and n < orders:
                 if hasattr(matrices, "close"):

@@ -38,10 +38,11 @@ from entro.metric_core import (
     CountRow,
     CountTable,
     _count_table,
-    _eps_neighbours,
     _flat_below,
     _greedy_cover,
     _greedy_separated,
+    _mask_cover,
+    _mask_separated,
     _row_lists,
     covering_radius,
     farthest_point_order,
@@ -108,6 +109,11 @@ def dense_greedy_cover(dmat: np.ndarray, eps: float) -> list[int]:
     return chosen
 
 
+def eps_lists(dmat: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row lists ``(ptr, cols)`` of the entries ``dmat < eps``, from one dense threshold."""
+    return _row_lists(np.flatnonzero(dmat < eps), len(dmat))
+
+
 def random_cloud(rng, size, dim=2):
     return PointCloud(rng.random((size, dim)), mesh=0.05, label="t")
 
@@ -142,7 +148,7 @@ class TestExactCountsMatchOracle:
         dists = distance_matrix(cloud.points, cloud.points, spec)
         exact, _ = counts_from_matrix(dists, 0.25)
         order = farthest_point_order(dists, dists.mean(axis=1))
-        greedy = _greedy_separated(*_eps_neighbours(dists, 0.25), order)
+        greedy = _greedy_separated(*eps_lists(dists, 0.25), order)
         assert len(greedy) <= len(exact)
         pts = cloud.points[greedy]
         d = distance_matrix(pts, pts, spec)
@@ -185,7 +191,7 @@ class TestGreedyCountsMatchDenseScans:
         scales = [lo / 2, lo, 0.3, 1.0, 2.0, 3.0, 2 * dmat.max() + 1]
         order = farthest_point_order(dmat, dmat.mean(axis=1))
         for eps in scales:
-            lists = _eps_neighbours(dmat, eps)
+            lists = eps_lists(dmat, eps)
             want_sep = dense_greedy_separated(dmat, order, eps)
             want_span = dense_greedy_cover(dmat, eps)
             assert _greedy_separated(*lists, order) == want_sep
@@ -196,7 +202,29 @@ class TestGreedyCountsMatchDenseScans:
                     want_span = want_sep
                 assert counts_from_matrix(dmat, eps, order=order) == (want_sep, want_span)
         if off.size == dmat.size - len(dmat):  # every ball a singleton at lo / 2
-            assert _greedy_cover(*_eps_neighbours(dmat, lo / 2)) == list(range(len(dmat)))
+            assert _greedy_cover(*eps_lists(dmat, lo / 2)) == list(range(len(dmat)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["symmetric", "integer"])
+    def test_mask_counts_equal_list_counts(self, kind, seed):
+        """Balls held as the boolean mask give the witnesses of the row lists
+        and of the dense-row scans, from all singletons to one ball."""
+        dmat = oracle_matrix(kind, seed)
+        off = dmat[dmat > 0]
+        lo = off.min() if off.size else 1.0
+        order = farthest_point_order(dmat, dmat.mean(axis=1))
+        for eps in [lo / 2, lo, 0.3, 1.0, 2.0, 3.0, 2 * dmat.max() + 1]:
+            mask = dmat < eps
+            lists = eps_lists(dmat, eps)
+            want_sep = dense_greedy_separated(dmat, order, eps)
+            assert _mask_separated(mask, order) == _greedy_separated(*lists, order) == want_sep
+            assert _mask_cover(mask) == _greedy_cover(*lists) == dense_greedy_cover(dmat, eps)
+            got = counts_from_matrix(dmat, eps, order=order, neighbours=mask)
+            assert got == counts_from_matrix(dmat, eps, order=order, neighbours=lists)
+            assert got == counts_from_matrix(dmat, eps, order=order)
+        assert len(_mask_cover(dmat < 2 * dmat.max() + 1)) == 1
+        if off.size == dmat.size - len(dmat):  # every ball a singleton at lo / 2
+            assert _mask_cover(dmat < lo / 2) == list(range(len(dmat)))
 
     @pytest.mark.parametrize("size, mode", [(30, "greedy"), (10, "exact")])
     def test_point_outside_its_own_ball_is_refused(self, size, mode):
@@ -215,7 +243,7 @@ class TestGreedyCountsMatchDenseScans:
         grid = np.array([(5.0 + i, float(j)) for i in range(10) for j in range(5)])
         pts = np.vstack([rng.random((30, 2)) * 0.1, 3 + rng.random((20, 2)) * 0.1, grid])
         dmat = distance_matrix(pts, pts, MetricSpec.euclidean())
-        ptr, cols = _eps_neighbours(dmat, 0.2)
+        ptr, cols = eps_lists(dmat, 0.2)
         got = _greedy_cover(ptr, cols)
         assert got == dense_greedy_cover(dmat, 0.2) == [0, 30] + list(range(50, 100))
 
@@ -223,11 +251,27 @@ class TestGreedyCountsMatchDenseScans:
         """Lists of an asymmetric matrix passed as ``neighbours`` are refused:
         point 0's ball holds 1 and 2, but theirs do not hold 0."""
         dmat = np.array([[0.0, 1.0, 1.0], [5.0, 0.0, 5.0], [5.0, 5.0, 0.0]])
-        lists = _eps_neighbours(dmat, 2.0)
+        lists = eps_lists(dmat, 2.0)
         with pytest.raises(ConfigError, match="not those of a symmetric matrix"):
             _greedy_cover(*lists)
         with pytest.raises(ConfigError, match="not those of a symmetric matrix"):
             counts_from_matrix(dmat, 2.0, neighbours=lists)
+        with pytest.raises(ConfigError, match="not those of a symmetric matrix"):
+            _mask_cover(dmat < 2.0)
+        with pytest.raises(ConfigError, match="not those of a symmetric matrix"):
+            counts_from_matrix(dmat, 2.0, neighbours=dmat < 2.0)
+
+    def test_asymmetric_mask_refused_at_the_last_step(self):
+        """Point 1's ball holds 2 and point 2's holds 0, but neither back: the
+        one pick (ball 1) matches its gain, and the last step takes ball 0,
+        whose gain the pick lowered to 0.  On a greedy-size matrix the mask
+        and the lists both refuse it."""
+        dmat = np.full((30, 30), 5.0)
+        np.fill_diagonal(dmat, 0.0)
+        dmat[1, 2] = dmat[2, 0] = 1.0
+        for balls in (dmat < 2.0, eps_lists(dmat, 2.0)):
+            with pytest.raises(ConfigError, match="not those of a symmetric matrix"):
+                counts_from_matrix(dmat, 2.0, neighbours=balls)
 
     def test_matrix_that_is_no_distance_is_refused(self):
         """Only a square, symmetric, NaN-free matrix is counted, on the greedy
@@ -248,9 +292,9 @@ class TestGreedyCountsMatchDenseScans:
     def test_scale_extremes(self):
         dmat = oracle_matrix("symmetric", 11)
         order = farthest_point_order(dmat, dmat.mean(axis=1))
-        lists = _eps_neighbours(dmat, 1e-9)
+        lists = eps_lists(dmat, 1e-9)
         assert len(_greedy_separated(*lists, order)) == len(_greedy_cover(*lists)) == len(dmat)
-        lists = _eps_neighbours(dmat, 2 * dmat.max() + 1)
+        lists = eps_lists(dmat, 2 * dmat.max() + 1)
         assert len(_greedy_separated(*lists, order)) == len(_greedy_cover(*lists)) == 1
 
 
@@ -270,16 +314,25 @@ def row_tuples(table: CountTable) -> list[tuple]:
 
 
 @pytest.fixture()
-def carried_tests(monkeypatch):
-    """Records, per threshold ``_count_table`` makes, whether it tested a carried list."""
-    seen: list[bool] = []
+def cell_balls(monkeypatch):
+    """Records how ``_count_table`` held each cell's balls when it counted the
+    cell: "mask" (the boolean mask ``dmat < eps``), "carried" (lists tested
+    from a carried list) or "banded" (lists from a banded dense threshold)."""
+    seen: list[str] = []
+    lists: list[str] = []
     flat_below = metric_core._flat_below
+    counts = metric_core.counts_from_matrix
 
-    def spy(dmat, eps, within=None, bound=None):
-        seen.append(within is not None)
+    def flat_spy(dmat, eps, within=None, bound=None):
+        lists.append("banded" if within is None else "carried")
         return flat_below(dmat, eps, within, bound)
 
-    monkeypatch.setattr(metric_core, "_flat_below", spy)
+    def counts_spy(dmat, eps, order=None, neighbours=None):
+        seen.append("mask" if isinstance(neighbours, np.ndarray) else lists[-1])
+        return counts(dmat, eps, order=order, neighbours=neighbours)
+
+    monkeypatch.setattr(metric_core, "_flat_below", flat_spy)
+    monkeypatch.setattr(metric_core, "counts_from_matrix", counts_spy)
     return seen
 
 
@@ -292,7 +345,7 @@ class TestCarriedNeighbourLists:
         dmat = oracle_matrix(kind, seed)
         scales = sorted({0.05, 0.3, 1.0, 2.0, float(dmat.max()) + 1})
         for i, eps in enumerate(scales):
-            want_ptr, want_cols = _eps_neighbours(dmat, eps)
+            want_ptr, want_cols = eps_lists(dmat, eps)
             for wider in scales[i:]:
                 within = np.flatnonzero(dmat < wider)
                 ptr, cols = _row_lists(_flat_below(dmat, eps, within), len(dmat))
@@ -301,33 +354,45 @@ class TestCarriedNeighbourLists:
                 assert np.array_equal(within, np.flatnonzero(dmat < wider))
 
     @pytest.mark.parametrize(
-        "spread, carries",
-        # order 1 is one tight cluster, later orders spread the points out
-        [((0.05, 4.0, 4.0, 4.0), True),
-         # every order stays within the largest scale almost everywhere
-         ((1.0, 1.0, 1.0, 1.0), False)],
-        ids=["sparse-after-order-1", "dense"],
+        "spread, kinds",
+        # order 1 is one tight cluster, later orders spread the points out:
+        # the largest scale holds 100 %, 32 %, 10 % and 3.6 % of the pairs
+        [((0.05, 4.0, 4.0, 4.0), ["mask"] * 16 + ["carried"] * 4),
+         # every order stays within the largest scale everywhere
+         ((1.0, 1.0, 1.0, 1.0), ["mask"] * 20),
+         # 2 % of the pairs at order 1, so the first cell builds no mask, and
+         # only the diagonal from order 3 on, where the table stops counting
+         ((20.0, 20.0, 20.0, 20.0), ["banded"] + ["carried"] * 14)],
+        ids=["sparse-after-order-1", "dense", "sparse-from-order-1"],
     )
-    def test_table_equals_dense_recount(self, spread, carries, carried_tests):
+    def test_table_equals_dense_recount(self, spread, kinds, cell_balls):
         rng = np.random.default_rng(3)
         orbits = rng.random((200, len(spread), 2)) * np.array(spread)[None, :, None]
         spec = MetricSpec.euclidean()
         # the largest scale in the middle, and one scale twice
         eps_list = [0.1, 0.2, 1.5, 0.05, 0.2]
         table = _count_table(orbit_metric_matrices(orbits, spec), eps_list, len(orbits), len(spread))
-        carried = list(carried_tests)
+        assert cell_balls == kinds
         assert row_tuples(table) == dense_recount(orbit_metric_matrices(orbits, spec), eps_list)
-        assert len(carried) == len(eps_list) * len(spread)
-        assert any(carried) == carries
-        assert carried[: len(eps_list)] == [False] * len(eps_list)
 
-    def test_lifted_table_equals_dense_recount(self, carried_tests):
+    def test_exact_table_counts_from_masks(self, cell_balls):
+        orbits = np.random.default_rng(2).random((EXACT_CAP, 3, 2)) * 4.0
+        eps_list = [0.5, 3.0, 1.0]
+        table = _count_table(orbit_metric_matrices(orbits, MetricSpec.euclidean()), eps_list,
+                             EXACT_CAP, 3)
+        assert table.mode == "exact"
+        assert cell_balls == ["mask"] * 9
+        assert row_tuples(table) == dense_recount(
+            orbit_metric_matrices(orbits, MetricSpec.euclidean()), eps_list
+        )
+
+    def test_lifted_table_equals_dense_recount(self, cell_balls):
         system = build_doubling(grid=256).system
         theta = np.arange(256) * (2.0 * math.pi / 256)
         cloud = PointCloud(np.column_stack([np.cos(theta), np.sin(theta)]), 0.05)
         eps_list, n_max, rho, m = [0.4, 0.8, 0.2, 0.1], 4, 4.0, 6
         table = friedland_count_table(system, cloud, eps_list, n_max, rho=rho, truncation=m)
-        assert any(carried_tests)
+        assert "carried" in cell_balls
         orbits = build_orbit_table(system, cloud, m + n_max - 1).orbits
         want = dense_recount(_lifted_matrices(orbits, n_max, rho, m), eps_list)
         assert row_tuples(table) == want
@@ -436,25 +501,29 @@ class TestBandedThreshold:
                 assert got.dtype == np.int64
                 assert np.array_equal(got, want)
 
-    def test_dense_cells_hold_no_square_temporary(self):
-        """A single-order stream thresholds every cell densely; the peak stays
-        near one cell's int64 list, far below an N x N boolean mask."""
+    def test_dense_cells_hold_no_square_temporary(self, cell_balls):
+        """A single-order stream too dense to carry counts every cell from one
+        reused boolean mask: beyond its matrix the table allocates at most
+        N^2 bytes plus O(N * TILE_ROWS), so no int64 list of the pairs below
+        eps and no second square array.  The largest scale holds 11 % of the
+        pairs, then all of them."""
         rng = np.random.default_rng(5)
         size = 2000
         pts = rng.random((size, 2))
         dmat = distance_matrix(pts, pts, MetricSpec.euclidean())
         seed = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
-        eps_list = [0.1, 0.2, 0.05]
-        nnz = int(np.count_nonzero(dmat < max(eps_list)))
-        assert nnz > CARRY_DENSITY * dmat.size  # too dense to carry
-        tracemalloc.start()
-        try:
-            table = _count_table(iter([(1, dmat, seed)]), eps_list, size, 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * nnz + size * size / 4
-        assert row_tuples(table) == dense_recount(iter([(1, dmat, seed)]), eps_list)
+        for eps_list in ([0.1, 0.2, 0.05], [3.0, 0.2, 0.05]):
+            assert np.count_nonzero(dmat < max(eps_list)) > CARRY_DENSITY * dmat.size
+            cell_balls.clear()
+            tracemalloc.start()
+            try:
+                table = _count_table(iter([(1, dmat, seed)]), eps_list, size, 1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert cell_balls == ["mask"] * len(eps_list)
+            assert peak <= size * size + 4 * size * TILE_ROWS
+            assert row_tuples(table) == dense_recount(iter([(1, dmat, seed)]), eps_list)
 
 
 class TestCountsFor:
