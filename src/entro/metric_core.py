@@ -707,12 +707,12 @@ def _count_table(
     one buffer.  The stream must be entrywise non-decreasing in n, as every
     running max of orbit distances is, and symmetric bit for bit, as the
     mirror in ``_running_max`` makes it (``counts_from_matrix`` does not
-    test it again for the lists passed in).  Above ``EXACT_CAP`` points all
+    test it again for the balls passed in).  Above ``EXACT_CAP`` points all
     eps share one farthest-point order per n, started from ``seed``; exact
     counts do not read one, so none is built.  Rows run over eps in list
     order, n ascending within each.
 
-    Once the largest eps's list at some n < ``orders`` holds only the N
+    Once the largest eps's cell at some n < ``orders`` holds only the N
     diagonal entries (0, so below every eps), every pair is at least every
     eps apart at that n and, the stream being non-decreasing, at every later
     n; so every later cell counts sep = span = N.  Those rows are filled in,
@@ -757,14 +757,14 @@ def _count_table(
                     balls = _flat_below(dmat, eps, bound=count)
                 else:
                     balls = mask = np.less(dmat, eps, out=mask)
+                masked = balls.dtype == bool
                 if k == top:
                     carried = None  # free the old list before the new one is made
-                    masked = balls.dtype == bool
                     top_count = int(np.count_nonzero(balls)) if masked else balls.size
                     if greedy and top_count <= CARRY_DENSITY * dmat.size:
                         carried = np.flatnonzero(balls) if masked else balls.copy()
                         mask = None  # no later cell of the table counts from a mask
-                neighbours = balls if balls.dtype == bool else _row_lists(balls, size)
+                neighbours = balls if masked else _row_lists(balls, size)
                 sep, span = counts_from_matrix(dmat, eps, order=order, neighbours=neighbours)
                 del balls, neighbours  # free this cell's lists before the next cell builds its own
                 columns[k].append(CountRow(eps, n, len(sep), len(span)))

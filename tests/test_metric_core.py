@@ -180,7 +180,8 @@ def oracle_matrix(kind: str, seed: int) -> np.ndarray:
 
 
 class TestGreedyCountsMatchDenseScans:
-    """Greedy counts over eps-neighbour lists equal the dense-row scans."""
+    """Greedy counts over eps-balls, held as row lists or as a boolean mask,
+    equal the dense-row scans."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("kind", ["symmetric", "integer"])
@@ -188,41 +189,23 @@ class TestGreedyCountsMatchDenseScans:
         dmat = oracle_matrix(kind, seed)
         off = dmat[dmat > 0]
         lo = off.min() if off.size else 1.0
+        # from every ball a singleton (lo / 2, unless two points coincide) to one ball
         scales = [lo / 2, lo, 0.3, 1.0, 2.0, 3.0, 2 * dmat.max() + 1]
         order = farthest_point_order(dmat, dmat.mean(axis=1))
         for eps in scales:
             lists = eps_lists(dmat, eps)
+            mask = dmat < eps
             want_sep = dense_greedy_separated(dmat, order, eps)
             want_span = dense_greedy_cover(dmat, eps)
-            assert _greedy_separated(*lists, order) == want_sep
+            assert _greedy_separated(*lists, order) == _mask_separated(mask, order) == want_sep
             # the cover itself, even where the separated witness is smaller
-            assert _greedy_cover(*lists) == want_span
+            assert _greedy_cover(*lists) == _mask_cover(mask) == want_span
+            got = counts_from_matrix(dmat, eps, order=order)  # from the mask it builds
+            assert counts_from_matrix(dmat, eps, order=order, neighbours=lists) == got
             if len(dmat) > EXACT_CAP:
                 if len(want_span) > len(want_sep):
                     want_span = want_sep
-                assert counts_from_matrix(dmat, eps, order=order) == (want_sep, want_span)
-        if off.size == dmat.size - len(dmat):  # every ball a singleton at lo / 2
-            assert _greedy_cover(*eps_lists(dmat, lo / 2)) == list(range(len(dmat)))
-
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("kind", ["symmetric", "integer"])
-    def test_mask_counts_equal_list_counts(self, kind, seed):
-        """Balls held as the boolean mask give the witnesses of the row lists
-        and of the dense-row scans, from all singletons to one ball."""
-        dmat = oracle_matrix(kind, seed)
-        off = dmat[dmat > 0]
-        lo = off.min() if off.size else 1.0
-        order = farthest_point_order(dmat, dmat.mean(axis=1))
-        for eps in [lo / 2, lo, 0.3, 1.0, 2.0, 3.0, 2 * dmat.max() + 1]:
-            mask = dmat < eps
-            lists = eps_lists(dmat, eps)
-            want_sep = dense_greedy_separated(dmat, order, eps)
-            assert _mask_separated(mask, order) == _greedy_separated(*lists, order) == want_sep
-            assert _mask_cover(mask) == _greedy_cover(*lists) == dense_greedy_cover(dmat, eps)
-            got = counts_from_matrix(dmat, eps, order=order, neighbours=mask)
-            assert got == counts_from_matrix(dmat, eps, order=order, neighbours=lists)
-            assert got == counts_from_matrix(dmat, eps, order=order)
-        assert len(_mask_cover(dmat < 2 * dmat.max() + 1)) == 1
+                assert got == (want_sep, want_span)
         if off.size == dmat.size - len(dmat):  # every ball a singleton at lo / 2
             assert _mask_cover(dmat < lo / 2) == list(range(len(dmat)))
 
