@@ -113,37 +113,9 @@ def build_orbit_table(
         raise EscapeError(0, pts[bad])
     orbits = np.empty((cloud.size, depth, cloud.dim))
     orbits[:, 0, :] = pts
-    return OrbitTable(_step_orbits(system, orbits, pts, 1, allow_truncation))
-
-
-def _extend_orbit_table(system: DynSystem, table: OrbitTable, depth: int) -> OrbitTable:
-    """``table`` stepped on from its last column to ``depth`` iterates.
-
-    The result equals ``build_orbit_table(system, cloud, depth)`` of the
-    cloud ``table`` was built from, bit for bit, and an orbit that escapes
-    past ``table.depth`` raises the same error, at the same step and point.
-    """
-    size, done, dim = table.orbits.shape
-    orbits = np.empty((size, depth, dim))
-    orbits[:, :done, :] = table.orbits
-    last = np.ascontiguousarray(table.orbits[:, -1, :])
-    return OrbitTable(_step_orbits(system, orbits, last, done, False))
-
-
-def _step_orbits(
-    system: DynSystem,
-    orbits: np.ndarray,
-    cur: np.ndarray,
-    start: int,
-    allow_truncation: bool,
-) -> np.ndarray:
-    """Fill ``orbits[:, start:]`` by stepping ``cur``, the points of column ``start - 1``.
-
-    Returns ``orbits`` cut at the first step some orbit does not survive
-    when ``allow_truncation`` is set; otherwise that step raises.
-    """
-    reached = orbits.shape[1]
-    for k in range(start, orbits.shape[1]):
+    cur = pts
+    reached = depth
+    for k in range(1, depth):
         try:
             cur = system.step(cur)
         except UndefinedPointError as exc:
@@ -159,7 +131,7 @@ def _step_orbits(
             bad = int(np.flatnonzero(~ok)[0])
             raise EscapeError(k, orbits[bad, k - 1])
         orbits[:, k, :] = cur
-    return orbits[:, :reached]
+    return OrbitTable(orbits[:, :reached])
 
 
 def bd_dist(system: DynSystem, spec: MetricSpec, x, y, n: int) -> float:

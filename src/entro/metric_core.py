@@ -78,7 +78,8 @@ __all__ = [
 EXACT_CAP = 24
 DUPLICATE_TOL = 1e-12
 # Rows per tile of ``distance_tiles``; on a 7032-point cloud (2 vCPUs), 32 to
-# 256 rows timed within 10 % of each other.
+# 256 rows timed within 10 % of each other.  ``_mask_cover`` sums a band of
+# this many mask rows in uint8, so it must stay below 256.
 TILE_ROWS = 64
 # Largest share of the N x N entries that ``_count_table`` carries as one
 # neighbour list.  On doubling's order-2 matrix (N = 4096, one thread),
@@ -306,36 +307,13 @@ def farthest_point_order(dmat: np.ndarray, seed_dists: np.ndarray) -> np.ndarray
     return order
 
 
-def _flat_below(
-    dmat: np.ndarray,
-    eps: float,
-    within: np.ndarray | None = None,
-    bound: int | None = None,
-) -> np.ndarray:
-    """Ascending int64 flat indices of the entries ``dmat < eps``.
+def _flat_below(dmat: np.ndarray, eps: float, within: np.ndarray) -> np.ndarray:
+    """Ascending flat indices of the entries ``dmat < eps``.
 
-    ``within``, if given, is an ascending array of flat indices holding every
-    such entry; only its entries are tested, not the whole matrix.  Otherwise
-    the matrix is thresholded in bands of ``TILE_ROWS`` rows, and the indices
-    are written into one array of ``bound`` entries, which must have room
-    for them all; when ``bound`` is None ``_count_below`` counts them first.
-    So no N x N mask is built, and the result is a view of that array.
+    ``within`` is an ascending array of flat indices holding every such
+    entry; only its entries are tested, not the whole matrix.
     """
-    if within is not None:
-        return within[dmat.reshape(-1)[within] < eps]
-    size = dmat.shape[0]
-    flat = np.empty(_count_below(dmat, eps) if bound is None else bound, dtype=np.int64)
-    end = 0
-    for r0, r1 in _bands(size):
-        hits = np.flatnonzero(dmat[r0:r1] < eps)
-        np.add(hits, r0 * size, out=flat[end:end + hits.size])
-        end += hits.size
-    return flat[:end]
-
-
-def _count_below(dmat: np.ndarray, eps: float) -> int:
-    """The number of entries ``dmat < eps``, counted in bands of ``TILE_ROWS`` rows."""
-    return sum(int(np.count_nonzero(dmat[r0:r1] < eps)) for r0, r1 in _bands(dmat.shape[0]))
+    return within[dmat.reshape(-1)[within] < eps]
 
 
 def _row_lists(flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -558,7 +536,8 @@ def counts_from_matrix(
     holds the cell's eps-balls, either as the boolean mask ``dmat < eps``
     (one byte per pair), which is built when it is None, or as row lists
     ``(ptr, cols)``, row i being ``cols[ptr[i]:ptr[i+1]]`` ascending (eight
-    bytes per pair below eps).  Both give the same witnesses.
+    bytes per pair below eps).  Both give the same witnesses; a mask of
+    another dtype or shape is refused.
     ``_count_table`` passes the balls it built, from a matrix symmetric by
     construction, and symmetry is then not tested again: balls of an
     asymmetric matrix are refused only where the cover meets a mismatch.
@@ -574,6 +553,11 @@ def counts_from_matrix(
             raise ConfigError("config: distance matrix is not symmetric or holds NaN")
         neighbours = dmat < eps
     masked = isinstance(neighbours, np.ndarray)
+    if masked and (neighbours.dtype != bool or neighbours.shape != dmat.shape):
+        raise ConfigError(
+            f"config: eps-ball mask of dtype {neighbours.dtype} and shape {neighbours.shape}"
+            f" is not a boolean array of the matrix's shape {dmat.shape}"
+        )
     span = _mask_cover(neighbours) if masked else _greedy_cover(*neighbours)
     if _count_mode(dmat.shape[0]) == "exact":
         balls = _ball_masks(neighbours if masked else dmat < eps)
@@ -725,15 +709,15 @@ def _count_table(
     every n the largest eps goes first: its entries hold those of every
     smaller eps at this n and, the stream being non-decreasing, those of
     every eps at later n.  Once that cell holds at most ``CARRY_DENSITY`` of
-    the matrix its flat indices are kept, and every later cell tests only
-    those entries and counts from the row lists they give.  Before that a
-    cell counts from the mask ``dmat < eps``, written into one buffer that
-    every such cell of the table reuses; only the table's first cell, with
-    no count yet, is counted in row bands first, so a sparse one builds its
-    list band by band and no mask.  Exact-size tables always count from the
-    mask.  Besides the stream's matrix, the mask buffer or one carried list,
-    and one cell's lists are held at a time; every cell gets the same
-    witnesses either way.
+    the matrix its flat indices (``np.flatnonzero`` of its mask) are kept,
+    and every later cell tests only those entries and counts from the row
+    lists they give.  Before that a cell counts from the mask ``dmat <
+    eps``, written into one buffer that every such cell of the table
+    reuses.  Exact-size tables always count from the mask.  Besides the
+    stream's matrix, the mask buffer or one carried list, and one cell's
+    lists are held at a time (the mask and the list both while the cell that
+    starts the carry is counted); every cell gets the same witnesses either
+    way.
     """
     if any(not e > 0 for e in eps_list):
         raise ConfigError("config: eps values must be > 0")
@@ -751,10 +735,6 @@ def _count_table(
                 eps = eps_list[k]
                 if carried is not None:
                     balls = _flat_below(dmat, eps, carried)
-                elif greedy and top_count is None and (
-                    (count := _count_below(dmat, eps)) <= CARRY_DENSITY * dmat.size
-                ):
-                    balls = _flat_below(dmat, eps, bound=count)
                 else:
                     balls = mask = np.less(dmat, eps, out=mask)
                 masked = balls.dtype == bool

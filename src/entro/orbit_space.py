@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import DynSystem, _extend_orbit_table, build_orbit_table
+from .dynamics import DynSystem, build_orbit_table
 from .errors import ConfigError, NotSemiconjugateError, ShapeError, TooLargeError
 from .estimators import EntropyEstimate, entropy_estimate
 from .metric_core import (
@@ -207,9 +207,7 @@ def friedland_count_table(
 
     The base metric of dhat is euclidean; there is no spec to pass.
     Sequences keep ``truncation`` blocks (default: enough that the dropped
-    tail is below 1e-6, from the diameter of a probe orbit table of depth
-    min(n_max, 4), which is then stepped on to the depth the sums read);
-    ``_lifted_matrices`` gives the order-n matrices and
+    tail is below 1e-6); ``_lifted_matrices`` gives the order-n matrices and
     holds their running max plus the upper half of S in one array, which is
     freed when the table returns, or as soon as ``_count_table`` finds every
     pair separated at the largest scale.  A scale listed twice is refused
@@ -227,7 +225,7 @@ def friedland_count_table(
     if m < 1:
         raise ConfigError("config: truncation must be >= 1")
 
-    table = _extend_orbit_table(system, probe, m + n_max - 1)
+    table = build_orbit_table(system, cloud, m + n_max - 1)
     matrices = _lifted_matrices(table.orbits, n_max, rho, m)
     return replace(_count_table(matrices, eps_list, cloud.size, n_max), rho=rho, truncation=m)
 

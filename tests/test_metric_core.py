@@ -258,9 +258,15 @@ class TestGreedyCountsMatchDenseScans:
 
     def test_matrix_that_is_no_distance_is_refused(self):
         """Only a square, symmetric, NaN-free matrix is counted, on the greedy
-        path (102 points) and the exact one (3 points) alike."""
+        path (102 points) and the exact one (3 points) alike, and only a
+        boolean mask of its shape is read as its eps-balls."""
         dmat = oracle_matrix("symmetric", 0)
-        counts_from_matrix(dmat, 0.3)
+        mask = dmat < 0.3
+        assert counts_from_matrix(dmat, 0.3, neighbours=mask) == counts_from_matrix(dmat, 0.3)
+        for bad in (mask.astype(np.uint8), mask.astype(np.int64), mask.astype(float),
+                    mask[:-1], mask[:-1, :-1]):
+            with pytest.raises(ConfigError, match="not a boolean array of the matrix's shape"):
+                counts_from_matrix(dmat, 0.3, neighbours=bad)
         skew = dmat.copy()
         skew[0, 1] += 0.1
         nan = dmat.copy()
@@ -299,22 +305,15 @@ def row_tuples(table: CountTable) -> list[tuple]:
 @pytest.fixture()
 def cell_balls(monkeypatch):
     """Records how ``_count_table`` held each cell's balls when it counted the
-    cell: "mask" (the boolean mask ``dmat < eps``), "carried" (lists tested
-    from a carried list) or "banded" (lists from a banded dense threshold)."""
+    cell: "mask" (the boolean mask ``dmat < eps``) or "carried" (row lists
+    tested from a carried list)."""
     seen: list[str] = []
-    lists: list[str] = []
-    flat_below = metric_core._flat_below
     counts = metric_core.counts_from_matrix
 
-    def flat_spy(dmat, eps, within=None, bound=None):
-        lists.append("banded" if within is None else "carried")
-        return flat_below(dmat, eps, within, bound)
-
     def counts_spy(dmat, eps, order=None, neighbours=None):
-        seen.append("mask" if isinstance(neighbours, np.ndarray) else lists[-1])
+        seen.append("mask" if isinstance(neighbours, np.ndarray) else "carried")
         return counts(dmat, eps, order=order, neighbours=neighbours)
 
-    monkeypatch.setattr(metric_core, "_flat_below", flat_spy)
     monkeypatch.setattr(metric_core, "counts_from_matrix", counts_spy)
     return seen
 
@@ -343,9 +342,9 @@ class TestCarriedNeighbourLists:
         [((0.05, 4.0, 4.0, 4.0), ["mask"] * 16 + ["carried"] * 4),
          # every order stays within the largest scale everywhere
          ((1.0, 1.0, 1.0, 1.0), ["mask"] * 20),
-         # 2 % of the pairs at order 1, so the first cell builds no mask, and
-         # only the diagonal from order 3 on, where the table stops counting
-         ((20.0, 20.0, 20.0, 20.0), ["banded"] + ["carried"] * 14)],
+         # 2 % of the pairs at order 1, so only the first cell counts from the
+         # mask, and only the diagonal from order 3 on, where the table stops
+         ((20.0, 20.0, 20.0, 20.0), ["mask"] + ["carried"] * 14)],
         ids=["sparse-after-order-1", "dense", "sparse-from-order-1"],
     )
     def test_table_equals_dense_recount(self, spread, kinds, cell_balls):
@@ -467,10 +466,14 @@ class TestSaturatedTables:
 
 
 class TestBandedThreshold:
-    """Dense thresholds built band by band equal one threshold of the whole matrix."""
+    """Balls read in bands of ``TILE_ROWS`` rows equal one threshold of the
+    whole matrix, at sizes on either side of a band."""
 
     @pytest.mark.parametrize("size", [1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 200])
     def test_equals_flatnonzero(self, size):
+        """The flat indices a table carries, and the lists they give, are those
+        of ``np.flatnonzero(dmat < eps)``; the mask cover, which lowers gains
+        and takes its last balls a band at a time, equals the lists' cover."""
         rng = np.random.default_rng(size)
         pts = rng.random((size, 2))
         dmat = distance_matrix(pts, pts, MetricSpec.euclidean())
@@ -479,10 +482,12 @@ class TestBandedThreshold:
         scales = [off_diagonal.min() if size > 1 else 1.0, 0.3, float(dmat.max()) + 1]
         for eps in scales:
             want = np.flatnonzero(dmat < eps)
-            for bound in (None, want.size, want.size + 7):
-                got = _flat_below(dmat, eps, bound=bound)
-                assert got.dtype == np.int64
-                assert np.array_equal(got, want)
+            for wider in scales:
+                if wider >= eps:
+                    got = _flat_below(dmat, eps, np.flatnonzero(dmat < wider))
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got, want)
+            assert _mask_cover(dmat < eps) == _greedy_cover(*eps_lists(dmat, eps))
 
     def test_dense_cells_hold_no_square_temporary(self, cell_balls):
         """A single-order stream too dense to carry counts every cell from one

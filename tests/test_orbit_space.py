@@ -31,8 +31,7 @@ from entro import (
     semiconj_check,
     shift_system,
 )
-from entro.dynamics import _extend_orbit_table
-from entro.gallery import build_annulus, build_crumple, build_doubling, build_escape, run_bundle
+from entro.gallery import build_doubling, build_escape, run_bundle
 from entro.metric_core import counts_from_matrix, farthest_point_order, orbit_metric_matrices
 from entro.orbit_space import _lifted_matrices
 
@@ -332,42 +331,6 @@ class TestFriedlandCounts:
             friedland_count_table(doubling.system, cloud, [0.4], 3, rho=1.0)
         with pytest.raises(ConfigError, match="rho"):
             friedland_count_table(doubling.system, cloud, [0.4], 3, rho=math.inf)
-
-
-class TestProbeExtension:
-    """The lifted table steps its probe orbit table on instead of building a
-    second table of the same cloud from scratch."""
-
-    @pytest.mark.parametrize(
-        "bundle",
-        [lambda: build_doubling(grid=256), lambda: build_crumple(2, direction="inverse"),
-         lambda: build_annulus("sphere"), lambda: build_escape(2)],
-        ids=["doubling", "crumple2-inverse", "annulus-sphere", "escape2"],
-    )
-    def test_extended_table_equals_fresh_build(self, bundle):
-        bundle = bundle()
-        cloud = bundle.cloud.subset(np.arange(min(300, bundle.cloud.size)))
-        probe = build_orbit_table(bundle.system, cloud, 4)
-        for depth in (4, 5, 13):
-            got = _extend_orbit_table(bundle.system, probe, depth).orbits
-            assert np.array_equal(got, build_orbit_table(bundle.system, cloud, depth).orbits)
-        assert probe.depth == 4
-
-    def test_escape_past_the_probe_is_the_fresh_builds_escape(self):
-        """x -> 4x leaves |x| < 1000 at step 5 from x = 0.98, after the probe's 4 steps."""
-        system = DynSystem("times4", 1, lambda x: 4.0 * x, lambda x: np.abs(x[:, 0]) < 1000.0)
-        cloud = PointCloud(np.arange(50)[:, None] * 0.02, 0.01)
-        with pytest.raises(EscapeError) as fresh:
-            build_orbit_table(system, cloud, 8)
-        probe = build_orbit_table(system, cloud, 4)
-        with pytest.raises(EscapeError) as extended:
-            _extend_orbit_table(system, probe, 8)
-        with pytest.raises(EscapeError) as lifted:
-            friedland_count_table(system, cloud, [0.5], 4, rho=4.0, truncation=5)
-        for err in (extended.value, lifted.value):
-            assert err.step == fresh.value.step == 5
-            assert np.array_equal(err.last_point, fresh.value.last_point)
-            assert str(err) == str(fresh.value)
 
 
 class TestMetricComparison:

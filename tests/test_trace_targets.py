@@ -17,7 +17,6 @@ from entro import MetricSpec, PointCloud
 from entro.dynamics import bd_count_table, build_orbit_table
 from entro.gallery import build_doubling, run_bundle
 from entro.metric_core import counts_from_matrix
-from entro.orbit_space import friedland_count_table
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -90,15 +89,6 @@ def test_exact_table_builds_no_farthest_point_order():
     assert dict(table.counts_for(1.9))[n_max] < cloud.size  # no order saturates
     assert names.count("metric_core.fpo") == 0
     assert names.count("metric_core.counts") == len(table.rows)
-
-
-def test_lifted_table_builds_one_orbit_table():
-    """The lifted table steps its probe orbit table on to the depth its sums
-    read, so it makes one ``dynamics.orbit`` span, not two."""
-    tracing = load_tracing()
-    with tracing.Tracer(tracing.LAYER_TARGETS).installed() as tracer:
-        friedland_count_table(build_doubling(grid=64).system, circle(64), [0.8, 0.4], 6, rho=4.0)
-    assert [span[0] for span in tracer.spans].count("dynamics.orbit") == 1
 
 
 def counted_cells(table) -> int:
