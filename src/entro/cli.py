@@ -409,7 +409,7 @@ def cmd_coding(args: argparse.Namespace) -> int:
     lines = [f"alpha = {alpha}   orbit length {wc.orbit_len}, guard hits {wc.guard_hits}"]
     for L in range(1, args.lmax + 1):
         lines.append(f"p({L}) = {wc.of(L)}")
-    ent = coded_entropy(alpha, L_max=max(args.lmax, 40), orbit_len=None)
+    ent = coded_entropy(alpha, L_max=max(args.lmax, 40))
     freq = symbol_frequency(alpha)
     lines.append(f"coded entropy rate: {ent:.6f} nats ({ent / math.log(2):.6f} log2)")
     lines.append(f"symbol-0 frequency: {freq:.6f} (cut at {float(alpha):.6f})")

@@ -119,8 +119,8 @@ class WordComplexity:
         return self.counts[length - 1]
 
 
-def word_complexity(alpha, L_max: int, orbit_len: int, x0=None) -> WordComplexity:
-    """Count distinct length-L windows of the coded orbit for L = 1..L_max.
+def word_complexity(alpha, L_max: int, orbit_len: int) -> WordComplexity:
+    """Count distinct length-L windows of the coded orbit of 1/2 for L = 1..L_max.
 
     Requires orbit_len >= 10 * L_max so every factor has room to recur.
     """
@@ -130,8 +130,7 @@ def word_complexity(alpha, L_max: int, orbit_len: int, x0=None) -> WordComplexit
         raise ConfigError(
             f"config: orbit_len {orbit_len} too short; need >= 10 * L_max = {10 * L_max}"
         )
-    if x0 is None:
-        x0 = Fraction(1, 2) if isinstance(alpha, Fraction) else 0.5
+    x0 = Fraction(1, 2) if isinstance(alpha, Fraction) else 0.5
     syms, hits = symbol_orbit(alpha, x0, orbit_len)
     if len(syms) < L_max:
         raise ConfigError(
@@ -150,15 +149,14 @@ def word_complexity(alpha, L_max: int, orbit_len: int, x0=None) -> WordComplexit
     return WordComplexity(tuple(counts), orbit_len=len(syms), guard_hits=hits)
 
 
-def coded_entropy(alpha, L_max: int = 80, orbit_len: int | None = None) -> float:
+def coded_entropy(alpha, L_max: int = 80) -> float:
     """Growth rate of log p(L) fitted over the upper half of 1..L_max.
 
-    Linear complexity makes this tend to zero like 1/L; exponential word
-    growth would make it level off at the per-symbol entropy.
+    The coded orbit has max(10 * L_max, 20000) symbols.  Linear complexity
+    makes this tend to zero like 1/L; exponential word growth would make it
+    level off at the per-symbol entropy.
     """
-    if orbit_len is None:
-        orbit_len = max(10 * L_max, 20_000)
-    wc = word_complexity(alpha, L_max, orbit_len)
+    wc = word_complexity(alpha, L_max, max(10 * L_max, 20_000))
     lo = max(1, L_max // 2)
     xs = np.arange(lo, L_max + 1, dtype=float)
     ys = np.log([wc.of(int(L)) for L in xs])
@@ -166,11 +164,11 @@ def coded_entropy(alpha, L_max: int = 80, orbit_len: int | None = None) -> float
     return max(0.0, slope)
 
 
-def symbol_frequency(alpha, orbit_len: int = 10_000, x0=None) -> float:
-    """Fraction of iterates coded 0; for the exchange this tracks the cut."""
-    if x0 is None:
-        x0 = Fraction(1, 2) if isinstance(alpha, Fraction) else 0.5
-    syms, _ = symbol_orbit(alpha, x0, orbit_len)
+def symbol_frequency(alpha) -> float:
+    """Fraction of the first 10000 iterates of 1/2 coded 0; for the exchange
+    this tracks the cut."""
+    x0 = Fraction(1, 2) if isinstance(alpha, Fraction) else 0.5
+    syms, _ = symbol_orbit(alpha, x0, 10_000)
     if len(syms) == 0:
         raise ConfigError("config: orbit produced no symbols")
     return float(np.mean(syms == 0))

@@ -8,6 +8,8 @@ largest step every orbit survives.
 The order-n orbit metric between two points is the max over the first n
 iterates of the base distance.  Count tables are built incrementally: one
 running-max distance matrix per n, shared by all epsilon values.
+``bd_count_table`` counts one cloud; ``estimators.compacta_estimate`` calls
+it on each member of a compact family in turn.
 """
 
 from __future__ import annotations
@@ -162,34 +164,6 @@ def bd_count_table(
     truncated = table.depth if table.depth < n_max else None
     matrices = orbit_metric_matrices(table.orbits, spec)
     return _count_table(matrices, eps_list, cloud.size, table.depth, truncated)
-
-
-def _bd_count_tables(
-    system: DynSystem,
-    clouds,
-    spec: MetricSpec,
-    eps_list: list[float],
-    n_max: int,
-):
-    """Yield ``bd_count_table`` of each cloud in turn, or the ``EscapeError`` it raised.
-
-    A cloud whose points equal an earlier cloud's, bit for bit, is not
-    counted again: it gets that cloud's table (or error).  Each table is
-    counted only when asked for, so a caller that stops at an error counts
-    no later cloud.
-    """
-    counted: list[tuple[PointCloud, CountTable | EscapeError]] = []
-    for cloud in clouds:
-        seen = [table for c, table in counted if np.array_equal(c.points, cloud.points)]
-        if seen:
-            yield seen[0]
-            continue
-        try:
-            table = bd_count_table(system, cloud, spec, eps_list, n_max)
-        except EscapeError as exc:
-            table = exc
-        counted.append((cloud, table))
-        yield table
 
 
 @dataclass(frozen=True)

@@ -222,22 +222,35 @@ def compacta_estimate(
 ) -> EntropyEstimate:
     """Entropy as a supremum over compact subsets.
 
-    Each member cloud gets its own count table (orbits run in the full space;
-    only the separated subsets are drawn from the member) and the headline is
-    the max over member headlines; a member equal to an earlier one shares
-    its table.  Members whose orbits escape before step ``n_max`` (their
-    table is truncated) are skipped; ``members`` of the result records each
-    member's headline or escape step.
+    The members are counted one after another, each by ``bd_count_table``
+    (orbits run in the full space; only the separated subsets are drawn from
+    the member), and the headline is the max over member headlines; a member
+    whose points equal an earlier one's, bit for bit, shares its table.
+    Members whose orbits escape are skipped: a truncated table escapes at
+    its ``truncated_at``, and a start outside the domain at step 0.
+    ``members`` of the result records each member's headline or escape step.
     """
-    tables = _dyn._bd_count_tables(system, family.members, spec, eps_list, n_max)
-    return _compacta_supremum(family.members, tables)
+    return _compacta_supremum(system, spec, family.members, eps_list, n_max)
 
 
-def _compacta_supremum(members, tables) -> EntropyEstimate:
-    """The compacta estimate from each member's table or the ``EscapeError`` its orbits raised."""
+def _compacta_supremum(system, spec, members, eps_list, n_max, counted=()) -> EntropyEstimate:
+    """The compacta estimate of ``members``, each counted by ``bd_count_table`` in turn.
+
+    ``counted`` holds ``(cloud, table)`` pairs counted already.  A member
+    whose points equal such a cloud's, or an earlier member's, bit for bit
+    takes that table (or ``EscapeError``) and is not counted again.
+    """
+    counted = list(counted)
     results: list[EntropyEstimate] = []
     outcomes: list[MemberOutcome] = []
-    for member, table in zip(members, tables):
+    for member in members:
+        table = next((t for c, t in counted if np.array_equal(c.points, member.points)), None)
+        if table is None:
+            try:
+                table = _dyn.bd_count_table(system, member, spec, eps_list, n_max)
+            except EscapeError as exc:
+                table = exc
+            counted.append((member, table))
         escaped_at = table.step if isinstance(table, EscapeError) else table.truncated_at
         headline = None
         if escaped_at is None:

@@ -29,8 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import DynSystem, _bd_count_tables, pointwise
-from .errors import ConfigError, EscapeError, MeshError, UndefinedPointError
+from .dynamics import DynSystem, bd_count_table, pointwise
+from .errors import ConfigError, MeshError, UndefinedPointError
 from .estimators import (
     CompactFamily,
     EntropyEstimate,
@@ -775,32 +775,37 @@ def run_bundle(bundle: GalleryBundle, methods: tuple[str, ...] = ALL_METHODS) ->
     """Direct counts, compact exhaustion and the lifted shift, in that order.
 
     The run uses the bundle's scales, orders and rho (``with_settings``
-    changes them); ``methods`` names the estimators to run (see
-    ``ALL_METHODS``).  The direct table is counted first, and a bundle cloud
-    whose orbits escape raises before any member is counted; a compact
-    member whose points equal the bundle cloud's shares the direct table
-    instead of being counted again.  The verdict uses the default slack of
-    ``inequality_report``.  The lifted estimate has a euclidean base metric,
-    so it refuses a bundle with any other metric.
+    changes them); ``methods`` names the estimators to run, and a name
+    outside ``ALL_METHODS`` is refused.  The direct table is counted first,
+    and a bundle cloud whose orbits escape raises before any member is
+    counted.  The compact members are then counted in turn as in
+    ``compacta_estimate``, except that a member whose points equal the
+    bundle cloud's takes the direct table instead of being counted again.
+    The verdict uses the default slack of ``inequality_report``.  The lifted
+    estimate has a euclidean base metric, so it refuses a bundle with any
+    other metric.
     """
     start = time.perf_counter()
     system, cloud, eps_list, n_max = bundle.system, bundle.cloud, bundle.eps_list, bundle.n_max
+    for method in methods:
+        if method not in ALL_METHODS:
+            raise ConfigError(
+                f"config: unknown method {method!r}; choose from {', '.join(ALL_METHODS)}"
+            )
     if "friedland" in methods and bundle.metric.kind != "euclidean":
         raise ConfigError(
             "config: the lifted estimate needs a euclidean base metric,"
             f" got {bundle.metric.describe()}"
         )
     bd_table = bd = bc = fr_table = fr = verdict = None
-    clouds = (cloud,) if "bowen_dinaburg" in methods else ()
-    members = bundle.family.members if "compacta" in methods else ()
-    tables = _bd_count_tables(system, clouds + members, bundle.metric, eps_list, n_max)
-    if clouds:
-        bd_table = next(tables)
-        if isinstance(bd_table, EscapeError):
-            raise bd_table
+    counted = ()
+    if "bowen_dinaburg" in methods:
+        bd_table = bd_count_table(system, cloud, bundle.metric, eps_list, n_max)
         bd = entropy_estimate(bd_table)
-    if members:
-        bc = _compacta_supremum(members, tables)
+        counted = ((cloud, bd_table),)
+    if "compacta" in methods:
+        members = bundle.family.members
+        bc = _compacta_supremum(system, bundle.metric, members, eps_list, n_max, counted)
     if "friedland" in methods:
         fr_table = friedland_count_table(system, cloud, eps_list, n_max, rho=bundle.rho)
         fr = entropy_estimate(fr_table)

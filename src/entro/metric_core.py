@@ -602,6 +602,8 @@ def orbit_metric_matrices(orbits: np.ndarray, spec: MetricSpec):
 
 def last_orbit_matrix(orbits: np.ndarray, spec: MetricSpec) -> tuple[np.ndarray, np.ndarray]:
     """The last ``(dmat, seed)`` of ``orbit_metric_matrices``: order n = the orbits' depth."""
+    if orbits.shape[1] < 1:
+        raise ConfigError("config: orbit depth must be >= 1")
     for _, dmat, seed in orbit_metric_matrices(orbits, spec):
         pass
     return dmat, seed

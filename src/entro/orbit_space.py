@@ -201,16 +201,17 @@ def friedland_count_table(
     eps_list: list[float],
     n_max: int,
     rho: float = 2.0,
-    truncation: int | None = None,
 ) -> CountTable:
     """Counts for the shift on lifted orbit sequences under the dhat metric.
 
     The base metric of dhat is euclidean; there is no spec to pass.
-    Sequences keep ``truncation`` blocks (default: enough that the dropped
-    tail is below 1e-6); ``_lifted_matrices`` gives the order-n matrices and
-    holds their running max plus the upper half of S in one array, which is
-    freed when the table returns, or as soon as ``_count_table`` finds every
-    pair separated at the largest scale.  A scale listed twice is refused
+    Sequences keep m blocks, enough that the dropped tail is below 1e-6
+    (``choose_truncation`` on the box diagonal of the first min(n_max, 4)
+    iterates); the table's ``truncation`` records m.  ``_lifted_matrices``
+    gives the order-n matrices and holds their running max plus the upper
+    half of S in one array, which is freed when the table returns, or as
+    soon as ``_count_table`` finds every pair separated at the largest
+    scale.  A scale listed twice is refused
     before any orbit is built.
     """
     if n_max < 1:
@@ -220,10 +221,7 @@ def friedland_count_table(
     _refuse_repeated_scales(eps_list)
 
     probe = build_orbit_table(system, cloud, min(n_max, 4))
-    diam = _box_diagonal(probe.orbits)
-    m = truncation if truncation is not None else choose_truncation(rho, max(diam, 1e-12))
-    if m < 1:
-        raise ConfigError("config: truncation must be >= 1")
+    m = choose_truncation(rho, max(_box_diagonal(probe.orbits), 1e-12))
 
     table = build_orbit_table(system, cloud, m + n_max - 1)
     matrices = _lifted_matrices(table.orbits, n_max, rho, m)
@@ -236,14 +234,13 @@ def friedland_estimate(
     eps_list: list[float],
     n_max: int,
     rho: float = 2.0,
-    truncation: int | None = None,
 ) -> EntropyEstimate:
     """Headline entropy of the shift on lifted orbit sequences.
 
     The settings the table used are its ``rho`` and ``truncation`` fields,
     not part of the estimate.
     """
-    table = friedland_count_table(system, cloud, eps_list, n_max, rho=rho, truncation=truncation)
+    table = friedland_count_table(system, cloud, eps_list, n_max, rho=rho)
     return entropy_estimate(table)
 
 
@@ -392,6 +389,8 @@ def semiconj_check(
     euclidean, and h must intertwine the two steps within 1e-9.  The cloud
     must fit the exact counter; greedy counts cannot certify an inequality.
     """
+    if n < 1:
+        raise ConfigError("config: n must be >= 1")
     if cloud.size > EXACT_CAP:
         raise TooLargeError(
             f"too-large: factor check needs exact counts, cap {EXACT_CAP}, got {cloud.size}"

@@ -85,10 +85,9 @@ class TestWordComplexity:
             word_complexity(GOLDEN_ALPHA, 0, 100)
         with pytest.raises(ConfigError):
             word_complexity(GOLDEN_ALPHA, 10, 50)
-        # an orbit that walks into the cut after three symbols
-        x0 = (3 * GOLDEN_ALPHA) % 1
+        # with the cut at 1/2 the coded orbit starts on the discontinuity
         with pytest.raises(ConfigError, match="discontinuity"):
-            word_complexity(GOLDEN_ALPHA, 10, 200, x0=x0)
+            word_complexity(Fraction(1, 2), 10, 200)
 
 
 class TestSymbolOrbit:
@@ -146,7 +145,7 @@ class TestIetStep:
 
 class TestFrequencyAndEntropy:
     def test_symbol_frequency_tracks_the_cut(self):
-        freq = symbol_frequency(GOLDEN_ALPHA, orbit_len=10_000)
+        freq = symbol_frequency(GOLDEN_ALPHA)
         assert freq == pytest.approx(float(GOLDEN_ALPHA), abs=0.01)
 
     def test_coded_entropy_is_near_zero(self):

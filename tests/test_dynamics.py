@@ -7,7 +7,6 @@ import pytest
 
 from entro import (
     GOLDEN_ALPHA,
-    CompactFamily,
     CountRow,
     EscapeError,
     MetricSpec,
@@ -16,14 +15,11 @@ from entro import (
     bd_count_table,
     bd_dist,
     build_orbit_table,
-    compacta_estimate,
     iet_system,
     inverse_transport_check,
     iterate_orbit,
 )
-from entro import dynamics
-from entro.dynamics import DynSystem, _bd_count_tables
-from entro.gallery import GalleryBundle, build_doubling, crumple_system, interval_step, run_bundle
+from entro.gallery import build_doubling, crumple_system, interval_step
 from entro.metric_core import orbit_metric_matrices
 
 
@@ -157,95 +153,6 @@ class TestCountTable:
         )
         ns = [n for n, _ in table.counts_for(0.4, "sep")]
         assert ns == [1, 2, 3]
-
-
-def times4() -> DynSystem:
-    """x -> 4x on the line, whose orbits leave the domain |x| < 1000."""
-    return DynSystem("times4", 1, lambda x: 4.0 * x, lambda x: np.abs(x[:, 0]) < 1000.0)
-
-
-class TestCloudsCountedInTurn:
-    """``_bd_count_tables``: each table equals the cloud's own ``bd_count_table``,
-    and a cloud equal to an earlier one is not counted again."""
-
-    spec = MetricSpec.euclidean()
-
-    def counted(self, system, clouds, eps_list, n_max, monkeypatch):
-        """The tables of one call, and the size of each orbit table it built."""
-        built = spy_orbit_tables(monkeypatch)
-        tables = list(_bd_count_tables(system, clouds, self.spec, eps_list, n_max))
-        monkeypatch.undo()
-        return tables, built
-
-    def separate(self, system, clouds, eps_list, n_max):
-        return [bd_count_table(system, c, self.spec, eps_list, n_max) for c in clouds]
-
-    @pytest.mark.parametrize("eps_list", [[0.4, 0.2, 0.1], []], ids=["scales", "no-scales"])
-    def test_repeated_cloud_is_counted_once(self, doubling, monkeypatch, eps_list):
-        pts = doubling.cloud.points[::2]
-        clouds = [PointCloud(pts.copy(), 0.05), PointCloud(pts[:20].copy(), 0.05),
-                  PointCloud(pts.copy(), 0.05)]
-        n_max = 5
-        tables, built = self.counted(doubling.system, clouds, eps_list, n_max, monkeypatch)
-        assert built == [128, 20]
-        assert tables[0] is tables[2]
-        assert tables == self.separate(doubling.system, clouds, eps_list, n_max)
-        assert [t.mode for t in tables] == ["greedy", "exact", "greedy"]
-
-    def test_near_equal_cloud_keeps_its_own_table(self, doubling, monkeypatch):
-        pts = doubling.cloud.points[:128]
-        near = PointCloud(pts + np.array([1e-12, 0.0]), 0.05)
-        clouds = [PointCloud(pts.copy(), 0.05), near]
-        CompactFamily((near, clouds[0]))  # within the family's nesting tolerance
-        eps_list, n_max = [0.4, 0.2, 0.1], 6
-        tables, built = self.counted(doubling.system, clouds, eps_list, n_max, monkeypatch)
-        assert built == [128, 128]
-        assert tables == self.separate(doubling.system, clouds, eps_list, n_max)
-
-    def test_each_cloud_keeps_its_own_truncation(self, monkeypatch):
-        small = np.arange(30)[:, None] * 0.01  # 0.29 * 4**5 < 1000
-        mid = np.arange(50)[:, None] * 0.02  # 0.98 * 4**5 >= 1000
-        clouds = [PointCloud(small, 0.01), PointCloud(np.vstack([mid, [[100.0]]]), 0.01),
-                  PointCloud(mid, 0.01)]
-        eps_list, n_max = [0.5, 0.1, 0.05], 6
-        tables, _ = self.counted(times4(), clouds, eps_list, n_max, monkeypatch)
-        assert [t.truncated_at for t in tables] == [None, 2, 5]
-        assert tables == self.separate(times4(), clouds, eps_list, n_max)
-
-    def test_member_whose_start_leaves_the_domain(self, monkeypatch):
-        inside = PointCloud(np.arange(30)[:, None] * 0.01, 0.01)
-        outside = PointCloud(np.vstack([inside.points, [[2000.0]]]), 0.01)
-        eps_list, n_max = [0.4, 0.2, 0.1], 6
-        tables, built = self.counted(times4(), [inside, outside], eps_list, n_max, monkeypatch)
-        assert isinstance(tables[1], EscapeError) and tables[1].step == 0
-        assert tables[0] == bd_count_table(times4(), inside, self.spec, eps_list, n_max)
-        with pytest.raises(EscapeError):
-            bd_count_table(times4(), outside, self.spec, eps_list, n_max)
-
-        family = CompactFamily((inside, outside))
-        bc = compacta_estimate(times4(), self.spec, family, eps_list, n_max)
-        assert [m.escaped_at for m in bc.members] == [None, 0]
-        bundle = GalleryBundle("times4", times4(), self.spec, outside, family, None,
-                               tuple(eps_list), n_max)
-        built = spy_orbit_tables(monkeypatch)
-        with pytest.raises(EscapeError):
-            run_bundle(bundle, methods=("bowen_dinaburg", "compacta"))
-        assert built == [31]  # the bundle cloud raised before any member was counted
-        monkeypatch.undo()
-        assert run_bundle(bundle, methods=("compacta",)).bc == bc
-
-
-def spy_orbit_tables(monkeypatch) -> list[int]:
-    """A list that records the size of every orbit table ``dynamics`` builds."""
-    built = []
-    build = dynamics.build_orbit_table
-
-    def spy(*args, **kwargs):
-        built.append(args[1].size)
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(dynamics, "build_orbit_table", spy)
-    return built
 
 
 class TestInverseTransport:

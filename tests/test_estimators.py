@@ -10,6 +10,9 @@ import pytest
 from entro import (
     CompactFamily,
     ConfigError,
+    DynSystem,
+    EntropyEstimate,
+    EscapeError,
     MetricSpec,
     PointCloud,
     WindowError,
@@ -20,8 +23,9 @@ from entro import (
     growth_rate,
     inequality_report,
 )
-from entro import dynamics, orbit_space
-from entro.gallery import build_doubling, build_escape
+from entro import dynamics, estimators, orbit_space
+from entro.estimators import _compacta_supremum
+from entro.gallery import GalleryBundle, build_doubling, build_escape, run_bundle
 
 
 class TestGrowthRate:
@@ -207,6 +211,113 @@ class TestCompactFamily:
         )
         assert "member(escape2|orbit0..97): escaped at step 3" in est.diagnostics
         assert "supremum over 2 members" in est.diagnostics
+
+
+def times4() -> DynSystem:
+    """x -> 4x on the line, whose orbits leave the domain |x| < 1000."""
+    return DynSystem("times4", 1, lambda x: 4.0 * x, lambda x: np.abs(x[:, 0]) < 1000.0)
+
+
+def spy_orbit_tables(monkeypatch) -> list[int]:
+    """A list that records the size of every orbit table ``dynamics`` builds."""
+    built = []
+    build = dynamics.build_orbit_table
+
+    def spy(*args, **kwargs):
+        built.append(args[1].size)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "build_orbit_table", spy)
+    return built
+
+
+class TestMembersCountedInTurn:
+    """``_compacta_supremum``: each member's table equals its own
+    ``bd_count_table``, and a member equal to an earlier one is not counted
+    again."""
+
+    spec = MetricSpec.euclidean()
+
+    @pytest.fixture(scope="class")
+    def doubling(self):
+        return build_doubling(grid=256)
+
+    def supremum(self, system, members, eps_list, n_max, monkeypatch):
+        """The compacta estimate, the table of each member that did not
+        escape, and the size of each orbit table built.  The fit is stubbed,
+        so tables too short or too coarse to fit pass through."""
+        built = spy_orbit_tables(monkeypatch)
+        fitted = []
+
+        def fit(table):
+            fitted.append(table)
+            return EntropyEstimate(float(len(fitted)), (), "bowen_dinaburg", None)
+
+        monkeypatch.setattr(estimators, "entropy_estimate", fit)
+        bc = _compacta_supremum(system, self.spec, members, eps_list, n_max)
+        monkeypatch.undo()
+        return bc, fitted, built
+
+    def separate(self, system, clouds, eps_list, n_max):
+        return [bd_count_table(system, c, self.spec, eps_list, n_max) for c in clouds]
+
+    @pytest.mark.parametrize("eps_list", [[0.4, 0.2, 0.1], []], ids=["scales", "no-scales"])
+    def test_repeated_member_is_counted_once(self, doubling, monkeypatch, eps_list):
+        pts = doubling.cloud.points[::2]
+        members = [PointCloud(pts.copy(), 0.05), PointCloud(pts[:20].copy(), 0.05),
+                   PointCloud(pts.copy(), 0.05)]
+        n_max = 5
+        _, tables, built = self.supremum(doubling.system, members, eps_list, n_max, monkeypatch)
+        assert built == [128, 20]
+        assert tables[0] is tables[2]
+        assert tables == self.separate(doubling.system, members, eps_list, n_max)
+        assert [t.mode for t in tables] == ["greedy", "exact", "greedy"]
+
+    def test_near_equal_member_keeps_its_own_table(self, doubling, monkeypatch):
+        pts = doubling.cloud.points[:128]
+        near = PointCloud(pts + np.array([1e-12, 0.0]), 0.05)
+        members = [PointCloud(pts.copy(), 0.05), near]
+        CompactFamily((near, members[0]))  # within the family's nesting tolerance
+        eps_list, n_max = [0.4, 0.2, 0.1], 6
+        _, tables, built = self.supremum(doubling.system, members, eps_list, n_max, monkeypatch)
+        assert built == [128, 128]
+        assert tables == self.separate(doubling.system, members, eps_list, n_max)
+
+    def test_each_member_keeps_its_own_truncation(self, monkeypatch):
+        small = np.arange(30)[:, None] * 0.01  # 0.29 * 4**5 < 1000
+        mid = np.arange(50)[:, None] * 0.02  # 0.98 * 4**5 >= 1000
+        members = [PointCloud(small, 0.01), PointCloud(np.vstack([mid, [[100.0]]]), 0.01),
+                   PointCloud(mid, 0.01)]
+        eps_list, n_max = [0.5, 0.1, 0.05], 6
+        bc, tables, _ = self.supremum(times4(), members, eps_list, n_max, monkeypatch)
+        want = self.separate(times4(), members, eps_list, n_max)
+        assert [t.truncated_at for t in want] == [None, 2, 5]
+        assert [m.escaped_at for m in bc.members] == [None, 2, 5]
+        assert tables == want[:1]
+
+    def test_member_whose_start_leaves_the_domain(self, monkeypatch):
+        inside = PointCloud(np.arange(30)[:, None] * 0.01, 0.01)
+        outside = PointCloud(np.vstack([inside.points, [[2000.0]]]), 0.01)
+        eps_list, n_max = [0.4, 0.2, 0.1], 6
+        bc, tables, built = self.supremum(times4(), [inside, outside], eps_list, n_max,
+                                          monkeypatch)
+        assert built == [30, 31]
+        assert [m.escaped_at for m in bc.members] == [None, 0]
+        assert tables == [bd_count_table(times4(), inside, self.spec, eps_list, n_max)]
+        with pytest.raises(EscapeError):
+            bd_count_table(times4(), outside, self.spec, eps_list, n_max)
+
+        family = CompactFamily((inside, outside))
+        bc = compacta_estimate(times4(), self.spec, family, eps_list, n_max)
+        assert [m.escaped_at for m in bc.members] == [None, 0]
+        bundle = GalleryBundle("times4", times4(), self.spec, outside, family, None,
+                               tuple(eps_list), n_max)
+        built = spy_orbit_tables(monkeypatch)
+        with pytest.raises(EscapeError):
+            run_bundle(bundle, methods=("bowen_dinaburg", "compacta"))
+        assert built == [31]  # the bundle cloud raised before any member was counted
+        monkeypatch.undo()
+        assert run_bundle(bundle, methods=("compacta",)).bc == bc
 
 
 def flat_estimate(base):

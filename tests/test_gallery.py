@@ -580,6 +580,12 @@ class TestArrayRulesMatchScalarRules:
 
 
 class TestRunBundle:
+    @pytest.mark.parametrize("methods", [("bd",), ("bowen_dinaburg", "lifted")],
+                             ids=["cli-alias", "unknown-name"])
+    def test_unknown_method_is_refused(self, methods):
+        with pytest.raises(ConfigError, match="choose from bowen_dinaburg, compacta, friedland"):
+            run_bundle(build_doubling(grid=256), methods=methods)
+
     def test_methods_pick_the_estimators(self, monkeypatch):
         def no_lift(*args, **kwargs):
             raise AssertionError("lifted table built for a direct-only run")

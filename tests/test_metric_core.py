@@ -46,6 +46,7 @@ from entro.metric_core import (
     _row_lists,
     covering_radius,
     farthest_point_order,
+    last_orbit_matrix,
     orbit_metric_matrices,
 )
 from entro.orbit_space import _lifted_matrices, friedland_count_table
@@ -372,8 +373,9 @@ class TestCarriedNeighbourLists:
         system = build_doubling(grid=256).system
         theta = np.arange(256) * (2.0 * math.pi / 256)
         cloud = PointCloud(np.column_stack([np.cos(theta), np.sin(theta)]), 0.05)
-        eps_list, n_max, rho, m = [0.4, 0.8, 0.2, 0.1], 4, 4.0, 6
-        table = friedland_count_table(system, cloud, eps_list, n_max, rho=rho, truncation=m)
+        eps_list, n_max, rho = [0.4, 0.8, 0.2, 0.1], 4, 4.0
+        table = friedland_count_table(system, cloud, eps_list, n_max, rho=rho)
+        m = table.truncation
         assert "carried" in cell_balls
         orbits = build_orbit_table(system, cloud, m + n_max - 1).orbits
         want = dense_recount(_lifted_matrices(orbits, n_max, rho, m), eps_list)
@@ -447,7 +449,7 @@ class TestSaturatedTables:
         system = build_doubling(grid=64).system
         theta = np.arange(64) * (2.0 * math.pi / 64)
         cloud = PointCloud(np.column_stack([np.cos(theta), np.sin(theta)]), 0.05)
-        n_max, rho, m = 8, 4.0, 6
+        n_max, rho = 8, 4.0
         log: list = []
         streams = []
         lifted = orbit_space._lifted_matrices
@@ -457,7 +459,8 @@ class TestSaturatedTables:
             return streams[-1]
 
         monkeypatch.setattr(orbit_space, "_lifted_matrices", spy)
-        table = friedland_count_table(system, cloud, self.eps_list, n_max, rho=rho, truncation=m)
+        table = friedland_count_table(system, cloud, self.eps_list, n_max, rho=rho)
+        m = table.truncation
         assert log[-1] == "closed"
         assert log[:-1] == list(range(1, len(log))) and len(log) - 1 < n_max
         orbits = build_orbit_table(system, cloud, m + n_max - 1).orbits
@@ -557,6 +560,10 @@ class TestTiledOrbitMetricMatrices:
             assert np.array_equal(dmat, want_dmat)
             assert np.array_equal(dmat, dmat.T)
             assert np.array_equal(seed, want_seed)
+
+    def test_last_matrix_of_zero_depth_is_refused(self):
+        with pytest.raises(ConfigError, match="orbit depth must be >= 1"):
+            last_orbit_matrix(np.zeros((5, 0, 2)), MetricSpec.euclidean())
 
 
 @settings(max_examples=60, deadline=None)

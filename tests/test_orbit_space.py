@@ -238,10 +238,9 @@ class TestFriedlandCounts:
         assert got == sorted(want, key=lambda w: (-w[0], w[1]))
 
     def test_table_records_settings(self, doubling):
-        table = friedland_count_table(
-            doubling.system, circle_cloud(12), [0.4], 3, rho=4.0, truncation=7
-        )
-        assert (table.rho, table.truncation) == (4.0, 7)
+        table = friedland_count_table(doubling.system, circle_cloud(12), [0.4], 3, rho=4.0)
+        # the probe's box is the square [-1, 1]^2
+        assert (table.rho, table.truncation) == (4.0, choose_truncation(4.0, 2.0 * math.sqrt(2.0)))
         direct = bd_count_table(
             doubling.system, circle_cloud(12), MetricSpec.euclidean(), [0.4], 3
         )
@@ -274,10 +273,9 @@ class TestFriedlandCounts:
         gives the counts of summing each S_i afresh."""
         theta = np.sort(np.random.default_rng(5).random(60)) * 2.0 * math.pi
         cloud = PointCloud(np.column_stack([np.cos(theta), np.sin(theta)]), 0.2)
-        eps_list, n_max, rho, m = [0.8, 0.4, 0.2], 5, 3.0, 6
-        table = friedland_count_table(
-            doubling.system, cloud, eps_list, n_max, rho=rho, truncation=m
-        )
+        eps_list, n_max, rho = [0.8, 0.4, 0.2], 5, 3.0
+        table = friedland_count_table(doubling.system, cloud, eps_list, n_max, rho=rho)
+        m = table.truncation
         orbits = build_orbit_table(doubling.system, cloud, m + n_max - 1).orbits
         weights = rho ** -np.arange(m, dtype=float)
         run_mat = np.zeros((cloud.size, cloud.size))
@@ -432,6 +430,12 @@ class TestSemiconjCheck:
                 doubling.system, doubling.system, lambda p: p,
                 circle_cloud(8), 0.4, 3,
                 delta_up=0.2, modulus=lambda t: 3.0 * t,
+            )
+
+    def test_zero_depth_is_refused(self, doubling):
+        with pytest.raises(ConfigError, match="n must be >= 1"):
+            semiconj_check(
+                doubling.system, doubling.system, lambda p: p, circle_cloud(8), 0.4, 0,
             )
 
     def test_cloud_must_fit_exact_counter(self, doubling):
