@@ -2,8 +2,9 @@
 
 A system is a step rule on an embedded space together with a domain
 predicate.  Orbits that leave the domain raise ``EscapeError`` carrying the
-first bad step; the counting front end can instead truncate the table at the
-largest step every orbit survives.
+first bad step; the counting front end instead truncates the table at the
+largest step every orbit survives, which is step 0 for a start outside the
+domain.
 
 The order-n orbit metric between two points is the max over the first n
 iterates of the base distance.  Count tables are built incrementally: one
@@ -102,38 +103,30 @@ def build_orbit_table(
     """Iterate every cloud point ``depth - 1`` times.
 
     With ``allow_truncation`` the table stops at the largest depth every
-    orbit survives instead of raising; the returned depth says how far it got.
-    A step rule that raises ``UndefinedPointError`` at step k counts as an
-    escape at step k.
+    orbit survives instead of raising; the returned depth says how far it got,
+    and is 0 when some start point lies outside the domain.  A step rule that
+    raises ``UndefinedPointError`` at step k counts as an escape at step k.
     """
     if depth < 1:
         raise ConfigError("config: orbit depth must be >= 1")
-    pts = cloud.points
-    ok0 = system.domain(pts)
-    if not ok0.all():
-        bad = int(np.flatnonzero(~ok0)[0])
-        raise EscapeError(0, pts[bad])
     orbits = np.empty((cloud.size, depth, cloud.dim))
-    orbits[:, 0, :] = pts
-    cur = pts
-    reached = depth
-    for k in range(1, depth):
-        try:
-            cur = system.step(cur)
-        except UndefinedPointError as exc:
-            if allow_truncation:
-                reached = k
-                break
-            raise UndefinedPointError(k, exc.point) from None
+    cur = cloud.points
+    for k in range(depth):
+        if k:
+            try:
+                cur = system.step(cur)
+            except UndefinedPointError as exc:
+                if allow_truncation:
+                    return OrbitTable(orbits[:, :k])
+                raise UndefinedPointError(k, exc.point) from None
         ok = system.domain(cur)
         if not ok.all():
             if allow_truncation:
-                reached = k
-                break
+                return OrbitTable(orbits[:, :k])
             bad = int(np.flatnonzero(~ok)[0])
-            raise EscapeError(k, orbits[bad, k - 1])
+            raise EscapeError(k, cur[bad] if k == 0 else orbits[bad, k - 1])
         orbits[:, k, :] = cur
-    return OrbitTable(orbits[:, :reached])
+    return OrbitTable(orbits)
 
 
 def bd_dist(system: DynSystem, spec: MetricSpec, x, y, n: int) -> float:
@@ -154,8 +147,9 @@ def bd_count_table(
 
     The table's ``mode`` says whether its counts are exact or greedy (see
     ``counts_from_matrix``).  If some orbit escapes at step t < n_max the
-    table stops at n = t and ``truncated_at`` is t.  A scale listed twice is
-    refused before any orbit is built.
+    table stops at n = t and ``truncated_at`` is t; a start outside the
+    domain escapes at t = 0 and leaves no rows.  A scale that is not > 0, or
+    is listed twice, is refused before any orbit is built.
     """
     if n_max < 1:
         raise ConfigError("config: n_max must be >= 1")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ConfigError, EscapeError, WindowError
+from .errors import ConfigError, WindowError
 from .metric_core import CountTable, MetricSpec, PointCloud
 from . import dynamics as _dyn
 
@@ -66,12 +66,19 @@ class PerEpsRate:
 
 @dataclass(frozen=True)
 class MemberOutcome:
-    """One compact member's result: its headline, or the step it escaped at."""
+    """One compact member's count table and headline, which is None when its
+    orbits escaped."""
 
     label: str
     size: int
     headline: float | None
-    escaped_at: int | None
+    table: CountTable
+
+    @property
+    def escaped_at(self) -> int | None:
+        """The step some orbit of the member escaped at, 0 for a start
+        outside the domain, or None."""
+        return self.table.truncated_at
 
 
 @dataclass(frozen=True)
@@ -156,7 +163,8 @@ def entropy_estimate(table: CountTable, stabilization_tol: float = 0.05) -> Entr
 
     Rates are fitted to the separated counts.  Needs at least three epsilon
     values, each once, and n_max >= 6 so the stabilization scan has
-    something to work with.  Adjacent rates closer than
+    something to work with; a table truncated before n = 6 (at n = 0 it
+    has no rows) is refused as truncated first.  Adjacent rates closer than
     ``stabilization_tol`` agree.
     Saturated windows are flagged rather than hidden; disagreement across
     epsilon is reported as ``unstable`` and the smallest-epsilon rate is used.
@@ -164,14 +172,13 @@ def entropy_estimate(table: CountTable, stabilization_tol: float = 0.05) -> Entr
     """
     if not stabilization_tol > 0:
         raise ConfigError("config: stabilization_tol must be > 0")
+    cut = table.truncated_at
+    if cut is not None and cut < 6:
+        raise ConfigError(f"config: orbit table truncated at n={cut}; need n >= 6")
     eps_vals = sorted(table.eps_values(), reverse=True)
     if len(eps_vals) < 3:
         raise ConfigError("config: need >= 3 epsilon values to extrapolate")
-    n_seen = {r.n for r in table.rows}
-    if not n_seen or max(n_seen) < 6:
-        cut = table.truncated_at
-        if cut is not None:
-            raise ConfigError(f"config: orbit table truncated at n={cut}; need n >= 6")
+    if max(r.n for r in table.rows) < 6:
         raise ConfigError("config: need n_max >= 6 to extrapolate")
 
     cap = SATURATION_FRACTION * table.cloud_size
@@ -227,36 +234,21 @@ def compacta_estimate(
     the member), and the headline is the max over member headlines; a member
     whose points equal an earlier one's, bit for bit, shares its table.
     Members whose orbits escape are skipped: a truncated table escapes at
-    its ``truncated_at``, and a start outside the domain at step 0.
-    ``members`` of the result records each member's headline or escape step.
+    its ``truncated_at``, which is 0 for a start outside the domain.
+    ``members`` of the result holds each member's table and headline.
     """
-    return _compacta_supremum(system, spec, family.members, eps_list, n_max)
-
-
-def _compacta_supremum(system, spec, members, eps_list, n_max, counted=()) -> EntropyEstimate:
-    """The compacta estimate of ``members``, each counted by ``bd_count_table`` in turn.
-
-    ``counted`` holds ``(cloud, table)`` pairs counted already.  A member
-    whose points equal such a cloud's, or an earlier member's, bit for bit
-    takes that table (or ``EscapeError``) and is not counted again.
-    """
-    counted = list(counted)
     results: list[EntropyEstimate] = []
     outcomes: list[MemberOutcome] = []
-    for member in members:
-        table = next((t for c, t in counted if np.array_equal(c.points, member.points)), None)
+    for member in family.members:
+        table = next((m.table for c, m in zip(family.members, outcomes)
+                      if np.array_equal(c.points, member.points)), None)
         if table is None:
-            try:
-                table = _dyn.bd_count_table(system, member, spec, eps_list, n_max)
-            except EscapeError as exc:
-                table = exc
-            counted.append((member, table))
-        escaped_at = table.step if isinstance(table, EscapeError) else table.truncated_at
+            table = _dyn.bd_count_table(system, member, spec, eps_list, n_max)
         headline = None
-        if escaped_at is None:
+        if table.truncated_at is None:
             results.append(entropy_estimate(table))
             headline = results[-1].headline
-        outcomes.append(MemberOutcome(member.label, member.size, headline, escaped_at))
+        outcomes.append(MemberOutcome(member.label, member.size, headline, table))
     if not results:
         raise ConfigError("config: every family member escaped; nothing to estimate")
     best = max(results, key=lambda est: est.headline)

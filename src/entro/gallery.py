@@ -35,7 +35,7 @@ from .estimators import (
     CompactFamily,
     EntropyEstimate,
     InequalityVerdict,
-    _compacta_supremum,
+    compacta_estimate,
     entropy_estimate,
     inequality_report,
 )
@@ -395,10 +395,11 @@ def build_escape(
     concat_len = len(s)
     if orbit_len is None:
         orbit_len = concat_len + 64
-    if orbit_len < concat_len:
+    if orbit_len <= concat_len:
         raise ConfigError(
-            f"config: orbit_len {orbit_len} shorter than the {concat_len}-symbol"
-            f" concatenation for L_max={L_max}"
+            f"config: orbit_len {orbit_len} leaves the last of the {concat_len}"
+            f" cloud points for L_max={L_max} outside the domain; need orbit_len"
+            f" >= {concat_len + 1}"
         )
     heights = np.array(
         [s[i % concat_len] + 1 for i in range(orbit_len)], dtype=float
@@ -772,15 +773,16 @@ class BundleRun:
 
 
 def run_bundle(bundle: GalleryBundle, methods: tuple[str, ...] = ALL_METHODS) -> BundleRun:
-    """Direct counts, compact exhaustion and the lifted shift, in that order.
+    """Compact exhaustion, direct counts and the lifted shift, in that order.
 
     The run uses the bundle's scales, orders and rho (``with_settings``
     changes them); ``methods`` names the estimators to run, and a name
-    outside ``ALL_METHODS`` is refused.  The direct table is counted first,
-    and a bundle cloud whose orbits escape raises before any member is
-    counted.  The compact members are then counted in turn as in
-    ``compacta_estimate``, except that a member whose points equal the
-    bundle cloud's takes the direct table instead of being counted again.
+    outside ``ALL_METHODS`` is refused.  ``compacta_estimate`` runs first
+    when asked for, and the direct table is then the table of the member
+    whose points equal the bundle cloud's, bit for bit; it is counted with
+    ``bd_count_table`` only when no member does or compacta was not asked
+    for.  A bundle cloud with an orbit that escapes before n = 6, or starts
+    outside the domain, fails the direct estimate with ``ConfigError``.
     The verdict uses the default slack of ``inequality_report``.  The lifted
     estimate has a euclidean base metric, so it refuses a bundle with any
     other metric.
@@ -798,14 +800,15 @@ def run_bundle(bundle: GalleryBundle, methods: tuple[str, ...] = ALL_METHODS) ->
             f" got {bundle.metric.describe()}"
         )
     bd_table = bd = bc = fr_table = fr = verdict = None
-    counted = ()
-    if "bowen_dinaburg" in methods:
-        bd_table = bd_count_table(system, cloud, bundle.metric, eps_list, n_max)
-        bd = entropy_estimate(bd_table)
-        counted = ((cloud, bd_table),)
     if "compacta" in methods:
-        members = bundle.family.members
-        bc = _compacta_supremum(system, bundle.metric, members, eps_list, n_max, counted)
+        bc = compacta_estimate(system, bundle.metric, bundle.family, eps_list, n_max)
+    if "bowen_dinaburg" in methods:
+        if bc is not None:
+            bd_table = next((m.table for c, m in zip(bundle.family.members, bc.members)
+                             if np.array_equal(c.points, cloud.points)), None)
+        if bd_table is None:
+            bd_table = bd_count_table(system, cloud, bundle.metric, eps_list, n_max)
+        bd = entropy_estimate(bd_table)
     if "friedland" in methods:
         fr_table = friedland_count_table(system, cloud, eps_list, n_max, rho=bundle.rho)
         fr = entropy_estimate(fr_table)

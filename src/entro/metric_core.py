@@ -673,7 +673,10 @@ class CountTable:
 
 
 def _refuse_repeated_scales(eps_list: list[float]) -> None:
-    """Refuse a scale listed twice, whose cells a table would count twice."""
+    """Refuse a scale that is not > 0, or one listed twice, whose cells a
+    table would count twice."""
+    if any(not e > 0 for e in eps_list):
+        raise ConfigError("config: eps values must be > 0")
     for i, eps in enumerate(eps_list):
         if eps in eps_list[:i]:
             raise ConfigError(f"config: scale eps={eps:g} repeats in the scale list")
@@ -721,8 +724,6 @@ def _count_table(
     starts the carry is counted); every cell gets the same witnesses either
     way.
     """
-    if any(not e > 0 for e in eps_list):
-        raise ConfigError("config: eps values must be > 0")
     columns: list[list[CountRow]] = [[] for _ in eps_list]
     if eps_list:
         top = int(np.argmax(eps_list))

@@ -68,10 +68,10 @@ def choose_truncation(rho: float, diameter: float, tail_tol: float = 1e-6) -> in
     """
     if not 1 < rho < math.inf:
         raise ConfigError("config: rho must be a finite number > 1")
-    if not tail_tol > 0:
-        raise ConfigError("config: tail_tol must be > 0")
-    if diameter < 0:
-        raise ConfigError("config: diameter must be >= 0")
+    if not 0 < tail_tol < math.inf:
+        raise ConfigError("config: tail_tol must be a finite number > 0")
+    if not 0 <= diameter < math.inf:
+        raise ConfigError("config: diameter must be a finite number >= 0")
     if diameter == 0:
         return 1
     factor = diameter / (1 - 1 / rho)
@@ -292,8 +292,8 @@ def metric_comparison_check(
     seed: int = 0,
 ) -> MetricComparisonReport:
     """Test the dhat vs d_n comparison inequalities on sampled point pairs."""
-    if not eps > 0:
-        raise ConfigError("config: eps must be > 0")
+    if not 0 < eps < math.inf:
+        raise ConfigError("config: eps must be a finite number > 0")
     if rho <= 1:
         raise ConfigError("config: rho must be > 1")
     if sample_pairs < 1:

@@ -8,6 +8,7 @@ import pytest
 from entro import (
     GOLDEN_ALPHA,
     CountRow,
+    DynSystem,
     EscapeError,
     MetricSpec,
     PointCloud,
@@ -81,6 +82,16 @@ class TestOrbitTable:
             bundle.system, bundle.cloud, too_deep, allow_truncation=True
         )
         assert table.depth < too_deep
+
+    def test_start_outside_the_domain_truncates_at_step_0(self):
+        cloud = PointCloud(np.array([[1.0], [2000.0]]), 0.1)
+        system = DynSystem("times4", 1, lambda x: 4.0 * x, lambda x: np.abs(x[:, 0]) < 1000.0)
+        with pytest.raises(EscapeError) as info:
+            build_orbit_table(system, cloud, 3)
+        assert info.value.step == 0 and info.value.last_point.tolist() == [2000.0]
+        assert build_orbit_table(system, cloud, 3, allow_truncation=True).orbits.shape == (2, 0, 1)
+        table = bd_count_table(system, cloud, MetricSpec.euclidean(), [0.2, 0.1, 0.05], 6)
+        assert table.rows == () and table.truncated_at == 0
 
     def test_undefined_point_truncates_like_an_escape(self):
         a = float(GOLDEN_ALPHA)

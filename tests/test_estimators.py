@@ -12,7 +12,6 @@ from entro import (
     ConfigError,
     DynSystem,
     EntropyEstimate,
-    EscapeError,
     MetricSpec,
     PointCloud,
     WindowError,
@@ -24,7 +23,6 @@ from entro import (
     inequality_report,
 )
 from entro import dynamics, estimators, orbit_space
-from entro.estimators import _compacta_supremum
 from entro.gallery import GalleryBundle, build_doubling, build_escape, run_bundle
 
 
@@ -140,7 +138,8 @@ class TestEntropyEstimate:
         ids=["bd_count_table", "friedland_count_table"],
     )
     def test_builders_refuse_a_repeated_scale(self, build, monkeypatch):
-        """A table builder names the repeated scale before it builds any orbit."""
+        """A table builder names a repeated or non-positive scale before it
+        builds any orbit."""
 
         def no_orbits(*args, **kwargs):
             raise AssertionError("an orbit table was built")
@@ -150,6 +149,9 @@ class TestEntropyEstimate:
         monkeypatch.setattr(orbit_space, "build_orbit_table", no_orbits)
         with pytest.raises(ConfigError, match="eps=0.08 repeats"):
             build(bundle, [0.16, 0.08, 0.04, 0.08])
+        for eps_list in ([0.16, -0.08, 0.04], [0.16, math.nan, 0.04]):
+            with pytest.raises(ConfigError, match="eps values must be > 0"):
+                build(bundle, eps_list)
 
     def test_method_follows_the_table(self):
         """Only lifted tables set ``rho``, so it names the method."""
@@ -165,6 +167,8 @@ class TestEntropyEstimate:
             entropy_estimate(table)
         with pytest.raises(ConfigError, match="n_max >= 6"):
             entropy_estimate(replace(table, truncated_at=None))
+        with pytest.raises(ConfigError, match="truncated at n=0"):
+            entropy_estimate(replace(table, rows=(), truncated_at=0))  # a start outside the domain
 
 
 class TestCompactFamily:
@@ -232,9 +236,10 @@ def spy_orbit_tables(monkeypatch) -> list[int]:
 
 
 class TestMembersCountedInTurn:
-    """``_compacta_supremum``: each member's table equals its own
-    ``bd_count_table``, and a member equal to an earlier one is not counted
-    again."""
+    """``compacta_estimate``: each member's table equals its own
+    ``bd_count_table``, a member equal to an earlier one is not counted
+    again, and ``run_bundle`` takes its direct table from the member equal to
+    the bundle cloud."""
 
     spec = MetricSpec.euclidean()
 
@@ -254,8 +259,10 @@ class TestMembersCountedInTurn:
             return EntropyEstimate(float(len(fitted)), (), "bowen_dinaburg", None)
 
         monkeypatch.setattr(estimators, "entropy_estimate", fit)
-        bc = _compacta_supremum(system, self.spec, members, eps_list, n_max)
+        family = CompactFamily(tuple(members))
+        bc = compacta_estimate(system, self.spec, family, eps_list, n_max)
         monkeypatch.undo()
+        assert [m.table for m in bc.members if m.escaped_at is None] == fitted
         return bc, fitted, built
 
     def separate(self, system, clouds, eps_list, n_max):
@@ -264,20 +271,19 @@ class TestMembersCountedInTurn:
     @pytest.mark.parametrize("eps_list", [[0.4, 0.2, 0.1], []], ids=["scales", "no-scales"])
     def test_repeated_member_is_counted_once(self, doubling, monkeypatch, eps_list):
         pts = doubling.cloud.points[::2]
-        members = [PointCloud(pts.copy(), 0.05), PointCloud(pts[:20].copy(), 0.05),
+        members = [PointCloud(pts[:20].copy(), 0.05), PointCloud(pts.copy(), 0.05),
                    PointCloud(pts.copy(), 0.05)]
         n_max = 5
         _, tables, built = self.supremum(doubling.system, members, eps_list, n_max, monkeypatch)
-        assert built == [128, 20]
-        assert tables[0] is tables[2]
+        assert built == [20, 128]
+        assert tables[1] is tables[2]
         assert tables == self.separate(doubling.system, members, eps_list, n_max)
-        assert [t.mode for t in tables] == ["greedy", "exact", "greedy"]
+        assert [t.mode for t in tables] == ["exact", "greedy", "greedy"]
 
     def test_near_equal_member_keeps_its_own_table(self, doubling, monkeypatch):
         pts = doubling.cloud.points[:128]
         near = PointCloud(pts + np.array([1e-12, 0.0]), 0.05)
-        members = [PointCloud(pts.copy(), 0.05), near]
-        CompactFamily((near, members[0]))  # within the family's nesting tolerance
+        members = [PointCloud(pts.copy(), 0.05), near]  # within the family's nesting tolerance
         eps_list, n_max = [0.4, 0.2, 0.1], 6
         _, tables, built = self.supremum(doubling.system, members, eps_list, n_max, monkeypatch)
         assert built == [128, 128]
@@ -285,14 +291,15 @@ class TestMembersCountedInTurn:
 
     def test_each_member_keeps_its_own_truncation(self, monkeypatch):
         small = np.arange(30)[:, None] * 0.01  # 0.29 * 4**5 < 1000
-        mid = np.arange(50)[:, None] * 0.02  # 0.98 * 4**5 >= 1000
-        members = [PointCloud(small, 0.01), PointCloud(np.vstack([mid, [[100.0]]]), 0.01),
-                   PointCloud(mid, 0.01)]
+        mid = np.arange(99)[:, None] * 0.01  # 0.98 * 4**5 >= 1000
+        members = [PointCloud(small, 0.01), PointCloud(mid, 0.01),
+                   PointCloud(np.vstack([mid, [[100.0]]]), 0.01)]
         eps_list, n_max = [0.5, 0.1, 0.05], 6
         bc, tables, _ = self.supremum(times4(), members, eps_list, n_max, monkeypatch)
         want = self.separate(times4(), members, eps_list, n_max)
-        assert [t.truncated_at for t in want] == [None, 2, 5]
-        assert [m.escaped_at for m in bc.members] == [None, 2, 5]
+        assert [t.truncated_at for t in want] == [None, 5, 2]
+        assert [m.escaped_at for m in bc.members] == [None, 5, 2]
+        assert [m.table for m in bc.members] == want
         assert tables == want[:1]
 
     def test_member_whose_start_leaves_the_domain(self, monkeypatch):
@@ -304,8 +311,9 @@ class TestMembersCountedInTurn:
         assert built == [30, 31]
         assert [m.escaped_at for m in bc.members] == [None, 0]
         assert tables == [bd_count_table(times4(), inside, self.spec, eps_list, n_max)]
-        with pytest.raises(EscapeError):
-            bd_count_table(times4(), outside, self.spec, eps_list, n_max)
+        escaped = bd_count_table(times4(), outside, self.spec, eps_list, n_max)
+        assert escaped.rows == () and escaped.truncated_at == 0
+        assert bc.members[1].table == escaped
 
         family = CompactFamily((inside, outside))
         bc = compacta_estimate(times4(), self.spec, family, eps_list, n_max)
@@ -313,11 +321,40 @@ class TestMembersCountedInTurn:
         bundle = GalleryBundle("times4", times4(), self.spec, outside, family, None,
                                tuple(eps_list), n_max)
         built = spy_orbit_tables(monkeypatch)
-        with pytest.raises(EscapeError):
+        with pytest.raises(ConfigError, match="truncated at n=0"):
             run_bundle(bundle, methods=("bowen_dinaburg", "compacta"))
-        assert built == [31]  # the bundle cloud raised before any member was counted
+        assert built == [30, 31]  # the bundle cloud took the escaped member's table
         monkeypatch.undo()
         assert run_bundle(bundle, methods=("compacta",)).bc == bc
+
+    def test_bundle_cloud_outside_the_domain_is_refused(self, monkeypatch):
+        """A bundle cloud with a start outside the domain fails the direct
+        estimate; under compacta, when it equals no member, after the members
+        are counted."""
+        inside = PointCloud(np.arange(30)[:, None] * 0.01, 0.01)
+        outside = PointCloud(np.vstack([inside.points, [[2000.0]]]), 0.01)
+        eps_list, n_max = [0.4, 0.2, 0.1], 6
+        bundle = GalleryBundle("times4", times4(), self.spec, outside,
+                               CompactFamily((inside,)), None, tuple(eps_list), n_max)
+        for methods, sizes in [(("bowen_dinaburg",), [31]),
+                               (("bowen_dinaburg", "compacta"), [30, 31])]:
+            built = spy_orbit_tables(monkeypatch)
+            with pytest.raises(ConfigError, match="truncated at n=0"):
+                run_bundle(bundle, methods=methods)
+            assert built == sizes
+            monkeypatch.undo()
+
+    def test_direct_table_is_the_bundle_cloud_member_table(self, doubling, monkeypatch):
+        assert np.array_equal(doubling.family.members[-1].points, doubling.cloud.points)
+        built = spy_orbit_tables(monkeypatch)
+        run = run_bundle(doubling, methods=("bowen_dinaburg", "compacta"))
+        assert run.bd_table is run.bc.members[-1].table
+        assert built == [m.size for m in doubling.family.members]
+        monkeypatch.undo()
+        eps_list, n_max = list(doubling.eps_list), doubling.n_max
+        direct = bd_count_table(doubling.system, doubling.cloud, self.spec, eps_list, n_max)
+        assert run.bd_table == direct
+        assert run.bd == entropy_estimate(direct)
 
 
 def flat_estimate(base):

@@ -320,8 +320,16 @@ class TestEscapeBundle:
         assert not bundle.system.domain(np.array([[-0.1, 1.0]]))[0]
 
     def test_orbit_len_guard(self):
+        """The domain ends at index orbit_len - 1, so orbit_len = 34, the
+        length of the concatenation for L_max=3, would put the cloud's last
+        point outside it."""
         with pytest.raises(ConfigError):
             build_escape(2, L_max=3, orbit_len=10)
+        assert len(word_concatenation(2, 3)) == 34
+        with pytest.raises(ConfigError, match="need orbit_len >= 35"):
+            build_escape(2, L_max=3, orbit_len=34)
+        bundle = build_escape(2, L_max=3, orbit_len=35)
+        assert bundle.system.domain(bundle.cloud.points).all()
 
 
 class TestAkmCoverDemo:

@@ -76,8 +76,12 @@ class TestChooseTruncation:
             choose_truncation(math.inf, 1.0)
 
     def test_nan_tail_tol_is_refused(self):
-        with pytest.raises(ConfigError, match="tail_tol"):
-            choose_truncation(2.0, 1.0, tail_tol=math.nan)
+        for tail_tol in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="tail_tol"):
+                choose_truncation(2.0, 1.0, tail_tol=tail_tol)
+        for diameter in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="diameter"):
+                choose_truncation(2.0, diameter)
 
 
 class TestDhatDist:
@@ -366,6 +370,9 @@ class TestMetricComparison:
     def test_nan_eps_is_refused(self, doubling):
         with pytest.raises(ConfigError, match="eps"):
             metric_comparison_check(doubling.system, doubling.cloud, eps=math.nan)
+        # eps is also the truncation's tail tolerance, so it must be finite
+        with pytest.raises(ConfigError, match="eps must be a finite number"):
+            metric_comparison_check(doubling.system, doubling.cloud, eps=math.inf)
         with pytest.raises(ConfigError):
             metric_comparison_check(doubling.system, doubling.cloud, rho=1.0)
         with pytest.raises(ConfigError):

@@ -115,3 +115,16 @@ def test_bundle_cloud_member_is_not_counted_again():
     assert names.count("metric_core.counts") == (
         counted_cells(run.bd_table) + sum(counted_cells(t) for t in small)
     )
+
+
+def test_member_tables_are_counted_inside_compacta():
+    """``run_bundle`` counts every table of a direct + compacta run inside
+    ``compacta_estimate``, so the benchmark credits the members to
+    compacta."""
+    tracing = load_tracing()
+    with tracing.Tracer(tracing.LAYER_TARGETS).installed() as tracer:
+        run_bundle(build_doubling(grid=256), methods=("bowen_dinaburg", "compacta"))
+    spans = tracer.spans
+    parents = [None if s[3] is None else spans[s[3]][0]
+               for s in spans if s[0] == "dynamics.bd_table"]
+    assert parents == ["estimators.compacta"] * 3
