@@ -16,26 +16,26 @@ bitmasks (maximum independent set for separation, minimum set cover for
 spanning).  The greedy counts read each cell's eps-balls, scan the cloud in
 farthest-point order (separation) and run a greedy set cover (spanning)
 over them; they are valid at any size.  A cell holds its balls either as
-the N x N boolean mask ``dmat < eps`` (one byte per pair) or as int64 row
-lists of the pairs below eps (eight bytes per such pair), and both give the
-same witnesses.  Every matrix counted is a symmetric distance matrix, so the
-balls holding a point are the points of its own ball: the cover keeps every
-ball's uncovered count exact, lowering it through each covered point's own
-ball, and takes the balls that add one point each in one step.  Separation
-uses the closed condition ``d >= eps``; spanning uses the strict ``d < eps``.
-Every count table is built by the private ``_count_table``: its dense cells
-count from one mask buffer, until the largest scale's cell turns sparse;
-that cell's list is then carried across scales and orders, and every later
-cell counts from lists of its entries.  Its stream of order-n matrices is
-non-decreasing in n, so once that cell holds only the diagonal (every pair
-at least the largest scale apart) every later cell counts the whole cloud:
-the table fills those rows and closes the stream, which builds no later
-order.  While it counts, a table holds its order-n matrix ``dmat``, the
-mask buffer (1/8 of ``dmat``'s bytes) or one carried list, and one cell's
-lists; the lifted table (``orbit_space``) also holds the upper half of its
-weighted sum S, in one array.  Distances arrive in row tiles and the other
-temporaries are at most ``TILE_ROWS`` rows long, so no other N x N array is
-made.
+the mask ``dmat < eps`` packed one bit per pair, with each ball's size, or
+as int64 row lists of the pairs below eps (eight bytes per such pair), and
+both give the same witnesses.  Every matrix counted is a symmetric distance
+matrix, so the balls holding a point are the points of its own ball: the
+cover keeps every ball's uncovered count exact, lowering it through each
+covered point's own ball, and takes the balls that add one point each in
+one step.  Separation uses the closed condition ``d >= eps``; spanning uses
+the strict ``d < eps``.  Every count table is built by the private
+``_count_table``: its dense cells count from one packed mask buffer, until
+the largest scale's cell turns sparse; that cell's list is then carried
+across scales and orders, and every later cell counts from lists of its
+entries.  Its stream of order-n matrices is non-decreasing in n, so once
+that cell holds only the diagonal (every pair at least the largest scale
+apart) every later cell counts the whole cloud: the table fills those rows
+and closes the stream, which builds no later order.  While it counts, a
+table holds its order-n matrix ``dmat``, the packed mask buffer (1/64 of
+``dmat``'s bytes) or one carried list, and one cell's lists; the lifted
+table (``orbit_space``) also holds the upper half of its weighted sum S, in
+one array.  Distances arrive in row tiles and the other temporaries are at
+most ``TILE_ROWS`` rows long, so no other N x N array is made.
 """
 
 from __future__ import annotations
@@ -81,6 +81,9 @@ DUPLICATE_TOL = 1e-12
 # 256 rows timed within 10 % of each other.  ``_mask_cover`` sums a band of
 # this many mask rows in uint8, so it must stay below 256.
 TILE_ROWS = 64
+# A uint64 of eight 0/1 bytes times this holds their sum in its top byte
+# (no byte of the product carries), in either byte order.
+_BYTE_SUM = np.uint64(0x0101010101010101)
 # Largest share of the N x N entries that ``_count_table`` carries as one
 # neighbour list.  On doubling's order-2 matrix (N = 4096, one thread),
 # testing a carried list took 0.23 of a dense threshold's time at this
@@ -267,10 +270,15 @@ def pairwise_dist(a, b, spec: MetricSpec) -> float:
 
 
 def cloud_diameter(cloud: PointCloud) -> float:
-    """Euclidean max pairwise distance; the bounding-box diagonal above 4000 points."""
+    """Euclidean max pairwise distance; the bounding-box diagonal above 4000 points.
+
+    The distances come in bands of ``TILE_ROWS`` rows of the upper triangle,
+    so no N x N matrix is built.
+    """
     if cloud.size > 4000:
         return _box_diagonal(cloud.points)
-    return float(cdist(cloud.points, cloud.points).max())
+    pts = cloud.points
+    return float(max(cdist(pts[r0:r1], pts[r0:]).max() for r0, r1 in _bands(cloud.size)))
 
 
 def _box_diagonal(points: np.ndarray) -> float:
@@ -280,8 +288,13 @@ def _box_diagonal(points: np.ndarray) -> float:
 
 
 def covering_radius(points: np.ndarray, centers: np.ndarray) -> float:
-    """Largest euclidean distance from a row of ``points`` to its nearest row of ``centers``."""
-    return float(cdist(points, centers).min(axis=1).max())
+    """Largest euclidean distance from a row of ``points`` to its nearest row of ``centers``.
+
+    ``points`` is read in bands of ``TILE_ROWS`` rows, so no matrix of every
+    point against every center is built.
+    """
+    return float(max(cdist(points[r0:r1], centers).min(axis=1).max()
+                     for r0, r1 in _bands(len(points))))
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +324,62 @@ def _flat_below(dmat: np.ndarray, eps: float, within: np.ndarray) -> np.ndarray:
     """Ascending flat indices of the entries ``dmat < eps``.
 
     ``within`` is an ascending array of flat indices holding every such
-    entry; only its entries are tested, not the whole matrix.
+    entry; only its entries are tested, not the whole matrix, in chunks of
+    ``TILE_ROWS`` rows' worth into one boolean array.
     """
-    return within[dmat.reshape(-1)[within] < eps]
+    entries = dmat.reshape(-1)
+    below = np.empty(within.size, dtype=bool)
+    step = TILE_ROWS * len(dmat)
+    for k in range(0, within.size, step):
+        np.less(entries[within[k:k + step]], eps, out=below[k:k + step])
+    return within[below]
+
+
+def _packed_below(
+    dmat: np.ndarray, eps: float, bits: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The eps-balls ``dmat < eps`` as ``(ptr, bits)``, one bit per pair.
+
+    Row i of ``bits`` packs row i of the mask in little bit order (bit j % 8
+    of byte j // 8), and ball i holds ``ptr[i+1] - ptr[i]`` points.  The
+    matrix is thresholded ``TILE_ROWS`` rows at a time, and each band's row
+    counts are taken while it is packed, so no N x N temporary is made and
+    no second pass reads the mask.  ``bits``, an N x ceil(N/8) uint8 buffer,
+    is written over when given.
+    """
+    size = len(dmat)
+    width = -(-size // 8)
+    if bits is None:
+        bits = np.empty((size, width), dtype=np.uint8)
+    ptr = np.zeros(size + 1, dtype=np.intp)
+    # rows padded with False to whole words, whose byte sums are the row counts
+    band = np.zeros((min(TILE_ROWS, size), 8 * width), dtype=bool)
+    for r0, r1 in _bands(size):
+        below = band[:r1 - r0]
+        np.less(dmat[r0:r1], eps, out=below[:, :size])
+        bits[r0:r1] = np.packbits(below, axis=1, bitorder="little")
+        ptr[r0 + 1:r1 + 1] = (below.view(np.uint64) * _BYTE_SUM >> 56).sum(axis=1)
+    np.cumsum(ptr, out=ptr)
+    return ptr, bits
+
+
+def _unpacked(bits: np.ndarray, size: int) -> np.ndarray:
+    """Packed rows as boolean rows of ``size`` entries."""
+    return np.unpackbits(bits, axis=-1, count=size, bitorder="little").view(bool)
+
+
+def _packed_flat(ptr: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Ascending flat indices of the pairs in the packed balls ``(ptr, bits)``.
+
+    They are written band by band into one array of ``ptr[-1]`` entries.
+    """
+    size = len(ptr) - 1
+    flat = np.empty(ptr[-1], dtype=np.intp)
+    for r0, r1 in _bands(size):
+        part = flat[ptr[r0]:ptr[r1]]
+        part[:] = np.flatnonzero(_unpacked(bits[r0:r1], size))
+        part += r0 * size
+    return flat
 
 
 def _row_lists(flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -333,14 +399,20 @@ def _greedy_separated(ptr: np.ndarray, cols: np.ndarray, order: np.ndarray) -> l
     return chosen
 
 
-def _mask_separated(mask: np.ndarray, order: np.ndarray) -> list[int]:
-    """``_greedy_separated`` over the eps-balls held as the rows of a boolean mask."""
-    blocked = np.zeros(len(mask), dtype=bool)
+def _mask_separated(bits: np.ndarray, order: np.ndarray) -> list[int]:
+    """``_greedy_separated`` over the eps-balls held as the packed rows ``bits``.
+
+    The blocked points are packed like the rows, in a bytearray whose bytes
+    are tested as Python ints (faster than indexing numpy) and ORed through
+    a numpy view of them.
+    """
+    flags = bytearray(bits.shape[1])
+    blocked = np.frombuffer(flags, dtype=np.uint8)
     chosen: list[int] = []
     for i in order.tolist():
-        if not blocked[i]:
+        if not flags[i >> 3] >> (i & 7) & 1:
             chosen.append(i)
-            blocked |= mask[i]
+            blocked |= bits[i]
     return chosen
 
 
@@ -377,19 +449,21 @@ def _greedy_cover(ptr: np.ndarray, cols: np.ndarray) -> list[int]:
     return _exact_gain_cover(np.diff(ptr), fresh, held, lambda rows: cols[ptr[rows]])
 
 
-def _mask_cover(mask: np.ndarray) -> list[int]:
-    """``_greedy_cover`` over the eps-balls held as the rows of a boolean mask.
+def _mask_cover(ptr: np.ndarray, bits: np.ndarray) -> list[int]:
+    """``_greedy_cover`` over the eps-balls held as the packed rows ``bits``.
 
-    Gains start as the row sums.  A band of covered points lowers them by
-    its rows' sum, added up in uint8 (a band has ``TILE_ROWS`` < 256 rows),
-    and the first entry of a ball is the first True of its row.
+    Gains start as the ball sizes ``np.diff(ptr)``.  A band of covered
+    points lowers them by its unpacked rows' sum, added up in uint8 (a band
+    has ``TILE_ROWS`` < 256 rows), and the first entry of a ball is the
+    first True of its unpacked row.
     """
-    rows = mask.view(np.uint8)
+    size = len(ptr) - 1
     return _exact_gain_cover(
-        np.count_nonzero(mask, axis=1),
-        lambda i, uncovered: np.flatnonzero(mask[i] & uncovered),
-        lambda band: np.add.reduce(rows[band], axis=0, dtype=np.uint8),
-        lambda band: mask[band].argmax(axis=1),
+        np.diff(ptr),
+        lambda i, uncovered: np.flatnonzero(_unpacked(bits[i], size) & uncovered),
+        lambda band: np.add.reduce(_unpacked(bits[band], size).view(np.uint8), axis=0,
+                                   dtype=np.uint8),
+        lambda band: _unpacked(bits[band], size).argmax(axis=1),
     )
 
 
@@ -429,10 +503,9 @@ def _exact_gain_cover(gain: np.ndarray, fresh, held, first) -> list[int]:
 # exact counting (branch and bound, bitmask sets)
 
 
-def _ball_masks(mask: np.ndarray) -> list[int]:
-    """Row i of the boolean mask ``dmat < eps`` as a bitmask of the points of ball i."""
-    rows = np.packbits(mask, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+def _ball_masks(bits: np.ndarray) -> list[int]:
+    """Packed row i of the eps-balls as a bitmask of the points of ball i."""
+    return [int.from_bytes(row.tobytes(), "little") for row in bits]
 
 
 def _exact_max_separated(balls: list[int]) -> list[int]:
@@ -521,7 +594,7 @@ def counts_from_matrix(
     dmat: np.ndarray,
     eps: float,
     order: np.ndarray | None = None,
-    neighbours: np.ndarray | tuple[np.ndarray, np.ndarray] | None = None,
+    neighbours: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[list[int], list[int]]:
     """Separated and spanning witnesses of one cell, as index lists, from its distance matrix.
 
@@ -533,11 +606,14 @@ def counts_from_matrix(
     farthest-point order from the row means, and the spanning witness is the
     smaller of the greedy cover and that separated witness (which always
     spans), so ``span <= sep`` holds for greedy counts too.  ``neighbours``
-    holds the cell's eps-balls, either as the boolean mask ``dmat < eps``
-    (one byte per pair), which is built when it is None, or as row lists
-    ``(ptr, cols)``, row i being ``cols[ptr[i]:ptr[i+1]]`` ascending (eight
-    bytes per pair below eps).  Both give the same witnesses; a mask of
-    another dtype or shape is refused.
+    holds the cell's eps-balls as a pair ``(ptr, members)``, ball i holding
+    ``ptr[i+1] - ptr[i]`` points.  Either ``members`` is the packed mask
+    ``dmat < eps`` (``_packed_below``: an N x ceil(N/8) uint8 array, row i
+    packing ball i in little bit order, one bit per pair), which is built
+    when ``neighbours`` is None, or it holds row lists, ball i being
+    ``members[ptr[i]:ptr[i+1]]`` ascending (eight bytes per pair below eps).
+    Both give the same witnesses; a 2-d ``members`` of another dtype or
+    shape is refused.
     ``_count_table`` passes the balls it built, from a matrix symmetric by
     construction, and symmetry is then not tested again: balls of an
     asymmetric matrix are refused only where the cover meets a mismatch.
@@ -548,23 +624,27 @@ def counts_from_matrix(
         raise ConfigError(f"config: distance matrix of shape {dmat.shape} is not square")
     if not (np.diagonal(dmat) < eps).all():
         raise ConfigError(f"config: distance matrix has a diagonal entry >= eps={eps:g}")
+    size = dmat.shape[0]
     if neighbours is None:
         if not _symmetric(dmat):
             raise ConfigError("config: distance matrix is not symmetric or holds NaN")
-        neighbours = dmat < eps
-    masked = isinstance(neighbours, np.ndarray)
-    if masked and (neighbours.dtype != bool or neighbours.shape != dmat.shape):
+        neighbours = _packed_below(dmat, eps)
+    if not isinstance(neighbours, tuple):
+        raise ConfigError("config: eps-balls must be a pair (ptr, members)")
+    ptr, members = neighbours
+    packed = members.ndim == 2
+    if packed and (members.dtype != np.uint8 or members.shape != (size, -(-size // 8))):
         raise ConfigError(
-            f"config: eps-ball mask of dtype {neighbours.dtype} and shape {neighbours.shape}"
-            f" is not a boolean array of the matrix's shape {dmat.shape}"
+            f"config: eps-ball mask of dtype {members.dtype} and shape {members.shape}"
+            f" is not a packed uint8 array of shape {(size, -(-size // 8))}"
         )
-    span = _mask_cover(neighbours) if masked else _greedy_cover(*neighbours)
-    if _count_mode(dmat.shape[0]) == "exact":
-        balls = _ball_masks(neighbours if masked else dmat < eps)
+    span = _mask_cover(ptr, members) if packed else _greedy_cover(ptr, members)
+    if _count_mode(size) == "exact":
+        balls = _ball_masks(members if packed else _packed_below(dmat, eps)[1])
         return _exact_max_separated(balls), _exact_min_spanning(balls, span)
     if order is None:
         order = farthest_point_order(dmat, dmat.mean(axis=1))
-    sep = _mask_separated(neighbours, order) if masked else _greedy_separated(*neighbours, order)
+    sep = _mask_separated(members, order) if packed else _greedy_separated(ptr, members, order)
     if len(span) > len(sep):
         span = sep
     return sep, span
@@ -710,25 +790,27 @@ def _count_table(
     before ``orders`` without that, or runs past it, is refused.
 
     Each cell's eps-balls are built here and passed to
-    ``counts_from_matrix``, as one N x N boolean mask or as row lists.  At
-    every n the largest eps goes first: its entries hold those of every
-    smaller eps at this n and, the stream being non-decreasing, those of
-    every eps at later n.  Once that cell holds at most ``CARRY_DENSITY`` of
-    the matrix its flat indices (``np.flatnonzero`` of its mask) are kept,
-    and every later cell tests only those entries and counts from the row
-    lists they give.  Before that a cell counts from the mask ``dmat <
-    eps``, written into one buffer that every such cell of the table
-    reuses.  Exact-size tables always count from the mask.  Besides the
-    stream's matrix, the mask buffer or one carried list, and one cell's
-    lists are held at a time (the mask and the list both while the cell that
-    starts the carry is counted); every cell gets the same witnesses either
-    way.
+    ``counts_from_matrix``, as a packed mask or as row lists.  At every n
+    the largest eps goes first: its entries hold those of every smaller eps
+    at this n and, the stream being non-decreasing, those of every eps at
+    later n.  Before that cell holds at most ``CARRY_DENSITY`` of the matrix,
+    a cell counts from the mask ``dmat < eps`` packed one bit per pair
+    (``_packed_below``), written into one N x ceil(N/8) buffer that every
+    such cell of the table reuses; its ball sizes come from the same banded
+    pass, and their sum is the largest eps's pair count.  Once that cell is
+    sparse its flat indices are written, band by band from its packed rows,
+    into one array of that many entries and kept, and every later cell tests
+    only those entries and counts from the row lists they give.
+    Exact-size tables always count from the mask.  Besides the stream's
+    matrix, the mask buffer or one carried list, and one cell's lists are
+    held at a time (the mask and the list both while the cell that starts
+    the carry is counted); every cell gets the same witnesses either way.
     """
     columns: list[list[CountRow]] = [[] for _ in eps_list]
     if eps_list:
         top = int(np.argmax(eps_list))
         cells = [top] + [k for k in range(len(eps_list)) if k != top]
-        carried = top_count = mask = None
+        carried = top_count = bits = None
         n = 0
         for n, dmat, seed in matrices:
             size = dmat.shape[0]
@@ -736,20 +818,19 @@ def _count_table(
             order = farthest_point_order(dmat, seed) if greedy else None
             for k in cells:
                 eps = eps_list[k]
-                if carried is not None:
-                    balls = _flat_below(dmat, eps, carried)
-                else:
-                    balls = mask = np.less(dmat, eps, out=mask)
-                masked = balls.dtype == bool
+                flat = None if carried is None else _flat_below(dmat, eps, carried)
+                if flat is None:
+                    ptr, bits = _packed_below(dmat, eps, bits)
                 if k == top:
                     carried = None  # free the old list before the new one is made
-                    top_count = int(np.count_nonzero(balls)) if masked else balls.size
+                    top_count = int(ptr[-1]) if flat is None else flat.size
                     if greedy and top_count <= CARRY_DENSITY * dmat.size:
-                        carried = np.flatnonzero(balls) if masked else balls.copy()
-                        mask = None  # no later cell of the table counts from a mask
-                neighbours = balls if masked else _row_lists(balls, size)
+                        carried = _packed_flat(ptr, bits) if flat is None else flat.copy()
+                neighbours = (ptr, bits) if flat is None else _row_lists(flat, size)
                 sep, span = counts_from_matrix(dmat, eps, order=order, neighbours=neighbours)
-                del balls, neighbours  # free this cell's lists before the next cell builds its own
+                del flat, neighbours  # free this cell's lists before the next cell builds its own
+                if carried is not None:
+                    bits = None  # no later cell of the table counts from a mask
                 columns[k].append(CountRow(eps, n, len(sep), len(span)))
             if top_count == size and n < orders:
                 if hasattr(matrices, "close"):

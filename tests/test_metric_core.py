@@ -12,6 +12,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 from entro import (
     EXACT_CAP,
@@ -43,6 +44,8 @@ from entro.metric_core import (
     _greedy_separated,
     _mask_cover,
     _mask_separated,
+    _packed_below,
+    _packed_flat,
     _row_lists,
     covering_radius,
     farthest_point_order,
@@ -181,7 +184,7 @@ def oracle_matrix(kind: str, seed: int) -> np.ndarray:
 
 
 class TestGreedyCountsMatchDenseScans:
-    """Greedy counts over eps-balls, held as row lists or as a boolean mask,
+    """Greedy counts over eps-balls, held as row lists or as a packed mask,
     equal the dense-row scans."""
 
     @pytest.mark.parametrize("seed", range(4))
@@ -195,12 +198,12 @@ class TestGreedyCountsMatchDenseScans:
         order = farthest_point_order(dmat, dmat.mean(axis=1))
         for eps in scales:
             lists = eps_lists(dmat, eps)
-            mask = dmat < eps
+            packed = _packed_below(dmat, eps)
             want_sep = dense_greedy_separated(dmat, order, eps)
             want_span = dense_greedy_cover(dmat, eps)
-            assert _greedy_separated(*lists, order) == _mask_separated(mask, order) == want_sep
+            assert _greedy_separated(*lists, order) == _mask_separated(packed[1], order) == want_sep
             # the cover itself, even where the separated witness is smaller
-            assert _greedy_cover(*lists) == _mask_cover(mask) == want_span
+            assert _greedy_cover(*lists) == _mask_cover(*packed) == want_span
             got = counts_from_matrix(dmat, eps, order=order)  # from the mask it builds
             assert counts_from_matrix(dmat, eps, order=order, neighbours=lists) == got
             if len(dmat) > EXACT_CAP:
@@ -208,7 +211,7 @@ class TestGreedyCountsMatchDenseScans:
                     want_span = want_sep
                 assert got == (want_sep, want_span)
         if off.size == dmat.size - len(dmat):  # every ball a singleton at lo / 2
-            assert _mask_cover(dmat < lo / 2) == list(range(len(dmat)))
+            assert _mask_cover(*_packed_below(dmat, lo / 2)) == list(range(len(dmat)))
 
     @pytest.mark.parametrize("size, mode", [(30, "greedy"), (10, "exact")])
     def test_point_outside_its_own_ball_is_refused(self, size, mode):
@@ -241,9 +244,9 @@ class TestGreedyCountsMatchDenseScans:
         with pytest.raises(ConfigError, match="not those of a symmetric matrix"):
             counts_from_matrix(dmat, 2.0, neighbours=lists)
         with pytest.raises(ConfigError, match="not those of a symmetric matrix"):
-            _mask_cover(dmat < 2.0)
+            _mask_cover(*_packed_below(dmat, 2.0))
         with pytest.raises(ConfigError, match="not those of a symmetric matrix"):
-            counts_from_matrix(dmat, 2.0, neighbours=dmat < 2.0)
+            counts_from_matrix(dmat, 2.0, neighbours=_packed_below(dmat, 2.0))
 
     def test_asymmetric_mask_refused_at_the_last_step(self):
         """Point 1's ball holds 2 and point 2's holds 0, but neither back: the
@@ -253,21 +256,27 @@ class TestGreedyCountsMatchDenseScans:
         dmat = np.full((30, 30), 5.0)
         np.fill_diagonal(dmat, 0.0)
         dmat[1, 2] = dmat[2, 0] = 1.0
-        for balls in (dmat < 2.0, eps_lists(dmat, 2.0)):
+        for balls in (_packed_below(dmat, 2.0), eps_lists(dmat, 2.0)):
             with pytest.raises(ConfigError, match="not those of a symmetric matrix"):
                 counts_from_matrix(dmat, 2.0, neighbours=balls)
 
     def test_matrix_that_is_no_distance_is_refused(self):
         """Only a square, symmetric, NaN-free matrix is counted, on the greedy
         path (102 points) and the exact one (3 points) alike, and only a
-        boolean mask of its shape is read as its eps-balls."""
+        packed uint8 mask of N x ceil(N/8) bytes is read as its eps-balls."""
         dmat = oracle_matrix("symmetric", 0)
+        ptr, bits = _packed_below(dmat, 0.3)
+        want = counts_from_matrix(dmat, 0.3)
+        assert counts_from_matrix(dmat, 0.3, neighbours=(ptr, bits)) == want
         mask = dmat < 0.3
-        assert counts_from_matrix(dmat, 0.3, neighbours=mask) == counts_from_matrix(dmat, 0.3)
-        for bad in (mask.astype(np.uint8), mask.astype(np.int64), mask.astype(float),
-                    mask[:-1], mask[:-1, :-1]):
-            with pytest.raises(ConfigError, match="not a boolean array of the matrix's shape"):
-                counts_from_matrix(dmat, 0.3, neighbours=bad)
+        for bad in (bits.astype(bool), bits.astype(np.int64), bits.astype(float),
+                    bits.view(np.int8), bits[:-1], bits[:, :-1], np.pad(bits, ((0, 0), (0, 1))),
+                    mask, mask.view(np.uint8)):
+            with pytest.raises(ConfigError, match="is not a packed uint8 array of shape"):
+                counts_from_matrix(dmat, 0.3, neighbours=(ptr, bad))
+        for bare in (bits, mask):  # the balls without their sizes
+            with pytest.raises(ConfigError, match="must be a pair"):
+                counts_from_matrix(dmat, 0.3, neighbours=bare)
         skew = dmat.copy()
         skew[0, 1] += 0.1
         nan = dmat.copy()
@@ -306,13 +315,13 @@ def row_tuples(table: CountTable) -> list[tuple]:
 @pytest.fixture()
 def cell_balls(monkeypatch):
     """Records how ``_count_table`` held each cell's balls when it counted the
-    cell: "mask" (the boolean mask ``dmat < eps``) or "carried" (row lists
+    cell: "mask" (the packed mask ``dmat < eps``) or "carried" (row lists
     tested from a carried list)."""
     seen: list[str] = []
     counts = metric_core.counts_from_matrix
 
     def counts_spy(dmat, eps, order=None, neighbours=None):
-        seen.append("mask" if isinstance(neighbours, np.ndarray) else "carried")
+        seen.append("mask" if neighbours[1].ndim == 2 else "carried")
         return counts(dmat, eps, order=order, neighbours=neighbours)
 
     monkeypatch.setattr(metric_core, "counts_from_matrix", counts_spy)
@@ -469,35 +478,50 @@ class TestSaturatedTables:
 
 
 class TestBandedThreshold:
-    """Balls read in bands of ``TILE_ROWS`` rows equal one threshold of the
-    whole matrix, at sizes on either side of a band."""
+    """Balls read in bands of ``TILE_ROWS`` rows, and packed eight to a byte,
+    equal one threshold of the whole matrix, at sizes on either side of a
+    byte and of a band."""
 
-    @pytest.mark.parametrize("size", [1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 200])
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 200])
     def test_equals_flatnonzero(self, size):
-        """The flat indices a table carries, and the lists they give, are those
-        of ``np.flatnonzero(dmat < eps)``; the mask cover, which lowers gains
-        and takes its last balls a band at a time, equals the lists' cover."""
+        """The packed mask and its ball sizes are those of ``dmat < eps``; the
+        flat indices a table carries, from the packed mask or from a wider
+        carried list, are those of ``np.flatnonzero(dmat < eps)``; and the
+        packed mask gives the witnesses of the lists and of the dense scans."""
         rng = np.random.default_rng(size)
         pts = rng.random((size, 2))
         dmat = distance_matrix(pts, pts, MetricSpec.euclidean())
+        order = farthest_point_order(dmat, dmat.mean(axis=1))
         off_diagonal = dmat[~np.eye(size, dtype=bool)]
         # below every off-diagonal entry, a middle scale, above every entry
         scales = [off_diagonal.min() if size > 1 else 1.0, 0.3, float(dmat.max()) + 1]
         for eps in scales:
             want = np.flatnonzero(dmat < eps)
+            ptr, bits = _packed_below(dmat, eps)
+            assert np.array_equal(bits, np.packbits(dmat < eps, axis=1, bitorder="little"))
+            assert np.array_equal(np.diff(ptr), np.count_nonzero(dmat < eps, axis=1))
+            assert ptr[0] == 0 and ptr.dtype == np.intp
+            got = _packed_flat(ptr, bits)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, want)
             for wider in scales:
                 if wider >= eps:
                     got = _flat_below(dmat, eps, np.flatnonzero(dmat < wider))
                     assert got.dtype == np.int64
                     assert np.array_equal(got, want)
-            assert _mask_cover(dmat < eps) == _greedy_cover(*eps_lists(dmat, eps))
+            lists = eps_lists(dmat, eps)
+            want_sep = dense_greedy_separated(dmat, order, eps)
+            assert _mask_separated(bits, order) == _greedy_separated(*lists, order) == want_sep
+            assert _mask_cover(ptr, bits) == _greedy_cover(*lists) == dense_greedy_cover(dmat, eps)
+            assert (counts_from_matrix(dmat, eps, order=order, neighbours=(ptr, bits))
+                    == counts_from_matrix(dmat, eps, order=order, neighbours=lists))
 
     def test_dense_cells_hold_no_square_temporary(self, cell_balls):
         """A single-order stream too dense to carry counts every cell from one
-        reused boolean mask: beyond its matrix the table allocates at most
-        N^2 bytes plus O(N * TILE_ROWS), so no int64 list of the pairs below
-        eps and no second square array.  The largest scale holds 11 % of the
-        pairs, then all of them."""
+        reused packed mask: beyond its matrix the table allocates at most
+        N^2 / 8 bytes plus O(N * TILE_ROWS), so no boolean N x N mask, no
+        int64 list of the pairs below eps and no second square array.  The
+        largest scale holds 11 % of the pairs, then all of them."""
         rng = np.random.default_rng(5)
         size = 2000
         pts = rng.random((size, 2))
@@ -513,7 +537,7 @@ class TestBandedThreshold:
             finally:
                 tracemalloc.stop()
             assert cell_balls == ["mask"] * len(eps_list)
-            assert peak <= size * size + 4 * size * TILE_ROWS
+            assert peak <= size * size // 8 + 4 * size * TILE_ROWS
             assert row_tuples(table) == dense_recount(iter([(1, dmat, seed)]), eps_list)
 
 
@@ -666,6 +690,21 @@ class TestPointCloud:
         cloud = PointCloud(np.array([[0.0, 0.0], [3.0, 4.0]]), 0.1)
         assert math.isclose(cloud_diameter(cloud), 5.0)
 
+    def test_diameter_in_bands(self):
+        """The banded diameter is the full matrix's maximum bit for bit, and
+        at 4000 points (the largest it does not bound by the box) it holds
+        no N x N matrix, only bands of ``TILE_ROWS`` rows."""
+        pts = np.random.default_rng(7).random((2 * TILE_ROWS + 5, 3))
+        assert cloud_diameter(PointCloud(pts, 0.1)) == cdist(pts, pts).max()
+        cloud = PointCloud(np.random.default_rng(8).random((4000, 2)), 0.1)
+        tracemalloc.start()
+        try:
+            cloud_diameter(cloud)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * TILE_ROWS * cloud.size
+
 
 class TestExactCap:
     def test_subsample_check_over_cap(self, rng):
@@ -705,6 +744,22 @@ class TestDenseSubsample:
         assert covering_radius(pts, pts[:1]) == 3.0
         assert covering_radius(pts, pts[1:]) == 1.0
         assert covering_radius(pts, pts) == 0.0
+
+    def test_covering_radius_in_bands(self, rng):
+        """The banded radius equals the full matrix's bit for bit, and a
+        subsample of 3000 points holds bands of ``TILE_ROWS`` rows against
+        the kept points, not the 3000 x 1500 matrix."""
+        pts = rng.random((3 * TILE_ROWS + 1, 2))
+        assert covering_radius(pts, pts[::3]) == cdist(pts, pts[::3]).min(axis=1).max()
+        cloud = PointCloud(rng.random((3000, 2)), 0.01)
+        tracemalloc.start()
+        try:
+            sub = dense_subsample(cloud, 0.5, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * TILE_ROWS * sub.size + 64 * cloud.size
+        assert math.isclose(sub.mesh, 0.01 + covering_radius(cloud.points, sub.points))
 
     def test_keep_all_is_identity(self, rng):
         cloud = PointCloud(rng.random((10, 2)), 0.01)
