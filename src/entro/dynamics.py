@@ -2,9 +2,12 @@
 
 A system is a step rule on an embedded space together with a domain
 predicate.  Orbits that leave the domain raise ``EscapeError`` carrying the
-first bad step; the counting front end instead truncates the table at the
-largest step every orbit survives, which is step 0 for a start outside the
-domain.
+first bad step.  Every count table instead builds its orbits with
+``allow_truncation``, which stops at the largest depth every orbit
+survives (0 for a start outside the domain): ``bd_count_table`` keeps that
+many orders and the lifted ``orbit_space.friedland_count_table`` the
+lifted orders they reach, and ``metric_core._count_table`` records the cut
+as ``truncated_at`` for both.
 
 The order-n orbit metric between two points is the max over the first n
 iterates of the base distance.  Count tables are built incrementally: one
@@ -155,9 +158,8 @@ def bd_count_table(
         raise ConfigError("config: n_max must be >= 1")
     _refuse_repeated_scales(eps_list)
     table = build_orbit_table(system, cloud, n_max, allow_truncation=True)
-    truncated = table.depth if table.depth < n_max else None
     matrices = orbit_metric_matrices(table.orbits, spec)
-    return _count_table(matrices, eps_list, cloud.size, table.depth, truncated)
+    return _count_table(matrices, eps_list, cloud.size, table.depth, n_max)
 
 
 @dataclass(frozen=True)

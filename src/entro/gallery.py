@@ -781,8 +781,11 @@ def run_bundle(bundle: GalleryBundle, methods: tuple[str, ...] = ALL_METHODS) ->
     when asked for, and the direct table is then the table of the member
     whose points equal the bundle cloud's, bit for bit; it is counted with
     ``bd_count_table`` only when no member does or compacta was not asked
-    for.  A bundle cloud with an orbit that escapes before n = 6, or starts
-    outside the domain, fails the direct estimate with ``ConfigError``.
+    for.  An orbit of the bundle cloud that leaves the domain truncates the
+    direct and the lifted table alike, and no ``EscapeError`` leaves the
+    run: a table truncated before n = 6 (at 0 for a start outside the
+    domain; the lifted table counts lifted orders, depth - m + 1) fails its
+    estimate with ``ConfigError``.
     The verdict uses the default slack of ``inequality_report``.  The lifted
     estimate has a euclidean base metric, so it refuses a bundle with any
     other metric.

@@ -767,7 +767,7 @@ def _count_table(
     eps_list: list[float],
     cloud_size: int,
     orders: int,
-    truncated_at: int | None = None,
+    n_max: int,
 ) -> CountTable:
     """Counts over the (eps, n) grid from a stream of order-n matrices.
 
@@ -780,6 +780,11 @@ def _count_table(
     eps share one farthest-point order per n, started from ``seed``; exact
     counts do not read one, so none is built.  Rows run over eps in list
     order, n ascending within each.
+
+    ``n_max`` is the number of orders the caller asked for.  A stream with
+    fewer ``orders`` comes from orbits that left the domain, and the table
+    records ``truncated_at = orders`` (0 leaves no rows); a full table
+    records None.  The direct and the lifted table both take this rule here.
 
     Once the largest eps's cell at some n < ``orders`` holds only the N
     diagonal entries (0, so below every eps), every pair is at least every
@@ -845,7 +850,7 @@ def _count_table(
                     f"config: matrix stream stopped at n = {n}, not at orders = {orders}"
                 )
     rows = tuple(row for column in columns for row in column)
-    return CountTable(rows, cloud_size, truncated_at)
+    return CountTable(rows, cloud_size, orders if orders < n_max else None)
 
 
 # ---------------------------------------------------------------------------

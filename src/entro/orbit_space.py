@@ -123,8 +123,12 @@ def shift_system(system: DynSystem, truncation: int) -> DynSystem:
     )
 
 
-def _lifted_matrices(orbits: np.ndarray, n_max: int, rho: float, m: int):
-    """Order-n shift matrices under dhat for n = 1 .. n_max, updated in place.
+def _lifted_matrices(orbits: np.ndarray, rho: float, m: int):
+    """Order-n shift matrices under dhat for n = 1 .. depth - m + 1, in place.
+
+    Order n reads the slices k < n + m - 1, so the orbit table's depth sets
+    the number of orders, as it does for ``orbit_metric_matrices``; the depth
+    must be at least ``m``.
 
     The order-n shift distance is the running max over i < n of the weighted
     sums S_i = sum_{j<M} rho^(-j) d(x_{i+j}, y_{i+j}), with M = ``m``.  Rather
@@ -186,7 +190,7 @@ def _lifted_matrices(orbits: np.ndarray, n_max: int, rho: float, m: int):
             yield r0, r1, s_t
 
     def orders(seed: np.ndarray):
-        for i in range(n_max):
+        for i in range(orbits.shape[1] - m + 1):
             if i > 0:
                 seed = rho * (seed - slice_seed(i - 1)) + tail_w * slice_seed(i - 1 + m)
                 np.maximum(seed, 0.0, out=seed)
@@ -211,8 +215,14 @@ def friedland_count_table(
     gives the order-n matrices and holds their running max plus the upper
     half of S in one array, which is freed when the table returns, or as
     soon as ``_count_table`` finds every pair separated at the largest
-    scale.  A scale listed twice is refused
-    before any orbit is built.
+    scale.  A scale listed twice is refused before any orbit is built.
+
+    Orbits that leave the domain truncate the table, as in
+    ``bd_count_table``.  Lifted order n reads iterates up to n + m - 2, so
+    an orbit table that stops at depth D < m + n_max - 1 gives the orders
+    n <= D - m + 1, and ``truncated_at`` counts those lifted orders (0 when
+    D < m).  A start outside the domain leaves no rows, ``truncated_at`` 0
+    and ``truncation`` None, as no iterate is there to take m from.
     """
     if n_max < 1:
         raise ConfigError("config: n_max must be >= 1")
@@ -220,12 +230,16 @@ def friedland_count_table(
         raise ConfigError("config: rho must be a finite number > 1")
     _refuse_repeated_scales(eps_list)
 
-    probe = build_orbit_table(system, cloud, min(n_max, 4))
+    probe = build_orbit_table(system, cloud, min(n_max, 4), allow_truncation=True)
+    if probe.depth == 0:
+        return replace(_count_table(iter(()), eps_list, cloud.size, 0, n_max), rho=rho)
     m = choose_truncation(rho, max(_box_diagonal(probe.orbits), 1e-12))
 
-    table = build_orbit_table(system, cloud, m + n_max - 1)
-    matrices = _lifted_matrices(table.orbits, n_max, rho, m)
-    return replace(_count_table(matrices, eps_list, cloud.size, n_max), rho=rho, truncation=m)
+    table = build_orbit_table(system, cloud, m + n_max - 1, allow_truncation=True)
+    orders = max(table.depth - m + 1, 0)
+    matrices = _lifted_matrices(table.orbits, rho, m) if orders else iter(())
+    return replace(_count_table(matrices, eps_list, cloud.size, orders, n_max),
+                   rho=rho, truncation=m)
 
 
 def friedland_estimate(

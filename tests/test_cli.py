@@ -192,9 +192,14 @@ class TestGalleryCommand:
         assert_config_error(rc, capsys.readouterr(), "mesh")
 
     def test_truncated_table_names_its_step(self, capsys):
-        """Orbits of this escape bundle leave the domain at step 3, under n_max 8."""
-        rc = main(["gallery", "escape", "--l-max", "4", "--orbit-len", "101"])
-        assert_config_error(rc, capsys.readouterr(), "truncated at n=3")
+        """The first bundle's orbits leave the domain at step 3, under n_max 8,
+        so the direct table stops at n = 3.  The second's leave at step 8, so
+        the direct table is whole but the lifted one (m = 8) keeps only
+        order 1."""
+        for args, step in [(["--l-max", "4", "--orbit-len", "101"], 3),
+                           (["--l-max", "3", "--orbit-len", "42"], 1)]:
+            rc = main(["gallery", "escape", *args])
+            assert_config_error(rc, capsys.readouterr(), f"truncated at n={step}")
 
     def test_methods_must_include_the_baseline(self, capsys):
         rc = main(

@@ -363,7 +363,9 @@ class TestCarriedNeighbourLists:
         spec = MetricSpec.euclidean()
         # the largest scale in the middle, and one scale twice
         eps_list = [0.1, 0.2, 1.5, 0.05, 0.2]
-        table = _count_table(orbit_metric_matrices(orbits, spec), eps_list, len(orbits), len(spread))
+        depth = len(spread)
+        table = _count_table(orbit_metric_matrices(orbits, spec), eps_list, len(orbits), depth,
+                             depth)
         assert cell_balls == kinds
         assert row_tuples(table) == dense_recount(orbit_metric_matrices(orbits, spec), eps_list)
 
@@ -371,7 +373,7 @@ class TestCarriedNeighbourLists:
         orbits = np.random.default_rng(2).random((EXACT_CAP, 3, 2)) * 4.0
         eps_list = [0.5, 3.0, 1.0]
         table = _count_table(orbit_metric_matrices(orbits, MetricSpec.euclidean()), eps_list,
-                             EXACT_CAP, 3)
+                             EXACT_CAP, 3, 3)
         assert table.mode == "exact"
         assert cell_balls == ["mask"] * 9
         assert row_tuples(table) == dense_recount(
@@ -387,7 +389,7 @@ class TestCarriedNeighbourLists:
         m = table.truncation
         assert "carried" in cell_balls
         orbits = build_orbit_table(system, cloud, m + n_max - 1).orbits
-        want = dense_recount(_lifted_matrices(orbits, n_max, rho, m), eps_list)
+        want = dense_recount(_lifted_matrices(orbits, rho, m), eps_list)
         assert row_tuples(table) == want
         assert table.mode == "greedy"
 
@@ -422,7 +424,7 @@ class TestSaturatedTables:
         orbits = spread_at(size, 5, 2)
         log: list = []
         stream = pulled(orbit_metric_matrices(orbits, self.spec), log)
-        table = _count_table(stream, self.eps_list, size, 5)
+        table = _count_table(stream, self.eps_list, size, 5, 5)
         assert log == [1, 2, "closed"]  # ``stream`` is still referenced, so _count_table closed it
         assert table.mode == ("greedy" if size > EXACT_CAP else "exact")
         assert row_tuples(table) == dense_recount(
@@ -431,7 +433,7 @@ class TestSaturatedTables:
         assert [r.n for r in table.rows if r.sep_count == r.span_count == size] == [2, 3, 4, 5] * 3
         # a plain iterator, which has nothing to close, gives the same table
         kept = [(n, d.copy(), s.copy()) for n, d, s in orbit_metric_matrices(orbits, self.spec)]
-        assert _count_table(iter(kept), self.eps_list, size, 5) == table
+        assert _count_table(iter(kept), self.eps_list, size, 5, 5) == table
 
     def test_truncated_direct_table(self):
         """Saturated at n = 4, escaped at step 5: rows up to the escape, same ``truncated_at``."""
@@ -450,9 +452,9 @@ class TestSaturatedTables:
     def test_short_or_long_stream_refused(self):
         orbits = spread_at(40, 3, 3)[:, :2]  # never saturates
         with pytest.raises(ConfigError, match="stopped at n = 2, not at orders = 4"):
-            _count_table(orbit_metric_matrices(orbits, self.spec), self.eps_list, 40, 4)
+            _count_table(orbit_metric_matrices(orbits, self.spec), self.eps_list, 40, 4, 4)
         with pytest.raises(ConfigError, match="stopped at n = 2, not at orders = 1"):
-            _count_table(orbit_metric_matrices(orbits, self.spec), self.eps_list, 40, 1)
+            _count_table(orbit_metric_matrices(orbits, self.spec), self.eps_list, 40, 1, 1)
 
     def test_lifted_table(self, monkeypatch):
         system = build_doubling(grid=64).system
@@ -473,7 +475,7 @@ class TestSaturatedTables:
         assert log[-1] == "closed"
         assert log[:-1] == list(range(1, len(log))) and len(log) - 1 < n_max
         orbits = build_orbit_table(system, cloud, m + n_max - 1).orbits
-        want = dense_recount(lifted(orbits, n_max, rho, m), self.eps_list)
+        want = dense_recount(lifted(orbits, rho, m), self.eps_list)
         assert row_tuples(table) == want
 
 
@@ -532,7 +534,7 @@ class TestBandedThreshold:
             cell_balls.clear()
             tracemalloc.start()
             try:
-                table = _count_table(iter([(1, dmat, seed)]), eps_list, size, 1)
+                table = _count_table(iter([(1, dmat, seed)]), eps_list, size, 1, 1)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

@@ -308,7 +308,7 @@ class TestFriedlandCounts:
         pts = np.column_stack([np.cos(theta), np.sin(theta)])
         n_max, rho, m = 5, 3.0, 6
         orbits = build_orbit_table(doubling.system, PointCloud(pts, 0.2), m + n_max - 1).orbits
-        got = _lifted_matrices(orbits, n_max, rho, m)
+        got = _lifted_matrices(orbits, rho, m)
         want = dense_lifted_matrices(orbits, n_max, rho, m)
         for (n, dmat, seed), (want_n, want_dmat, want_seed) in zip(got, want, strict=True):
             assert n == want_n
@@ -333,6 +333,45 @@ class TestFriedlandCounts:
             friedland_count_table(doubling.system, cloud, [0.4], 3, rho=1.0)
         with pytest.raises(ConfigError, match="rho"):
             friedland_count_table(doubling.system, cloud, [0.4], 3, rho=math.inf)
+
+
+def lifted_table(bundle):
+    return friedland_count_table(
+        bundle.system, bundle.cloud, list(bundle.eps_list), bundle.n_max, rho=bundle.rho
+    )
+
+
+class TestTruncatedLiftedTable:
+    """Orbits that leave the domain truncate the lifted table as they do the
+    direct one; its ``truncated_at`` counts lifted orders, depth - m + 1."""
+
+    def test_escape_keeps_the_orders_the_orbits_reach(self):
+        table = lifted_table(build_escape(2, L_max=3, orbit_len=48))
+        assert (table.truncated_at, table.truncation) == (7, 8)
+        whole = lifted_table(build_escape(2, L_max=3, orbit_len=60))
+        assert whole.truncated_at is None and whole.truncation == 8
+        assert table.rows == tuple(r for r in whole.rows if r.n <= 7)
+
+    def test_short_orbits_keep_the_lifted_orders_they_reach(self):
+        """Orbit tables of depth m = 8 keep lifted order 1; shallower ones none."""
+        for orbit_len, cut, orders in [(42, 1, {1}), (40, 0, set())]:
+            table = lifted_table(build_escape(2, L_max=3, orbit_len=orbit_len))
+            assert (table.truncated_at, table.truncation) == (cut, 8)
+            assert {r.n for r in table.rows} == orders
+
+    def test_start_outside_the_domain_leaves_no_rows(self):
+        system = DynSystem("times4", 1, lambda x: 4.0 * x, lambda x: np.abs(x[:, 0]) < 1000.0)
+        cloud = PointCloud(np.array([[1.0], [2000.0]]), 0.1)
+        table = friedland_count_table(system, cloud, [0.2, 0.1, 0.05], 6)
+        assert table.rows == () and table.truncated_at == 0
+        direct = bd_count_table(system, cloud, MetricSpec.euclidean(), [0.2, 0.1, 0.05], 6)
+        assert direct.rows == () and direct.truncated_at == 0
+
+    def test_run_bundle_notes_the_lifted_truncation(self):
+        run = run_bundle(build_escape(2, L_max=3, orbit_len=48))
+        assert run.fr.truncated_at == 7
+        assert "orbit table truncated at n=7" in run.fr.diagnostics
+        assert run.bd.truncated_at is None
 
 
 class TestMetricComparison:

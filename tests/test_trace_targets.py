@@ -13,9 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from entro import MetricSpec, PointCloud
+from entro import MetricSpec, PointCloud, orbit_space
 from entro.dynamics import bd_count_table, build_orbit_table
-from entro.gallery import build_doubling, run_bundle
+from entro.gallery import build_doubling, build_escape, run_bundle
 from entro.metric_core import counts_from_matrix
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -128,3 +128,22 @@ def test_member_tables_are_counted_inside_compacta():
     parents = [None if s[3] is None else spans[s[3]][0]
                for s in spans if s[0] == "dynamics.bd_table"]
     assert parents == ["estimators.compacta"] * 3
+
+
+def test_truncated_lifted_table_is_traced_like_a_whole_one():
+    """A lifted table cut to order 1 by an escape still builds its probe and
+    its full orbit table inside the lifted span, and counts each scale once,
+    so the benchmark credits it as it does a whole table."""
+    bundle = build_escape(2, L_max=3, orbit_len=42)
+    tracing = load_tracing()
+    with tracing.Tracer(tracing.LAYER_TARGETS).installed() as tracer:
+        table = orbit_space.friedland_count_table(  # the module's name, which the tracer wraps
+            bundle.system, bundle.cloud, list(bundle.eps_list), bundle.n_max, rho=bundle.rho
+        )
+    spans = tracer.spans
+    names = [span[0] for span in spans]
+    assert table.truncated_at == 1
+    parents = [None if s[3] is None else spans[s[3]][0]
+               for s in spans if s[0] == "dynamics.orbit"]
+    assert parents == ["orbit_space.lifted"] * 2
+    assert names.count("metric_core.counts") == len(bundle.eps_list)
