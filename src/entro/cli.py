@@ -486,6 +486,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: memory: {exc or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

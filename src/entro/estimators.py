@@ -128,7 +128,8 @@ class EntropyEstimate:
         else:
             notes.append(f"stabilized at eps={self.stabilized_at:g}")
         if self.truncated_at is not None:
-            notes.append(f"orbit table truncated at n={self.truncated_at}")
+            table = "lifted" if self.method == "friedland" else "direct"
+            notes.append(f"{table} table truncated at n={self.truncated_at}")
         return tuple(notes)
 
 
@@ -164,7 +165,9 @@ def entropy_estimate(table: CountTable, stabilization_tol: float = 0.05) -> Entr
     Rates are fitted to the separated counts.  Needs at least three epsilon
     values, each once, and n_max >= 6 so the stabilization scan has
     something to work with; a table truncated before n = 6 (at n = 0 it
-    has no rows) is refused as truncated first.  Adjacent rates closer than
+    has no rows) is refused as truncated first, naming the direct or the
+    lifted table and a lifted table's m when it has one (a start outside
+    the domain leaves none).  Adjacent rates closer than
     ``stabilization_tol`` agree.
     Saturated windows are flagged rather than hidden; disagreement across
     epsilon is reported as ``unstable`` and the smallest-epsilon rate is used.
@@ -174,7 +177,9 @@ def entropy_estimate(table: CountTable, stabilization_tol: float = 0.05) -> Entr
         raise ConfigError("config: stabilization_tol must be > 0")
     cut = table.truncated_at
     if cut is not None and cut < 6:
-        raise ConfigError(f"config: orbit table truncated at n={cut}; need n >= 6")
+        name = "direct" if table.rho is None else "lifted"
+        blocks = f" (m={table.truncation})" if table.truncation is not None else ""
+        raise ConfigError(f"config: {name} table{blocks} truncated at n={cut}; need n >= 6")
     eps_vals = sorted(table.eps_values(), reverse=True)
     if len(eps_vals) < 3:
         raise ConfigError("config: need >= 3 epsilon values to extrapolate")
@@ -276,21 +281,18 @@ class InequalityVerdict:
         return f"FR≈BD: {a}; BD≥Bc: {b}"
 
 
-def _headline(value) -> float:
-    return float(getattr(value, "headline", value))
-
-
-def inequality_report(bd, bc, fr, slack: float = 0.15) -> InequalityVerdict:
-    """Check |FR - BD| <= slack and BD >= Bc - slack on headline values."""
+def inequality_report(
+    bd: EntropyEstimate, bc: EntropyEstimate, fr: EntropyEstimate, slack: float = 0.15
+) -> InequalityVerdict:
+    """Check |FR - BD| <= slack and BD >= Bc - slack on the estimates' headlines."""
     if not slack >= 0:
         raise ConfigError("config: slack must be >= 0")
-    hbd, hbc, hfr = _headline(bd), _headline(bc), _headline(fr)
     return InequalityVerdict(
-        fr_bd_ok=bool(abs(hfr - hbd) <= slack),
-        bd_bc_ok=bool(hbd >= hbc - slack),
-        bd=hbd,
-        bc=hbc,
-        fr=hfr,
+        fr_bd_ok=bool(abs(fr.headline - bd.headline) <= slack),
+        bd_bc_ok=bool(bd.headline >= bc.headline - slack),
+        bd=bd.headline,
+        bc=bc.headline,
+        fr=fr.headline,
         slack=slack,
     )
 

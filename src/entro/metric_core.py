@@ -64,7 +64,6 @@ __all__ = [
     "pairwise_dist",
     "distance_matrix",
     "distance_tiles",
-    "cloud_diameter",
     "covering_radius",
     "counts_from_matrix",
     "farthest_point_order",
@@ -267,24 +266,6 @@ def pairwise_dist(a, b, spec: MetricSpec) -> float:
     if va.shape != vb.shape:
         raise ShapeError(f"shape: {va.shape} vs {vb.shape}")
     return float(distance_matrix(va[None, :], vb[None, :], spec)[0, 0])
-
-
-def cloud_diameter(cloud: PointCloud) -> float:
-    """Euclidean max pairwise distance; the bounding-box diagonal above 4000 points.
-
-    The distances come in bands of ``TILE_ROWS`` rows of the upper triangle,
-    so no N x N matrix is built.
-    """
-    if cloud.size > 4000:
-        return _box_diagonal(cloud.points)
-    pts = cloud.points
-    return float(max(cdist(pts[r0:r1], pts[r0:]).max() for r0, r1 in _bands(cloud.size)))
-
-
-def _box_diagonal(points: np.ndarray) -> float:
-    """Euclidean diagonal of the bounding box of the points along the last axis."""
-    flat = points.reshape(-1, points.shape[-1])
-    return float(np.linalg.norm(flat.max(axis=0) - flat.min(axis=0)))
 
 
 def covering_radius(points: np.ndarray, centers: np.ndarray) -> float:

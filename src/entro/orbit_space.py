@@ -25,11 +25,9 @@ from .metric_core import (
     MetricSpec,
     PointCloud,
     _bands,
-    _box_diagonal,
     _count_table,
     _refuse_repeated_scales,
     _running_max,
-    cloud_diameter,
     counts_from_matrix,
     distance_tiles,
     last_orbit_matrix,
@@ -79,6 +77,21 @@ def choose_truncation(rho: float, diameter: float, tail_tol: float = 1e-6) -> in
     while rho ** -m * factor >= tail_tol:
         m += 1
     return m
+
+
+def _iterate_diameter(system: DynSystem, cloud: PointCloud, depth: int = 4) -> float | None:
+    """The diameter under which dhat's tail is cut, or None for a start outside the domain.
+
+    dhat's dropped terms are distances between iterates, not between cloud
+    points, so the bound is the bounding-box diagonal of the cloud's first
+    min(depth, 4) iterates (as many as every orbit stays in the domain for),
+    floored at 1e-12 for ``choose_truncation``.
+    """
+    probe = build_orbit_table(system, cloud, min(depth, 4), allow_truncation=True)
+    if probe.depth == 0:
+        return None
+    flat = probe.orbits.reshape(-1, cloud.dim)
+    return max(float(np.linalg.norm(flat.max(axis=0) - flat.min(axis=0))), 1e-12)
 
 
 def lift_orbit(system: DynSystem, cloud: PointCloud, truncation: int) -> PointCloud:
@@ -210,9 +223,9 @@ def friedland_count_table(
 
     The base metric of dhat is euclidean; there is no spec to pass.
     Sequences keep m blocks, enough that the dropped tail is below 1e-6
-    (``choose_truncation`` on the box diagonal of the first min(n_max, 4)
-    iterates); the table's ``truncation`` records m.  ``_lifted_matrices``
-    gives the order-n matrices and holds their running max plus the upper
+    (``choose_truncation`` on ``_iterate_diameter`` of the first
+    min(n_max, 4) iterates); the table's ``truncation`` records m.
+    ``_lifted_matrices`` gives the order-n matrices and holds their running max plus the upper
     half of S in one array, which is freed when the table returns, or as
     soon as ``_count_table`` finds every pair separated at the largest
     scale.  A scale listed twice is refused before any orbit is built.
@@ -230,10 +243,10 @@ def friedland_count_table(
         raise ConfigError("config: rho must be a finite number > 1")
     _refuse_repeated_scales(eps_list)
 
-    probe = build_orbit_table(system, cloud, min(n_max, 4), allow_truncation=True)
-    if probe.depth == 0:
+    diam = _iterate_diameter(system, cloud, n_max)
+    if diam is None:
         return replace(_count_table(iter(()), eps_list, cloud.size, 0, n_max), rho=rho)
-    m = choose_truncation(rho, max(_box_diagonal(probe.orbits), 1e-12))
+    m = choose_truncation(rho, diam)
 
     table = build_orbit_table(system, cloud, m + n_max - 1, allow_truncation=True)
     orders = max(table.depth - m + 1, 0)
@@ -305,16 +318,22 @@ def metric_comparison_check(
     sample_pairs: int = 500,
     seed: int = 0,
 ) -> MetricComparisonReport:
-    """Test the dhat vs d_n comparison inequalities on sampled point pairs."""
+    """Test the dhat vs d_n comparison inequalities on sampled point pairs.
+
+    ``n_tail`` and the pairs' orbit length m come from ``_iterate_diameter``
+    of the cloud's first four iterates, so m is the lifted table's m
+    whenever that table has n_max >= 4 and eps is above its 1e-6 tail.
+    """
     if not 0 < eps < math.inf:
         raise ConfigError("config: eps must be a finite number > 0")
     if rho <= 1:
         raise ConfigError("config: rho must be > 1")
     if sample_pairs < 1:
         raise ConfigError("config: sample_pairs must be >= 1")
-    diam = cloud_diameter(cloud)
-    n_tail = choose_truncation(rho, max(diam, 1e-12), tail_tol=eps)
-    m = max(choose_truncation(rho, max(diam, 1e-12)), n_tail + 1)
+    # no start in the domain leaves diam 0, and the strict table below raises at step 0
+    diam = _iterate_diameter(system, cloud) or 0.0
+    n_tail = choose_truncation(rho, diam, tail_tol=eps)
+    m = max(choose_truncation(rho, diam), n_tail + 1)
     table = build_orbit_table(system, cloud, m)
     orbits = table.orbits
 

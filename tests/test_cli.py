@@ -195,11 +195,14 @@ class TestGalleryCommand:
         """The first bundle's orbits leave the domain at step 3, under n_max 8,
         so the direct table stops at n = 3.  The second's leave at step 8, so
         the direct table is whole but the lifted one (m = 8) keeps only
-        order 1."""
-        for args, step in [(["--l-max", "4", "--orbit-len", "101"], 3),
-                           (["--l-max", "3", "--orbit-len", "42"], 1)]:
+        order 1; the third's orbits stop below depth m and keep no order."""
+        for args, words in [
+            (["--l-max", "4", "--orbit-len", "101"], "direct table truncated at n=3;"),
+            (["--l-max", "3", "--orbit-len", "42"], "lifted table (m=8) truncated at n=1;"),
+            (["--l-max", "3", "--orbit-len", "40"], "lifted table (m=8) truncated at n=0;"),
+        ]:
             rc = main(["gallery", "escape", *args])
-            assert_config_error(rc, capsys.readouterr(), f"truncated at n={step}")
+            assert_config_error(rc, capsys.readouterr(), words)
 
     def test_methods_must_include_the_baseline(self, capsys):
         rc = main(
@@ -511,6 +514,21 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 0
         assert "usage: entro" in capsys.readouterr().out
+
+
+class TestRuntimeErrors:
+    def test_memory_error_exits_2(self, monkeypatch, capsys):
+        """Running out of memory is a runtime failure, not bad input."""
+
+        def out_of_memory(args):
+            raise MemoryError("Unable to allocate 368. GiB for an array")
+
+        monkeypatch.setattr(cli, "cmd_verify", out_of_memory)
+        rc = main(["verify", "unread.json"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == "error: memory: Unable to allocate 368. GiB for an array\n"
+        assert captured.out == ""
 
 
 ROOT = Path(__file__).resolve().parents[1]

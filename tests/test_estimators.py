@@ -161,14 +161,21 @@ class TestEntropyEstimate:
         assert entropy_estimate(replace(table, rho=4.0, truncation=9)).method == "friedland"
 
     def test_truncated_table_names_its_step(self):
+        """The refusal names the table that was cut, and a lifted table's m
+        when it has one; a start outside the domain leaves none."""
         counts = {eps: [2, 4, 8] for eps in (0.4, 0.2, 0.1)}
         table = replace(synthetic_table(counts, 100), truncated_at=3)
-        with pytest.raises(ConfigError, match="truncated at n=3"):
+        with pytest.raises(ConfigError, match="direct table truncated at n=3;"):
             entropy_estimate(table)
         with pytest.raises(ConfigError, match="n_max >= 6"):
             entropy_estimate(replace(table, truncated_at=None))
-        with pytest.raises(ConfigError, match="truncated at n=0"):
-            entropy_estimate(replace(table, rows=(), truncated_at=0))  # a start outside the domain
+        outside = replace(table, rows=(), truncated_at=0)  # a start outside the domain
+        with pytest.raises(ConfigError, match="direct table truncated at n=0;"):
+            entropy_estimate(outside)
+        with pytest.raises(ConfigError, match=r"lifted table \(m=8\) truncated at n=3;"):
+            entropy_estimate(replace(table, rho=4.0, truncation=8))
+        with pytest.raises(ConfigError, match="lifted table truncated at n=0;"):
+            entropy_estimate(replace(outside, rho=4.0))
 
 
 class TestCompactFamily:

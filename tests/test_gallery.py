@@ -22,6 +22,7 @@ from entro import (
 )
 from entro.dynamics import DynSystem, build_orbit_table, pointwise
 from entro.gallery import (
+    _crumple_heights,
     crumple_height,
     crumple_system,
     interval_of_lap,
@@ -33,8 +34,7 @@ from entro.gallery import (
     run_bundle,
     word_concatenation,
 )
-from entro.metric_core import _box_diagonal
-from entro.orbit_space import choose_truncation
+from entro.orbit_space import _iterate_diameter, choose_truncation
 
 
 class TestLapBookkeeping:
@@ -149,6 +149,20 @@ class TestCrumpleHeight:
             crumple_height(2, 0.0)
         with pytest.raises(UndefinedPointError):
             crumple_height(2, -0.25)
+        with pytest.raises(UndefinedPointError):
+            _crumple_heights(2, np.array([0.5, 0.0, 0.25]))
+        with pytest.raises(UndefinedPointError):
+            _crumple_heights(3, np.array([-0.25]))
+
+    @pytest.mark.parametrize("N, deep", [(2, 62), (3, 40)])
+    def test_array_rule_past_the_int64_lap_count(self, N, deep):
+        """Intervals from j = deep on have more laps than int64 holds, so the
+        array rule hands them to the scalar one; mixed with shallow laps,
+        every entry still equals ``crumple_height``."""
+        js = np.array([1, 2, 5, deep - 1, deep, deep + 7, 3, 200])
+        x = np.concatenate([1.0 / (js + 0.3), 1.0 / (js + 0.71), [1.0, 1.2]])
+        want = np.array([crumple_height(N, float(v)) for v in x])
+        assert np.array_equal(_crumple_heights(N, x), want)
 
 
 class TestIntervalStep:
@@ -571,8 +585,7 @@ class TestArrayRulesMatchScalarRules:
     )
     def test_orbit_tables(self, bundle, reference):
         n_max = bundle.n_max
-        probe = build_orbit_table(bundle.system, bundle.cloud, min(n_max, 4)).orbits
-        m = choose_truncation(bundle.rho, max(_box_diagonal(probe), 1e-12))
+        m = choose_truncation(bundle.rho, _iterate_diameter(bundle.system, bundle.cloud, n_max))
         lifted = m + n_max - 1
         clouds = [bundle.cloud] + [
             c for c in bundle.family.members if not np.array_equal(c.points, bundle.cloud.points)

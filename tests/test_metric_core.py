@@ -23,7 +23,6 @@ from entro import (
     PointCloud,
     ShapeError,
     TooLargeError,
-    cloud_diameter,
     counts_from_matrix,
     dense_subsample,
     distance_matrix,
@@ -687,25 +686,6 @@ class TestPointCloud:
         cloud = PointCloud(np.arange(10, dtype=float)[:, None], 0.1)
         sub = cloud.subset(np.array([1, 3]), "sub")
         assert sub.size == 2 and sub.label == "sub"
-
-    def test_diameter(self):
-        cloud = PointCloud(np.array([[0.0, 0.0], [3.0, 4.0]]), 0.1)
-        assert math.isclose(cloud_diameter(cloud), 5.0)
-
-    def test_diameter_in_bands(self):
-        """The banded diameter is the full matrix's maximum bit for bit, and
-        at 4000 points (the largest it does not bound by the box) it holds
-        no N x N matrix, only bands of ``TILE_ROWS`` rows."""
-        pts = np.random.default_rng(7).random((2 * TILE_ROWS + 5, 3))
-        assert cloud_diameter(PointCloud(pts, 0.1)) == cdist(pts, pts).max()
-        cloud = PointCloud(np.random.default_rng(8).random((4000, 2)), 0.1)
-        tracemalloc.start()
-        try:
-            cloud_diameter(cloud)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * 8 * TILE_ROWS * cloud.size
 
 
 class TestExactCap:

@@ -370,7 +370,7 @@ class TestTruncatedLiftedTable:
     def test_run_bundle_notes_the_lifted_truncation(self):
         run = run_bundle(build_escape(2, L_max=3, orbit_len=48))
         assert run.fr.truncated_at == 7
-        assert "orbit table truncated at n=7" in run.fr.diagnostics
+        assert "lifted table truncated at n=7" in run.fr.diagnostics
         assert run.bd.truncated_at is None
 
 
@@ -401,6 +401,26 @@ class TestMetricComparison:
         assert report.passed
         assert report.forward_hits > 0
         assert report.reverse_hits > 0
+        # the pair's first four iterates span the circle, not the 1e-9 gap
+        assert (report.n_tail, report.truncation) == (3, 11)
+
+    def test_tails_are_bounded_on_every_bundle(self, suite_results):
+        """At each default bundle's rho and middle scale the check keeps the
+        lifted table's m, and the box diagonal D of the m iterates it
+        compares bounds both dropped tails: after n_tail blocks below eps,
+        after m blocks below 1e-6."""
+        for name, run in suite_results.items():
+            bundle = run.bundle
+            eps = bundle.eps_list[len(bundle.eps_list) // 2]
+            report = metric_comparison_check(
+                bundle.system, bundle.cloud, rho=bundle.rho, eps=eps, sample_pairs=10
+            )
+            assert report.truncation == run.fr_table.truncation, name
+            iterates = build_orbit_table(bundle.system, bundle.cloud, report.truncation).orbits
+            flat = iterates.reshape(-1, bundle.cloud.dim)
+            tail = np.linalg.norm(flat.max(axis=0) - flat.min(axis=0)) / (1 - 1 / bundle.rho)
+            assert bundle.rho ** -report.n_tail * tail < eps, name
+            assert bundle.rho ** -report.truncation * tail < 1e-6, name
 
     def test_bad_args(self, doubling):
         with pytest.raises(ConfigError):

@@ -1,4 +1,5 @@
-"""README's library snippets run as written, on the public API only."""
+"""README's library snippets run as written, on the public API only, and
+its gallery table reads the headlines the default suite gives."""
 
 import ast
 import re
@@ -28,3 +29,14 @@ def test_snippet_imports_are_public_and_it_runs(code, capsys):
     assert set(names) <= set(entro.__all__)
     exec(compile(code, str(README), "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_gallery_table_matches_the_suite(suite_results):
+    """Every row of the README gallery table holds the direct, compacta and
+    lifted headlines of its default bundle, to three decimals."""
+    rows = re.findall(r"^\| ([\w-]+) +\| +([\d.]+) \| +([\d.]+) \| +([\d.]+) \|",
+                      README.read_text(), flags=re.M)
+    table = {name: cells for name, *cells in rows}
+    assert set(table) == set(suite_results)
+    for name, run in suite_results.items():
+        assert table[name] == [f"{est.headline:.3f}" for est in (run.bd, run.bc, run.fr)], name
