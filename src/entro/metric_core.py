@@ -25,17 +25,20 @@ covered point's own ball, and takes the balls that add one point each in
 one step.  Separation uses the closed condition ``d >= eps``; spanning uses
 the strict ``d < eps``.  Every count table is built by the private
 ``_count_table``: its dense cells count from one packed mask buffer, until
-the largest scale's cell turns sparse; that cell's list is then carried
-across scales and orders, and every later cell counts from lists of its
-entries.  Its stream of order-n matrices is non-decreasing in n, so once
-that cell holds only the diagonal (every pair at least the largest scale
-apart) every later cell counts the whole cloud: the table fills those rows
-and closes the stream, which builds no later order.  While it counts, a
-table holds its order-n matrix ``dmat``, the packed mask buffer (1/64 of
-``dmat``'s bytes) or one carried list, and one cell's lists; the lifted
-table (``orbit_space``) also holds the upper half of its weighted sum S, in
-one array.  Distances arrive in row tiles and the other temporaries are at
-most ``TILE_ROWS`` rows long, so no other N x N array is made.
+the largest scale's cell turns sparse; that cell's pairs are then carried
+across scales and orders as flat indices of four bytes each (int32, or
+intp on a matrix too large for it), and every later cell counts from intp
+row lists of its entries.  Its stream of order-n matrices is
+non-decreasing in n, so once that cell holds only the diagonal (every pair
+at least the largest scale apart) every later cell counts the whole cloud:
+the table fills those rows and closes the stream, which builds no later
+order.  While it counts, a table holds its order-n matrix ``dmat``, the
+packed mask buffer (1/64 of ``dmat``'s bytes) or one carried list (at most
+1/32 of them in int32), and one cell's lists, never a copy of the carried
+list; the lifted table (``orbit_space``) also holds the upper half of its
+weighted sum S, in one array.  Distances arrive in row tiles and the other
+temporaries are at most ``TILE_ROWS`` rows long, so no other N x N array is
+made.
 """
 
 from __future__ import annotations
@@ -302,11 +305,12 @@ def farthest_point_order(dmat: np.ndarray, seed_dists: np.ndarray) -> np.ndarray
 
 
 def _flat_below(dmat: np.ndarray, eps: float, within: np.ndarray) -> np.ndarray:
-    """Ascending flat indices of the entries ``dmat < eps``.
+    """Ascending flat indices of the entries ``dmat < eps``, in ``within``'s dtype.
 
     ``within`` is an ascending array of flat indices holding every such
     entry; only its entries are tested, not the whole matrix, in chunks of
-    ``TILE_ROWS`` rows' worth into one boolean array.
+    ``TILE_ROWS`` rows' worth into one boolean array, so numpy casts an
+    int32 ``within`` to its index type one chunk at a time.
     """
     entries = dmat.reshape(-1)
     below = np.empty(within.size, dtype=bool)
@@ -349,13 +353,23 @@ def _unpacked(bits: np.ndarray, size: int) -> np.ndarray:
     return np.unpackbits(bits, axis=-1, count=size, bitorder="little").view(bool)
 
 
+def _flat_dtype(size: int) -> type:
+    """The dtype of a carried list's flat indices into a ``size`` x ``size`` matrix.
+
+    int32 (four bytes a pair) while ``size * (size + 1)`` < 2**31, which
+    also holds the row starts ``_row_lists`` searches for; intp above.
+    """
+    return np.int32 if size * (size + 1) < 2**31 else np.intp
+
+
 def _packed_flat(ptr: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """Ascending flat indices of the pairs in the packed balls ``(ptr, bits)``.
 
-    They are written band by band into one array of ``ptr[-1]`` entries.
+    They are written band by band into one array of ``ptr[-1]`` entries, of
+    dtype ``_flat_dtype``.
     """
     size = len(ptr) - 1
-    flat = np.empty(ptr[-1], dtype=np.intp)
+    flat = np.empty(ptr[-1], dtype=_flat_dtype(size))
     for r0, r1 in _bands(size):
         part = flat[ptr[r0]:ptr[r1]]
         part[:] = np.flatnonzero(_unpacked(bits[r0:r1], size))
@@ -364,10 +378,16 @@ def _packed_flat(ptr: np.ndarray, bits: np.ndarray) -> np.ndarray:
 
 
 def _row_lists(flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split ascending flat indices of an n x n matrix into row lists, in place."""
-    ptr = np.searchsorted(flat, np.arange(0, n * n + 1, n))
-    flat %= n
-    return ptr, flat
+    """Split ascending flat indices of an n x n matrix into row lists ``(ptr, cols)``.
+
+    ``cols`` is a new intp array, the index type numpy reads without a cast;
+    ``flat`` is left as it is.  The row starts are searched in ``flat``'s
+    dtype, so an int32 ``flat`` is not copied to compare them.
+    """
+    ptr = np.searchsorted(flat, np.arange(0, n * n + 1, n, dtype=flat.dtype))
+    cols = flat.astype(np.intp)
+    cols %= n
+    return ptr, cols
 
 
 def _greedy_separated(ptr: np.ndarray, cols: np.ndarray, order: np.ndarray) -> list[int]:
@@ -786,11 +806,16 @@ def _count_table(
     pass, and their sum is the largest eps's pair count.  Once that cell is
     sparse its flat indices are written, band by band from its packed rows,
     into one array of that many entries and kept, and every later cell tests
-    only those entries and counts from the row lists they give.
-    Exact-size tables always count from the mask.  Besides the stream's
-    matrix, the mask buffer or one carried list, and one cell's lists are
-    held at a time (the mask and the list both while the cell that starts
-    the carry is counted); every cell gets the same witnesses either way.
+    only those entries and counts from the row lists they give.  The carried
+    indices take four bytes each (``_flat_dtype``), and at each later n the
+    largest eps's tested entries become the carried list as they are, with
+    no copy.  A cell's row lists are intp, which numpy indexes with without
+    a cast.  Exact-size tables always count from the mask.  Besides the
+    stream's matrix, the mask buffer or one carried list, and one cell's
+    lists are held at a time (the mask and the list both while the cell
+    that starts the carry is counted, and the old and the new list while
+    the largest eps's cell tests the old one); every cell gets the same
+    witnesses either way.
     """
     columns: list[list[CountRow]] = [[] for _ in eps_list]
     if eps_list:
@@ -808,10 +833,10 @@ def _count_table(
                 if flat is None:
                     ptr, bits = _packed_below(dmat, eps, bits)
                 if k == top:
-                    carried = None  # free the old list before the new one is made
+                    carried = None  # a cell too dense to carry keeps no list
                     top_count = int(ptr[-1]) if flat is None else flat.size
                     if greedy and top_count <= CARRY_DENSITY * dmat.size:
-                        carried = _packed_flat(ptr, bits) if flat is None else flat.copy()
+                        carried = _packed_flat(ptr, bits) if flat is None else flat
                 neighbours = (ptr, bits) if flat is None else _row_lists(flat, size)
                 sep, span = counts_from_matrix(dmat, eps, order=order, neighbours=neighbours)
                 del flat, neighbours  # free this cell's lists before the next cell builds its own

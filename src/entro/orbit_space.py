@@ -151,9 +151,13 @@ def _lifted_matrices(orbits: np.ndarray, rho: float, m: int):
     into one float64 array (one allocation, returned whole when the stream
     is dropped), and each per-iterate matrix D_k arrives as the matching
     ``distance_tiles``; after a tile of S is updated it goes into the running
-    max, which is mirrored below the diagonal.  So the running max and the
-    upper half of S are held, about 1.5 N x N matrices, and no slice matrix
-    or other N x N temporary.  The seed runs the same recurrence on
+    max, which is mirrored below the diagonal.  Each band takes its outgoing
+    tile D_i and its incoming tile D_{i+M} with ``next`` from their slices'
+    tile streams and drops each once it is added in, so no tile of an
+    earlier band is alive while the next is built.  So the running max and
+    the upper half of S are held, about 1.5 N x N matrices, and beyond them
+    at most two tiles of ``TILE_ROWS`` rows and O(N): no slice matrix or
+    other N x N temporary.  The seed runs the same recurrence on
     distances to the slice centroids.  Base metric is euclidean.
     """
     size = orbits.shape[0]
@@ -181,9 +185,12 @@ def _lifted_matrices(orbits: np.ndarray, rho: float, m: int):
     w = 1.0
     for j in range(m):
         if j > 0:
-            for (_, _, s_t), (_, _, tile) in zip(s_tiles, slice_tiles(j)):
+            tiles = slice_tiles(j)
+            for _, _, s_t in s_tiles:
+                tile = next(tiles)[2]
                 tile *= w
                 s_t += tile
+                del tile  # freed before the next band's tile is built
         s_seed += w * slice_seed(j)
         w /= rho
     tail_w = rho ** (1 - m)
@@ -193,12 +200,14 @@ def _lifted_matrices(orbits: np.ndarray, rho: float, m: int):
         if i == 0:
             yield from s_tiles
             return
-        tiles = zip(s_tiles, slice_tiles(i - 1), slice_tiles(i - 1 + m))
-        for (r0, r1, s_t), (_, _, d_out), (_, _, d_in) in tiles:
-            s_t -= d_out
+        outgoing, incoming = slice_tiles(i - 1), slice_tiles(i - 1 + m)
+        for r0, r1, s_t in s_tiles:
+            s_t -= next(outgoing)[2]
             s_t *= rho
+            d_in = next(incoming)[2]
             d_in *= tail_w
             s_t += d_in
+            del d_in  # freed before the next band's tiles are built
             np.maximum(s_t, 0.0, out=s_t)
             yield r0, r1, s_t
 
@@ -322,7 +331,9 @@ def metric_comparison_check(
 
     ``n_tail`` and the pairs' orbit length m come from ``_iterate_diameter``
     of the cloud's first four iterates, so m is the lifted table's m
-    whenever that table has n_max >= 4 and eps is above its 1e-6 tail.
+    whenever that table has n_max >= 4 and eps is above its 1e-6 tail.  A
+    cloud of fewer than two points has no pair to sample and is refused
+    before any orbit is built.
     """
     if not 0 < eps < math.inf:
         raise ConfigError("config: eps must be a finite number > 0")
@@ -330,6 +341,8 @@ def metric_comparison_check(
         raise ConfigError("config: rho must be > 1")
     if sample_pairs < 1:
         raise ConfigError("config: sample_pairs must be >= 1")
+    if cloud.size < 2:
+        raise ConfigError(f"config: metric comparison needs >= 2 points, got {cloud.size}")
     # no start in the domain leaves diam 0, and the strict table below raises at step 0
     diam = _iterate_diameter(system, cloud) or 0.0
     n_tail = choose_truncation(rho, diam, tail_tol=eps)

@@ -39,6 +39,7 @@ from entro.metric_core import (
     CountTable,
     _count_table,
     _flat_below,
+    _flat_dtype,
     _greedy_cover,
     _greedy_separated,
     _mask_cover,
@@ -344,6 +345,53 @@ class TestCarriedNeighbourLists:
                 assert np.array_equal(cols, want_cols)
                 assert np.array_equal(within, np.flatnonzero(dmat < wider))
 
+    def test_row_lists_leave_their_input(self):
+        """Row lists come back as new intp columns, from int32 or intp flat
+        indices alike, and the flat indices stay as they were."""
+        dmat = oracle_matrix("symmetric", 1)
+        want_ptr, want_cols = eps_lists(dmat, 0.3)
+        for dtype in (np.int32, np.intp):
+            flat = np.flatnonzero(dmat < 0.3).astype(dtype)
+            kept = flat.copy()
+            ptr, cols = _row_lists(flat, len(dmat))
+            assert np.array_equal(flat, kept) and flat.dtype == dtype
+            assert cols.dtype == ptr.dtype == np.intp
+            assert not np.shares_memory(cols, flat)
+            assert np.array_equal(ptr, want_ptr) and np.array_equal(cols, want_cols)
+
+    def test_flat_dtype_switches_at_two_to_the_31(self):
+        """Flat indices are int32 while N(N + 1) < 2**31 and intp from there on."""
+        last = (math.isqrt(4 * 2**31 + 1) - 1) // 2  # the root of N(N + 1) = 2**31, rounded down
+        assert last * (last + 1) < 2**31 <= (last + 1) * (last + 2)
+        assert _flat_dtype(1) == _flat_dtype(last) == np.int32
+        assert _flat_dtype(last + 1) == _flat_dtype(10**6) == np.intp
+
+    def test_carried_phase_holds_four_bytes_a_pair(self, cell_balls):
+        """A stream that turns sparse at order 1 carries its largest scale's
+        pairs as int32 flat indices with no copy: beyond its matrices the
+        table allocates at most 4 bytes per carried pair, plus 8 bytes per
+        pair of one cell (its intp row lists), plus O(N * TILE_ROWS)."""
+        rng = np.random.default_rng(5)
+        size = 2000
+        orbits = np.empty((size, 2, 2))
+        orbits[:, 0] = rng.random((size, 2))
+        orbits[:, 1] = orbits[:, 0] + rng.normal(scale=0.01, size=(size, 2))
+        stream = [(n, d.copy(), s.copy())
+                  for n, d, s in orbit_metric_matrices(orbits, MetricSpec.euclidean())]
+        eps_list = [0.1, 0.14, 0.05]
+        pairs = [np.count_nonzero(d < e) for _, d, _ in stream for e in eps_list]
+        carried = np.count_nonzero(stream[0][1] < max(eps_list))
+        assert carried <= CARRY_DENSITY * size * size and carried == max(pairs)
+        tracemalloc.start()
+        try:
+            table = _count_table(iter(stream), eps_list, size, 2, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cell_balls == ["mask"] + ["carried"] * 5
+        assert peak <= 4 * carried + 8 * max(pairs) + 4 * size * TILE_ROWS
+        assert row_tuples(table) == dense_recount(iter(stream), eps_list)
+
     @pytest.mark.parametrize(
         "spread, kinds",
         # order 1 is one tight cluster, later orders spread the points out:
@@ -503,12 +551,17 @@ class TestBandedThreshold:
             assert np.array_equal(np.diff(ptr), np.count_nonzero(dmat < eps, axis=1))
             assert ptr[0] == 0 and ptr.dtype == np.intp
             got = _packed_flat(ptr, bits)
-            assert got.dtype == np.intp
+            assert got.dtype == _flat_dtype(size)
             assert np.array_equal(got, want)
             for wider in scales:
                 if wider >= eps:
-                    got = _flat_below(dmat, eps, np.flatnonzero(dmat < wider))
+                    within = np.flatnonzero(dmat < wider)
+                    got = _flat_below(dmat, eps, within)
                     assert got.dtype == np.int64
+                    assert np.array_equal(got, want)
+                    # a carried list keeps its dtype
+                    got = _flat_below(dmat, eps, within.astype(_flat_dtype(size)))
+                    assert got.dtype == _flat_dtype(size)
                     assert np.array_equal(got, want)
             lists = eps_lists(dmat, eps)
             want_sep = dense_greedy_separated(dmat, order, eps)

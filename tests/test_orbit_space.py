@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,8 +32,15 @@ from entro import (
     semiconj_check,
     shift_system,
 )
+from entro import orbit_space
 from entro.gallery import build_doubling, build_escape, run_bundle
-from entro.metric_core import counts_from_matrix, farthest_point_order, orbit_metric_matrices
+from entro.metric_core import (
+    TILE_ROWS,
+    _bands,
+    counts_from_matrix,
+    farthest_point_order,
+    orbit_metric_matrices,
+)
 from entro.orbit_space import _lifted_matrices
 
 
@@ -316,6 +324,22 @@ class TestFriedlandCounts:
             assert np.array_equal(dmat, dmat.T)
             assert np.array_equal(seed, want_seed)
 
+    def test_stream_holds_two_tiles_beyond_its_arrays(self, doubling):
+        """Pulled to its end, the lifted stream allocates the running max and
+        the upper half of S, and beyond them at most two distance tiles of
+        ``TILE_ROWS`` rows and O(N)."""
+        size, n_max, rho, m = 2000, 3, 4.0, 6
+        orbits = build_orbit_table(doubling.system, circle_cloud(size), m + n_max - 1).orbits
+        s_bytes = 8 * sum((r1 - r0) * (size - r0) for r0, r1 in _bands(size))
+        tracemalloc.start()
+        try:
+            orders = [n for n, _, _ in _lifted_matrices(orbits, rho, m)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert orders == list(range(1, n_max + 1))
+        assert peak <= 8 * size * size + s_bytes + 2 * 8 * TILE_ROWS * size + 64 * size
+
     def test_run_bundle_refuses_a_non_euclidean_lifted_base(self, doubling):
         bundle = dataclasses.replace(doubling, metric=MetricSpec.max_product(1))
         with pytest.raises(ConfigError, match="euclidean"):
@@ -422,9 +446,13 @@ class TestMetricComparison:
             assert bundle.rho ** -report.n_tail * tail < eps, name
             assert bundle.rho ** -report.truncation * tail < 1e-6, name
 
-    def test_bad_args(self, doubling):
+    def test_bad_args(self, doubling, monkeypatch):
         with pytest.raises(ConfigError):
             metric_comparison_check(doubling.system, doubling.cloud, eps=0.0)
+        # one point has no pair to compare; refused before any orbit is built
+        monkeypatch.setattr(orbit_space, "build_orbit_table", None)
+        with pytest.raises(ConfigError, match="needs >= 2 points, got 1"):
+            metric_comparison_check(doubling.system, doubling.cloud.subset([0]))
 
     def test_nan_eps_is_refused(self, doubling):
         with pytest.raises(ConfigError, match="eps"):
