@@ -9,20 +9,25 @@ Three metric families cover everything the estimators need:
   truncated orbit sequence with weight rho^(-i) on block i.
 
 Every count of one (eps, n) cell goes through ``counts_from_matrix``, which
-returns its separated and spanning witnesses as index lists, and the cloud
-size alone picks how it counts: exactly within ``EXACT_CAP`` points,
-greedily above.  The exact searches are branch and bound over eps-ball
-bitmasks (maximum independent set for separation, minimum set cover for
-spanning).  The greedy counts read each cell's eps-balls, scan the cloud in
-farthest-point order (separation) and run a greedy set cover (spanning)
-over them; they are valid at any size.  A cell holds its balls either as
-the mask ``dmat < eps`` packed one bit per pair, with each ball's size, or
-as int64 row lists of the pairs below eps (eight bytes per such pair), and
-both give the same witnesses.  Every matrix counted is a symmetric distance
-matrix, so the balls holding a point are the points of its own ball: the
-cover keeps every ball's uncovered count exact, lowering it through each
-covered point's own ball, and takes the balls that add one point each in
-one step.  Separation uses the closed condition ``d >= eps``; spanning uses
+returns its separated and spanning witnesses as index lists, except a cell
+whose eps-balls each hold only their centre: no two points are eps-close,
+so both counts are the cloud size, and a count table records that with no
+scan.  The cloud size alone picks how a cell is counted: exactly within
+``EXACT_CAP`` points, greedily above.  The exact searches are branch and
+bound over eps-ball bitmasks (maximum independent set for separation,
+minimum set cover for spanning).  The greedy counts read each cell's
+eps-balls, scan the cloud in farthest-point order (separation) and run a
+greedy set cover (spanning) over them; they are valid at any size.  The
+scan stops once every point lies in the ball of a pick, and the order is
+walked one step at a time (``_farthest_points``), each step reading one
+matrix row, so a scan reads only as many rows as it needs.  A cell holds
+its balls either as the mask ``dmat < eps`` packed one bit per pair, with
+each ball's size, or as intp row lists of the pairs below eps (eight
+bytes per such pair), and both give the same witnesses.  Every matrix
+counted is a symmetric distance matrix, so the balls holding a point are
+the points of its own ball: the cover keeps every ball's uncovered count
+exact, lowering it through each covered point's own ball, and takes the
+balls that add one point each in one step.  Separation uses the closed condition ``d >= eps``; spanning uses
 the strict ``d < eps``.  Every count table is built by the private
 ``_count_table``: its dense cells count from one packed mask buffer, until
 the largest scale's cell turns sparse; that cell's pairs are then carried
@@ -43,6 +48,7 @@ made.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -286,22 +292,31 @@ def covering_radius(points: np.ndarray, centers: np.ndarray) -> float:
 
 
 def farthest_point_order(dmat: np.ndarray, seed_dists: np.ndarray) -> np.ndarray:
-    """Deterministic farthest-point traversal.
+    """Deterministic farthest-point traversal, as one array of all N indices.
 
     Starts from the point maximizing ``seed_dists`` (distance to the cloud
     centroid); each later step appends the point maximizing the smaller of
     its seed distance and its distance to everything ordered so far.  Ties
-    resolve to the lowest index via argmax-first-hit.
+    resolve to the lowest index via argmax-first-hit.  This is the whole
+    walk of ``_farthest_points``; count tables pull that walk only as far
+    as their separated scans read it.
     """
-    n = dmat.shape[0]
-    order = np.empty(n, dtype=np.intp)
-    work = np.asarray(seed_dists, dtype=float).copy()
-    for k in range(n):
+    return np.fromiter(_farthest_points(dmat, seed_dists), dtype=np.intp, count=len(dmat))
+
+
+def _farthest_points(dmat: np.ndarray, seed_dists: np.ndarray):
+    """The steps of ``farthest_point_order``, yielded one index at a time.
+
+    Each step reads one row of ``dmat``, after its index is yielded, so k
+    indices pulled read k - 1 rows.  ``dmat`` is read as the walk goes and
+    must not change until it is done with.
+    """
+    work = np.array(seed_dists, dtype=float)
+    for _ in range(len(dmat)):
         i = int(work.argmax())
-        order[k] = i
+        yield i
         np.minimum(work, dmat[i], out=work)
         work[i] = -np.inf
-    return order
 
 
 def _flat_below(dmat: np.ndarray, eps: float, within: np.ndarray) -> np.ndarray:
@@ -390,30 +405,42 @@ def _row_lists(flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return ptr, cols
 
 
-def _greedy_separated(ptr: np.ndarray, cols: np.ndarray, order: np.ndarray) -> list[int]:
-    blocked = np.zeros(len(ptr) - 1, dtype=bool)
+def _greedy_separated(ptr: np.ndarray, cols: np.ndarray, order) -> list[int]:
+    """Greedy separated witness: each point of ``order`` not in the ball of
+    an earlier pick is picked.  The scan stops once every point is blocked,
+    as no later point can be picked, so ``order`` is read no further."""
+    flags = bytearray(len(ptr) - 1)
+    blocked = np.frombuffer(flags, dtype=bool)
+    full = b"\x01" * len(flags)
     chosen: list[int] = []
-    for i in order.tolist():
-        if not blocked[i]:
+    for i in order:
+        if not flags[i]:
             chosen.append(i)
             blocked[cols[ptr[i]:ptr[i + 1]]] = True
+            if flags == full:
+                break
     return chosen
 
 
-def _mask_separated(bits: np.ndarray, order: np.ndarray) -> list[int]:
+def _mask_separated(bits: np.ndarray, order) -> list[int]:
     """``_greedy_separated`` over the eps-balls held as the packed rows ``bits``.
 
     The blocked points are packed like the rows, in a bytearray whose bytes
     are tested as Python ints (faster than indexing numpy) and ORed through
-    a numpy view of them.
+    a numpy view of them.  After each pick they are compared with the bytes
+    of a cloud with every point blocked, and the scan stops on a match.
     """
+    size = len(bits)
     flags = bytearray(bits.shape[1])
     blocked = np.frombuffer(flags, dtype=np.uint8)
+    full = bytes(np.packbits(np.ones(size, dtype=bool), bitorder="little"))
     chosen: list[int] = []
-    for i in order.tolist():
+    for i in order:
         if not flags[i >> 3] >> (i & 7) & 1:
             chosen.append(i)
             blocked |= bits[i]
+            if flags == full:
+                break
     return chosen
 
 
@@ -594,7 +621,7 @@ def _count_mode(size: int) -> str:
 def counts_from_matrix(
     dmat: np.ndarray,
     eps: float,
-    order: np.ndarray | None = None,
+    order=None,
     neighbours: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[list[int], list[int]]:
     """Separated and spanning witnesses of one cell, as index lists, from its distance matrix.
@@ -606,7 +633,13 @@ def counts_from_matrix(
     separated witness is a greedy scan in ``order``, by default the
     farthest-point order from the row means, and the spanning witness is the
     smaller of the greedy cover and that separated witness (which always
-    spans), so ``span <= sep`` holds for greedy counts too.  ``neighbours``
+    spans), so ``span <= sep`` holds for greedy counts too.  ``order`` may
+    be any iterable of point indices.  One that is not an iterator (an
+    array, a list) must be a permutation of ``range(N)``, or it is refused:
+    a scan over part of the cloud gives a separated set that need not span.
+    An iterator, such as the walk ``_count_table`` passes, is read as it is,
+    and only as far as the scan needs: the scan stops once every point is
+    blocked, and the default order is walked only that far.  ``neighbours``
     holds the cell's eps-balls as a pair ``(ptr, members)``, ball i holding
     ``ptr[i+1] - ptr[i]`` points.  Either ``members`` is the packed mask
     ``dmat < eps`` (``_packed_below``: an N x ceil(N/8) uint8 array, row i
@@ -626,6 +659,8 @@ def counts_from_matrix(
     if not (np.diagonal(dmat) < eps).all():
         raise ConfigError(f"config: distance matrix has a diagonal entry >= eps={eps:g}")
     size = dmat.shape[0]
+    if order is not None and iter(order) is not order:
+        order = _permutation(order, size)
     if neighbours is None:
         if not _symmetric(dmat):
             raise ConfigError("config: distance matrix is not symmetric or holds NaN")
@@ -644,11 +679,20 @@ def counts_from_matrix(
         balls = _ball_masks(members if packed else _packed_below(dmat, eps)[1])
         return _exact_max_separated(balls), _exact_min_spanning(balls, span)
     if order is None:
-        order = farthest_point_order(dmat, dmat.mean(axis=1))
+        order = _farthest_points(dmat, dmat.mean(axis=1))
     sep = _mask_separated(members, order) if packed else _greedy_separated(ptr, members, order)
     if len(span) > len(sep):
         span = sep
     return sep, span
+
+
+def _permutation(order, size: int) -> list[int]:
+    """``order`` as a list of ints, refused unless it is a permutation of ``range(size)``."""
+    arr = np.asarray(order)
+    if not (arr.shape == (size,) and arr.dtype.kind in "iu"
+            and np.array_equal(np.sort(arr), np.arange(size))):
+        raise ConfigError(f"config: order is not a permutation of the {size} point indices")
+    return arr.tolist()
 
 
 def _symmetric(dmat: np.ndarray) -> bool:
@@ -778,9 +822,13 @@ def _count_table(
     running max of orbit distances is, and symmetric bit for bit, as the
     mirror in ``_running_max`` makes it (``counts_from_matrix`` does not
     test it again for the balls passed in).  Above ``EXACT_CAP`` points all
-    eps share one farthest-point order per n, started from ``seed``; exact
-    counts do not read one, so none is built.  Rows run over eps in list
-    order, n ascending within each.
+    eps share one farthest-point walk per n, started from ``seed``: each
+    cell's scan reads its own copy of the walk (``itertools.tee``), and the
+    walk steps, reading a row of ``dmat`` each time, only as far as the
+    scan that reads furthest, since a scan stops once every point is
+    blocked.  The walk is closed before the stream's next order overwrites
+    ``dmat``.  Exact counts do not read one, so none is built.  Rows run
+    over eps in list order, n ascending within each.
 
     ``n_max`` is the number of orders the caller asked for.  A stream with
     fewer ``orders`` comes from orbits that left the domain, and the table
@@ -796,7 +844,10 @@ def _count_table(
     before ``orders`` without that, or runs past it, is refused.
 
     Each cell's eps-balls are built here and passed to
-    ``counts_from_matrix``, as a packed mask or as row lists.  At every n
+    ``counts_from_matrix``, as a packed mask or as row lists, unless they
+    hold N pairs in all: then each ball holds only its centre, and the cell
+    records sep = span = N with no scan, cover or walk step (after the
+    largest eps's cell has taken its carry decision).  At every n
     the largest eps goes first: its entries hold those of every smaller eps
     at this n and, the stream being non-decreasing, those of every eps at
     later n.  Before that cell holds at most ``CARRY_DENSITY`` of the matrix,
@@ -826,23 +877,34 @@ def _count_table(
         for n, dmat, seed in matrices:
             size = dmat.shape[0]
             greedy = _count_mode(size) == "greedy"
-            order = farthest_point_order(dmat, seed) if greedy else None
-            for k in cells:
+            # one farthest-point walk per order, shared by its cells and closed
+            # before the stream overwrites ``dmat``
+            walk = _farthest_points(dmat, seed) if greedy else None
+            walks = itertools.tee(walk, len(cells)) if greedy else [None] * len(cells)
+            for k, order in zip(cells, walks):
                 eps = eps_list[k]
                 flat = None if carried is None else _flat_below(dmat, eps, carried)
                 if flat is None:
                     ptr, bits = _packed_below(dmat, eps, bits)
+                pairs = int(ptr[-1]) if flat is None else flat.size
                 if k == top:
                     carried = None  # a cell too dense to carry keeps no list
-                    top_count = int(ptr[-1]) if flat is None else flat.size
+                    top_count = pairs
                     if greedy and top_count <= CARRY_DENSITY * dmat.size:
                         carried = _packed_flat(ptr, bits) if flat is None else flat
-                neighbours = (ptr, bits) if flat is None else _row_lists(flat, size)
-                sep, span = counts_from_matrix(dmat, eps, order=order, neighbours=neighbours)
-                del flat, neighbours  # free this cell's lists before the next cell builds its own
+                if pairs == size:  # every ball holds only its centre
+                    counts = size, size
+                else:
+                    neighbours = (ptr, bits) if flat is None else _row_lists(flat, size)
+                    sep, span = counts_from_matrix(dmat, eps, order=order, neighbours=neighbours)
+                    counts = len(sep), len(span)
+                    del neighbours  # free this cell's lists before the next cell builds its own
+                del flat
                 if carried is not None:
                     bits = None  # no later cell of the table counts from a mask
-                columns[k].append(CountRow(eps, n, len(sep), len(span)))
+                columns[k].append(CountRow(eps, n, *counts))
+            if walk is not None:
+                walk.close()
             if top_count == size and n < orders:
                 if hasattr(matrices, "close"):
                     matrices.close()  # frees a generator's buffers; no later order is built

@@ -5,6 +5,7 @@ branch-and-bound and greedy code paths they certify.
 """
 
 import heapq
+import itertools
 import math
 import tracemalloc
 from itertools import combinations
@@ -38,6 +39,7 @@ from entro.metric_core import (
     CountRow,
     CountTable,
     _count_table,
+    _farthest_points,
     _flat_below,
     _flat_dtype,
     _greedy_cover,
@@ -316,7 +318,8 @@ def row_tuples(table: CountTable) -> list[tuple]:
 def cell_balls(monkeypatch):
     """Records how ``_count_table`` held each cell's balls when it counted the
     cell: "mask" (the packed mask ``dmat < eps``) or "carried" (row lists
-    tested from a carried list)."""
+    tested from a carried list).  A cell whose balls all hold only their
+    centre counts N without ``counts_from_matrix`` and is not recorded."""
     seen: list[str] = []
     counts = metric_core.counts_from_matrix
 
@@ -395,13 +398,18 @@ class TestCarriedNeighbourLists:
     @pytest.mark.parametrize(
         "spread, kinds",
         # order 1 is one tight cluster, later orders spread the points out:
-        # the largest scale holds 100 %, 32 %, 10 % and 3.6 % of the pairs
-        [((0.05, 4.0, 4.0, 4.0), ["mask"] * 16 + ["carried"] * 4),
-         # every order stays within the largest scale everywhere
-         ((1.0, 1.0, 1.0, 1.0), ["mask"] * 20),
+        # the largest scale holds 100 %, 32 %, 10 % and 3.6 % of the pairs,
+        # and is carried from order 4, where every smaller scale's balls are
+        # singletons (so are 0.1's and 0.05's at order 3)
+        [((0.05, 4.0, 4.0, 4.0), ["mask"] * 14),
+         # every order stays within the largest scale everywhere; 0.05's
+         # balls are singletons from order 3 on, 0.1's at order 4
+         ((1.0, 1.0, 1.0, 1.0), ["mask"] * 17),
          # 2 % of the pairs at order 1, so only the first cell counts from the
-         # mask, and only the diagonal from order 3 on, where the table stops
-         ((20.0, 20.0, 20.0, 20.0), ["mask"] + ["carried"] * 14)],
+         # mask; 0.05's balls are singletons there, every smaller scale's at
+         # order 2, and from order 3 on only the diagonal is left, where the
+         # table stops
+         ((20.0, 20.0, 20.0, 20.0), ["mask"] + ["carried"] * 4)],
         ids=["sparse-after-order-1", "dense", "sparse-from-order-1"],
     )
     def test_table_equals_dense_recount(self, spread, kinds, cell_balls):
@@ -422,7 +430,7 @@ class TestCarriedNeighbourLists:
         table = _count_table(orbit_metric_matrices(orbits, MetricSpec.euclidean()), eps_list,
                              EXACT_CAP, 3, 3)
         assert table.mode == "exact"
-        assert cell_balls == ["mask"] * 9
+        assert cell_balls == ["mask"] * 7  # 0.5's and 1.0's balls are singletons at order 3
         assert row_tuples(table) == dense_recount(
             orbit_metric_matrices(orbits, MetricSpec.euclidean()), eps_list
         )
@@ -524,6 +532,128 @@ class TestSaturatedTables:
         orbits = build_orbit_table(system, cloud, m + n_max - 1).orbits
         want = dense_recount(lifted(orbits, rho, m), self.eps_list)
         assert row_tuples(table) == want
+
+
+def reference_farthest_order(dmat: np.ndarray, seed_dists: np.ndarray) -> list[int]:
+    """Farthest-point order by plain Python: at each step the first unordered
+    index whose seed distance and distances to the ordered points have the
+    largest minimum."""
+    size = len(dmat)
+    order: list[int] = []
+    for _ in range(size):
+        rest = [j for j in range(size) if j not in order]
+        reach = [min([float(seed_dists[j])] + [float(dmat[c, j]) for c in order]) for j in rest]
+        order.append(rest[reach.index(max(reach))])
+    return order
+
+
+def full_scan_stop(dmat: np.ndarray, order: list[int], eps: float) -> int:
+    """How many entries of ``order`` a full dense scan reads until every point
+    lies in the ball of a pick, or all of them if that never happens first."""
+    blocked = np.zeros(len(dmat), dtype=bool)
+    for k, i in enumerate(order, 1):
+        if not blocked[i]:
+            blocked |= dmat[i] < eps
+            if blocked.all():
+                return k
+    return len(order)
+
+
+class TestLazyFarthestWalk:
+    """The farthest-point walk is pulled one step at a time, and the scans
+    read it only until every point is blocked."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=0, max_value=10_000),
+        st.booleans(),
+    )
+    def test_every_prefix_is_the_eager_order(self, size, seed, integer):
+        """Integer-valued matrices and seeds tie often; ties go to the lowest index."""
+        rng = np.random.default_rng(seed)
+        pts = rng.random((size, 2))
+        dmat = distance_matrix(pts, pts, MetricSpec.euclidean())
+        seed_dists = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
+        if integer:
+            dmat, seed_dists = np.floor(dmat * 3), np.floor(seed_dists * 3)
+        order = farthest_point_order(dmat, seed_dists)
+        assert order.dtype == np.intp
+        assert order.tolist() == reference_farthest_order(dmat, seed_dists)
+        for k in range(size + 1):
+            assert list(itertools.islice(_farthest_points(dmat, seed_dists), k)) == order[:k].tolist()
+        assert list(_farthest_points(dmat, seed_dists)) == order.tolist()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["symmetric", "integer"])
+    def test_early_stop_keeps_the_full_scan_witness(self, kind, seed):
+        """Mask and list scans give the witness of a full dense scan and read
+        the order only up to the entry after which every point is blocked:
+        all of it where every ball is a singleton, one entry where one ball
+        holds the cloud."""
+        dmat = oracle_matrix(kind, seed)
+        off = dmat[~np.eye(len(dmat), dtype=bool)]
+        lo = off.min() if off.size else 1.0
+        order = farthest_point_order(dmat, dmat.mean(axis=1)).tolist()
+        for eps in [lo / 2, lo, 0.3, 1.0, 2.0, 3.0, 2 * dmat.max() + 1]:
+            want = dense_greedy_separated(dmat, np.array(order), eps)
+            stop = full_scan_stop(dmat, order, eps)
+            if eps == lo / 2 and lo > 0:
+                assert want == order and stop == len(dmat)
+            if eps > dmat.max():
+                assert want == order[:1] and stop == 1
+            for scan in (lambda it: _mask_separated(_packed_below(dmat, eps)[1], it),
+                         lambda it: _greedy_separated(*eps_lists(dmat, eps), it)):
+                it = iter(order)
+                assert scan(it) == want
+                assert len(dmat) - len(list(it)) == stop
+
+    def test_two_clusters_take_two_steps_per_order(self, monkeypatch, cell_balls):
+        """Two tight clusters far apart: at both scales the first pick blocks
+        its cluster and the second the other, so each order's walk makes
+        exactly two steps, shared by both scales' scans."""
+        steps: list[int] = []
+        walk = metric_core._farthest_points
+
+        def spy(dmat, seed_dists):
+            steps.append(0)
+            for i in walk(dmat, seed_dists):
+                steps[-1] += 1
+                yield i
+
+        monkeypatch.setattr(metric_core, "_farthest_points", spy)
+        rng = np.random.default_rng(6)
+        orbits = rng.random((60, 2, 2)) * 0.1
+        orbits[30:] += 5.0
+        eps_list = [1.0, 2.0]
+        table = _count_table(orbit_metric_matrices(orbits, MetricSpec.euclidean()), eps_list,
+                             60, 2, 2)
+        assert steps == [2, 2]
+        assert cell_balls == ["mask"] * 4
+        assert [(r.sep_count, r.span_count) for r in table.rows] == [(2, 2)] * 4
+        monkeypatch.undo()
+        assert row_tuples(table) == dense_recount(
+            orbit_metric_matrices(orbits, MetricSpec.euclidean()), eps_list
+        )
+
+    def test_order_that_is_no_permutation_is_refused(self):
+        """An order passed as an array or a list must hold every index once:
+        a scan over points 0 and 1 alone would report (2, 2) here, a separated
+        set that does not span taken as the spanning witness."""
+        rng = np.random.default_rng(0)
+        pts = rng.random((100, 2))
+        dmat = distance_matrix(pts, pts, MetricSpec.euclidean())
+        order = farthest_point_order(dmat, dmat.mean(axis=1))
+        want = counts_from_matrix(dmat, 0.1)
+        assert counts_from_matrix(dmat, 0.1, order=order) == want
+        assert counts_from_matrix(dmat, 0.1, order=order.tolist()) == want
+        assert counts_from_matrix(dmat, 0.1, order=iter(order.tolist())) == want
+        assert all(type(i) is int for witness in want for i in witness)
+        assert (len(want[0]), len(want[1])) == (41, 38)
+        for bad in (np.array([0, 1]), np.array([500]), [0, 1], order[::-1] % 99,
+                    order.astype(float), order[None, :], np.where(order == 0, -1, order)):
+            with pytest.raises(ConfigError, match="not a permutation of the 100 point indices"):
+                counts_from_matrix(dmat, 0.1, order=bad)
 
 
 class TestBandedThreshold:

@@ -55,17 +55,30 @@ def traced_table(cloud: PointCloud, eps_list: list[float], n_max: int):
     return table, [span[0] for span in tracer.spans]
 
 
+def counted_cells(table) -> int:
+    """The cells a table counted with ``counts_from_matrix``: those whose
+    separated count is below the cloud size.  A count of N means every
+    eps-ball holds only its centre, which the table counts without a scan,
+    as it does every cell after the order where all pairs are the largest
+    scale apart."""
+    return sum(r.sep_count < table.cloud_size for r in table.rows)
+
+
 def test_every_cell_is_one_counts_span():
     """In a table that never has every pair the largest scale apart, the
-    ``metric_core.counts`` layer sees each (eps, n) cell once, whichever path
-    built the cell's neighbour lists."""
+    ``metric_core.counts`` layer sees each (eps, n) cell that is not all
+    singletons once, whichever path built the cell's neighbour lists.  The
+    farthest-point walk runs inside those spans: the eager
+    ``farthest_point_order`` is never called."""
     cloud = circle(300)
     eps_list, n_max = [0.2, 0.8, 0.4, 0.1], 5
     table, names = traced_table(cloud, eps_list, n_max)
     assert len(table.rows) == len(eps_list) * n_max
     assert dict(table.counts_for(0.8))[n_max] < cloud.size  # no order saturates
-    assert names.count("metric_core.counts") == len(table.rows)
-    assert names.count("metric_core.fpo") == n_max
+    singletons = len(table.rows) - counted_cells(table)
+    assert 0 < singletons < len(table.rows)
+    assert names.count("metric_core.counts") == counted_cells(table)
+    assert names.count("metric_core.fpo") == 0
 
 
 def test_saturated_table_counts_only_up_to_its_saturating_order():
@@ -76,8 +89,9 @@ def test_saturated_table_counts_only_up_to_its_saturating_order():
     top = dict(table.counts_for(0.8))
     saturating = min(n for n, count in top.items() if count == cloud.size)
     assert saturating < n_max and len(table.rows) == len(eps_list) * n_max
-    assert names.count("metric_core.fpo") == saturating
-    assert names.count("metric_core.counts") == len(eps_list) * saturating
+    assert names.count("metric_core.fpo") == 0
+    assert names.count("metric_core.counts") == counted_cells(table)
+    assert counted_cells(table) <= len(eps_list) * (saturating - 1)
 
 
 def test_exact_table_builds_no_farthest_point_order():
@@ -88,15 +102,7 @@ def test_exact_table_builds_no_farthest_point_order():
     assert table.mode == "exact" and len(table.rows) == len(eps_list) * n_max
     assert dict(table.counts_for(1.9))[n_max] < cloud.size  # no order saturates
     assert names.count("metric_core.fpo") == 0
-    assert names.count("metric_core.counts") == len(table.rows)
-
-
-def counted_cells(table) -> int:
-    """The cells a table counted: every scale up to the order where all
-    pairs are the largest scale apart, or up to its last order."""
-    top = table.counts_for(max(table.eps_values()))
-    orders = min([n for n, count in top if count == table.cloud_size] + [top[-1][0]])
-    return len(table.eps_values()) * orders
+    assert names.count("metric_core.counts") == counted_cells(table)
 
 
 def test_bundle_cloud_member_is_not_counted_again():
