@@ -70,10 +70,13 @@ def symbol_orbit(alpha, x0, length: int) -> tuple[np.ndarray, int]:
 
     Returns the symbol array and the number of guard hits.  A guard hit
     (orbit touching the discontinuity set) ends the coding early, so the
-    array may be shorter than requested; the count is 0 or 1.
+    array may be shorter than requested; the count is 0 or 1.  A cut
+    outside (0, 1) is refused.
     """
     if length < 1:
         raise ConfigError("config: length must be >= 1")
+    if not 0 < alpha < 1:
+        raise ConfigError("config: alpha must lie in (0, 1)")
     syms = np.empty(length, dtype=np.uint8)
     if _is_exact(alpha, x0):
         q = alpha.denominator
@@ -154,8 +157,11 @@ def coded_entropy(alpha, L_max: int = 80) -> float:
 
     The coded orbit has max(10 * L_max, 20000) symbols.  Linear complexity
     makes this tend to zero like 1/L; exponential word growth would make it
-    level off at the per-symbol entropy.
+    level off at the per-symbol entropy.  The fit needs three lengths, so
+    ``L_max`` below 3 is refused.
     """
+    if L_max < 3:
+        raise ConfigError(f"config: L_max must be >= 3 to fit a rate, got {L_max}")
     wc = word_complexity(alpha, L_max, max(10 * L_max, 20_000))
     lo = max(1, L_max // 2)
     xs = np.arange(lo, L_max + 1, dtype=float)
@@ -176,7 +182,10 @@ def symbol_frequency(alpha) -> float:
 
 def iet_system(alpha) -> DynSystem:
     """The exchange as a 1-d system, for cross-checking against the
-    separated-count estimators (it should report entropy near zero)."""
+    separated-count estimators (it should report entropy near zero).  A
+    cut outside (0, 1) is refused."""
+    if not 0 < alpha < 1:
+        raise ConfigError("config: alpha must lie in (0, 1)")
     af = float(alpha)
 
     def step(p: np.ndarray) -> np.ndarray:

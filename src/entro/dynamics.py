@@ -29,9 +29,9 @@ from .metric_core import (
     MetricSpec,
     PointCloud,
     _count_table,
-    _refuse_repeated_scales,
+    _checked_scales,
+    _farthest_points,
     counts_from_matrix,
-    farthest_point_order,
     last_orbit_matrix,
     orbit_metric_matrices,
     pairwise_dist,
@@ -151,12 +151,13 @@ def bd_count_table(
     The table's ``mode`` says whether its counts are exact or greedy (see
     ``counts_from_matrix``).  If some orbit escapes at step t < n_max the
     table stops at n = t and ``truncated_at`` is t; a start outside the
-    domain escapes at t = 0 and leaves no rows.  A scale that is not > 0, or
-    is listed twice, is refused before any orbit is built.
+    domain escapes at t = 0 and leaves no rows.  A scale that is not a
+    number, is not > 0, or is listed twice is refused before any orbit is
+    built; the rows record each scale as a Python float.
     """
     if n_max < 1:
         raise ConfigError("config: n_max must be >= 1")
-    _refuse_repeated_scales(eps_list)
+    eps_list = _checked_scales(eps_list)
     table = build_orbit_table(system, cloud, n_max, allow_truncation=True)
     matrices = orbit_metric_matrices(table.orbits, spec)
     return _count_table(matrices, eps_list, cloud.size, table.depth, n_max)
@@ -199,7 +200,7 @@ def inverse_transport_check(
         raise ConfigError(f"config: system {system.name!r} has no inverse")
     table = build_orbit_table(system, cloud, n)
     dmat, seed = last_orbit_matrix(table.orbits, spec)
-    sep, _ = counts_from_matrix(dmat, eps, order=farthest_point_order(dmat, seed))
+    sep, _ = counts_from_matrix(dmat, eps, order=_farthest_points(dmat, seed))
     witness = np.array(sep, dtype=np.intp)
 
     # backward orbits of the transported set, recomputed through the inverse

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,12 +295,13 @@ def covering_radius(points: np.ndarray, centers: np.ndarray) -> float:
 def farthest_point_order(dmat: np.ndarray, seed_dists: np.ndarray) -> np.ndarray:
     """Deterministic farthest-point traversal, as one array of all N indices.
 
-    Starts from the point maximizing ``seed_dists`` (distance to the cloud
-    centroid); each later step appends the point maximizing the smaller of
-    its seed distance and its distance to everything ordered so far.  Ties
-    resolve to the lowest index via argmax-first-hit.  This is the whole
-    walk of ``_farthest_points``; count tables pull that walk only as far
-    as their separated scans read it.
+    Starts from the point maximizing ``seed_dists`` (in a matrix stream,
+    each orbit's order-n distance to the centroid orbit); each later step
+    appends the point maximizing the smaller of its seed distance and its
+    distance to everything ordered so far.  Ties resolve to the lowest index
+    via argmax-first-hit.  This is the whole walk of ``_farthest_points``;
+    count tables pull that walk only as far as their separated scans read
+    it.
     """
     return np.fromiter(_farthest_points(dmat, seed_dists), dtype=np.intp, count=len(dmat))
 
@@ -708,21 +710,21 @@ def orbit_metric_matrices(orbits: np.ndarray, spec: MetricSpec):
 
     ``orbits[i, k]`` is the k-th iterate of point i.  After each iterate this
     yields ``(n, dmat, seed)``: ``dmat`` is the max over k < n of the base
-    distance matrices of slice k, and ``seed`` the running max of each
-    orbit's distance to the slice centroids (the farthest-point start).  Both
-    arrays are updated in place on the next step, so one N x N matrix is
-    held whatever the depth; copy them to keep an order.  Each slice's
-    distances arrive as ``distance_tiles`` of the upper triangle, are folded
-    into ``dmat`` and mirrored below the diagonal, so no slice matrix is held.
+    distance matrices of slice k, and ``seed`` each orbit's order-n distance
+    to the orbit of slice centroids (the farthest-point start).  Both arrays
+    are updated in place on the next step, so one N x N matrix is held
+    whatever the depth; copy them to keep an order.  Each slice, with its
+    centroid appended as one more point, arrives as ``distance_tiles`` of the
+    upper triangle, folded by ``_running_max``, so no slice matrix is held.
     """
+    slices = (_with_centroid(orbits[:, k, :]) for k in range(orbits.shape[1]))
+    return _running_max(orbits.shape[0], (distance_tiles(sl, spec) for sl in slices))
 
-    def slices():
-        for k in range(orbits.shape[1]):
-            sl = orbits[:, k, :]
-            centroid = sl.mean(axis=0)
-            yield distance_tiles(sl, spec), distance_matrix(sl, centroid[None, :], spec)[:, 0]
 
-    return _running_max(orbits.shape[0], slices())
+def _with_centroid(pts: np.ndarray) -> np.ndarray:
+    """``pts`` with their centroid appended as the last row, the reference
+    point whose distances ``_running_max`` folds into the farthest-point seed."""
+    return np.vstack((pts, pts.mean(axis=0)))
 
 
 def last_orbit_matrix(orbits: np.ndarray, spec: MetricSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -735,22 +737,26 @@ def last_orbit_matrix(orbits: np.ndarray, spec: MetricSpec) -> tuple[np.ndarray,
 
 
 def _running_max(size: int, orders):
-    """Running maxima of per-order matrices and seeds, yielded as ``(n, dmat, seed)``.
+    """Running maxima of per-order matrices, yielded as ``(n, dmat, seed)``.
 
     ``orders`` yields, for n = 1, 2, ..., the upper-triangle row tiles
-    ``(r0, r1, tile)`` of the order's matrix and its seed vector.  Each tile
-    is folded into the running max and mirrored below the diagonal; both
-    arrays are updated in place on the next order.
+    ``(r0, r1, tile)`` of the order's matrix over ``size + 1`` points: the
+    cloud's, then one reference point (the centroid orbit).  The first
+    ``size`` columns of each tile are folded into the running max ``dmat``
+    and mirrored below the diagonal; the last column, each point's distance
+    to the reference, is folded into ``seed``; the reference's own row is
+    dropped.  Both arrays are updated in place on the next order.
     """
     dmat = np.zeros((size, size))
-    run_seed = np.zeros(size)
-    for n, (tiles, seed) in enumerate(orders, 1):
+    seed = np.zeros(size)
+    for n, tiles in enumerate(orders, 1):
         for r0, r1, tile in tiles:
+            r1 = min(r1, size)
             band = dmat[r0:r1, r0:]
-            np.maximum(band, tile, out=band)
+            np.maximum(band, tile[:r1 - r0, :-1], out=band)
             dmat[r0:, r0:r1] = band.T
-        np.maximum(run_seed, seed, out=run_seed)
-        yield n, dmat, run_seed
+            np.maximum(seed[r0:r1], tile[:r1 - r0, -1], out=seed[r0:r1])
+        yield n, dmat, seed
 
 
 # ---------------------------------------------------------------------------
@@ -797,14 +803,23 @@ class CountTable:
         return sorted(rows)
 
 
-def _refuse_repeated_scales(eps_list: list[float]) -> None:
-    """Refuse a scale that is not > 0, or one listed twice, whose cells a
-    table would count twice."""
-    if any(not e > 0 for e in eps_list):
-        raise ConfigError("config: eps values must be > 0")
-    for i, eps in enumerate(eps_list):
-        if eps in eps_list[:i]:
+def _checked_scales(eps_list) -> list[float]:
+    """``eps_list`` as a list of Python floats, the scales a table records.
+
+    A scale that is not a real number (a bool included), is not > 0, or is
+    listed twice, whose cells a table would count twice, is refused.
+    """
+    scales: list[float] = []
+    for eps in eps_list:
+        if isinstance(eps, bool) or not isinstance(eps, numbers.Real):
+            raise ConfigError(f"config: scale {eps!r} is not a number")
+        eps = float(eps)
+        if not eps > 0:
+            raise ConfigError("config: eps values must be > 0")
+        if eps in scales:
             raise ConfigError(f"config: scale eps={eps:g} repeats in the scale list")
+        scales.append(eps)
+    return scales
 
 
 def _count_table(
@@ -822,13 +837,14 @@ def _count_table(
     running max of orbit distances is, and symmetric bit for bit, as the
     mirror in ``_running_max`` makes it (``counts_from_matrix`` does not
     test it again for the balls passed in).  Above ``EXACT_CAP`` points all
-    eps share one farthest-point walk per n, started from ``seed``: each
-    cell's scan reads its own copy of the walk (``itertools.tee``), and the
-    walk steps, reading a row of ``dmat`` each time, only as far as the
-    scan that reads furthest, since a scan stops once every point is
-    blocked.  The walk is closed before the stream's next order overwrites
-    ``dmat``.  Exact counts do not read one, so none is built.  Rows run
-    over eps in list order, n ascending within each.
+    eps share one farthest-point walk per n, started from ``seed`` (each
+    point's order-n distance to the centroid orbit): each cell's scan reads
+    its own copy of the walk (``itertools.tee``), and the walk steps,
+    reading a row of ``dmat`` each time, only as far as the scan that reads
+    furthest, since a scan stops once every point is blocked.  The walk is
+    closed before the stream's next order overwrites ``dmat``.  Exact counts
+    do not read one, so none is built.  Rows run over eps in list order, n
+    ascending within each.
 
     ``n_max`` is the number of orders the caller asked for.  A stream with
     fewer ``orders`` comes from orbits that left the domain, and the table

@@ -25,9 +25,10 @@ from .metric_core import (
     MetricSpec,
     PointCloud,
     _bands,
+    _checked_scales,
     _count_table,
-    _refuse_repeated_scales,
     _running_max,
+    _with_centroid,
     counts_from_matrix,
     distance_tiles,
     last_orbit_matrix,
@@ -151,48 +152,34 @@ def _lifted_matrices(orbits: np.ndarray, rho: float, m: int):
     into one float64 array (one allocation, returned whole when the stream
     is dropped), and each per-iterate matrix D_k arrives as the matching
     ``distance_tiles``; after a tile of S is updated it goes into the running
-    max, which is mirrored below the diagonal.  Each band takes its outgoing
-    tile D_i and its incoming tile D_{i+M} with ``next`` from their slices'
-    tile streams and drops each once it is added in, so no tile of an
-    earlier band is alive while the next is built.  So the running max and
+    max, which is mirrored below the diagonal.  Each slice carries its
+    centroid as one more point, so the last column of S is each orbit's
+    dhat distance to the centroid orbit, which ``_running_max`` folds into
+    the farthest-point seed.  S_0 is the ``sequence_rho`` distance of the
+    first M iterates, stacked.  Each band takes its outgoing tile D_i and
+    its incoming tile D_{i+M} with ``next`` from their slices' tile streams
+    and drops each once it is added in, so no tile of an earlier band is
+    alive while the next is built.  So the running max and
     the upper half of S are held, about 1.5 N x N matrices, and beyond them
     at most two tiles of ``TILE_ROWS`` rows and O(N): no slice matrix or
-    other N x N temporary.  The seed runs the same recurrence on
-    distances to the slice centroids.  Base metric is euclidean.
+    other N x N temporary.  Base metric is euclidean.
     """
     size = orbits.shape[0]
     euclid = MetricSpec.euclidean()
 
     def slice_tiles(k: int):
-        return distance_tiles(orbits[:, k, :], euclid)
+        return distance_tiles(_with_centroid(orbits[:, k, :]), euclid)
 
-    def slice_seed(k: int) -> np.ndarray:
-        pts = orbits[:, k, :]
-        return np.linalg.norm(pts - pts.mean(axis=0), axis=1)
-
-    # S_0 and its seed analogue (distance to the running centroid sequence);
-    # the weight of D_0 is 1, so S_0 starts as a copy of D_0's tiles, each
-    # tile a view into one array
-    s_buf = np.empty(sum((r1 - r0) * (size - r0) for r0, r1 in _bands(size)))
+    # S_0, its tiles views into one array
+    first = np.hstack([_with_centroid(orbits[:, j, :]) for j in range(m)])
+    s_buf = np.empty(sum((r1 - r0) * (size + 1 - r0) for r0, r1 in _bands(size + 1)))
     s_tiles = []
     start = 0
-    for r0, r1, tile in slice_tiles(0):
+    for r0, r1, tile in distance_tiles(first, MetricSpec.sequence_rho(rho, m)):
         s_t = s_buf[start:start + tile.size].reshape(tile.shape)
         np.copyto(s_t, tile)
         s_tiles.append((r0, r1, s_t))
         start += tile.size
-    s_seed = np.zeros(size)
-    w = 1.0
-    for j in range(m):
-        if j > 0:
-            tiles = slice_tiles(j)
-            for _, _, s_t in s_tiles:
-                tile = next(tiles)[2]
-                tile *= w
-                s_t += tile
-                del tile  # freed before the next band's tile is built
-        s_seed += w * slice_seed(j)
-        w /= rho
     tail_w = rho ** (1 - m)
 
     def advanced(i: int):
@@ -211,14 +198,7 @@ def _lifted_matrices(orbits: np.ndarray, rho: float, m: int):
             np.maximum(s_t, 0.0, out=s_t)
             yield r0, r1, s_t
 
-    def orders(seed: np.ndarray):
-        for i in range(orbits.shape[1] - m + 1):
-            if i > 0:
-                seed = rho * (seed - slice_seed(i - 1)) + tail_w * slice_seed(i - 1 + m)
-                np.maximum(seed, 0.0, out=seed)
-            yield advanced(i), seed
-
-    return _running_max(size, orders(s_seed))
+    return _running_max(size, (advanced(i) for i in range(orbits.shape[1] - m + 1)))
 
 
 def friedland_count_table(
@@ -237,7 +217,9 @@ def friedland_count_table(
     ``_lifted_matrices`` gives the order-n matrices and holds their running max plus the upper
     half of S in one array, which is freed when the table returns, or as
     soon as ``_count_table`` finds every pair separated at the largest
-    scale.  A scale listed twice is refused before any orbit is built.
+    scale.  Scales are taken as in ``bd_count_table``: a scale that is not
+    a number, is not > 0, or is listed twice is refused before any orbit
+    is built, and each is recorded as a Python float.
 
     Orbits that leave the domain truncate the table, as in
     ``bd_count_table``.  Lifted order n reads iterates up to n + m - 2, so
@@ -250,7 +232,7 @@ def friedland_count_table(
         raise ConfigError("config: n_max must be >= 1")
     if not 1 < rho < math.inf:
         raise ConfigError("config: rho must be a finite number > 1")
-    _refuse_repeated_scales(eps_list)
+    eps_list = _checked_scales(eps_list)
 
     diam = _iterate_diameter(system, cloud, n_max)
     if diam is None:

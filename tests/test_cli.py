@@ -577,3 +577,12 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert "headline:" in proc.stdout
+
+    def test_code_lines_total_is_the_module_sum(self):
+        proc = run_python(str(ROOT / "scripts" / "code_lines.py"))
+        assert proc.returncode == 0, proc.stderr
+        *modules, total = [line.split() for line in proc.stdout.splitlines()]
+        package = ROOT / "src" / "entro"
+        assert {name for name, _ in modules} == {p.name for p in package.glob("*.py")}
+        assert total[0] == "total"
+        assert int(total[1]) == sum(int(lines) for _, lines in modules) > 0

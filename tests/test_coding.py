@@ -89,6 +89,17 @@ class TestWordComplexity:
         with pytest.raises(ConfigError, match="discontinuity"):
             word_complexity(Fraction(1, 2), 10, 200)
 
+    @pytest.mark.parametrize("alpha", [0.0, Fraction(0), 1.0, 1.5, -0.25, math.nan])
+    def test_cut_outside_unit_interval_refused(self, alpha):
+        """A cut outside (0, 1) leaves one piece, whose coding would report
+        p(L) = 1 or a discontinuity hit; every entry point refuses it."""
+        for call in (lambda: word_complexity(alpha, 5, 100),
+                     lambda: symbol_orbit(alpha, 0.5, 10),
+                     lambda: symbol_frequency(alpha),
+                     lambda: iet_system(alpha)):
+            with pytest.raises(ConfigError, match=r"alpha must lie in \(0, 1\)"):
+                call()
+
 
 class TestSymbolOrbit:
     def test_exact_and_float_codings_agree(self):
@@ -150,6 +161,12 @@ class TestFrequencyAndEntropy:
 
     def test_coded_entropy_is_near_zero(self):
         assert coded_entropy(GOLDEN_ALPHA) < 0.02
+
+    @pytest.mark.parametrize("L_max", [1, 2])
+    def test_coded_entropy_needs_three_lengths(self, L_max):
+        """One or two lengths give no fitted rate, so they are refused."""
+        with pytest.raises(ConfigError, match="L_max must be >= 3"):
+            coded_entropy(GOLDEN_ALPHA, L_max)
 
     def test_exponential_alphabet_would_not_pass(self):
         # sanity for the fit itself: exponential counts level off at log 2

@@ -25,6 +25,13 @@ from entro import (
 from entro import dynamics, estimators, orbit_space
 from entro.gallery import GalleryBundle, build_doubling, build_escape, run_bundle
 
+# the two count tables, each made from a bundle and a scale list at n_max = 6
+COUNT_TABLES = [
+    lambda b, eps: dynamics.bd_count_table(b.system, b.cloud, b.metric, eps, 6),
+    lambda b, eps: orbit_space.friedland_count_table(b.system, b.cloud, eps, 6),
+]
+TABLE_IDS = ["bd_count_table", "friedland_count_table"]
+
 
 class TestGrowthRate:
     def test_exact_exponential(self):
@@ -131,15 +138,10 @@ class TestEntropyEstimate:
             entropy_estimate(twice)
         assert math.isclose(entropy_estimate(table).headline, math.log(2.0))
 
-    @pytest.mark.parametrize(
-        "build",
-        [lambda b, eps: dynamics.bd_count_table(b.system, b.cloud, b.metric, eps, 6),
-         lambda b, eps: orbit_space.friedland_count_table(b.system, b.cloud, eps, 6)],
-        ids=["bd_count_table", "friedland_count_table"],
-    )
+    @pytest.mark.parametrize("build", COUNT_TABLES, ids=TABLE_IDS)
     def test_builders_refuse_a_repeated_scale(self, build, monkeypatch):
-        """A table builder names a repeated or non-positive scale before it
-        builds any orbit."""
+        """Each count table names a repeated or non-positive scale, or one
+        that is not a number, before any orbit is made."""
 
         def no_orbits(*args, **kwargs):
             raise AssertionError("an orbit table was built")
@@ -152,6 +154,23 @@ class TestEntropyEstimate:
         for eps_list in ([0.16, -0.08, 0.04], [0.16, math.nan, 0.04]):
             with pytest.raises(ConfigError, match="eps values must be > 0"):
                 build(bundle, eps_list)
+        for scale in ("0.08", True):
+            with pytest.raises(ConfigError, match=f"scale {scale!r} is not a number"):
+                build(bundle, [0.16, scale, 0.04])
+
+    @pytest.mark.parametrize("build", COUNT_TABLES, ids=TABLE_IDS)
+    def test_tables_record_scales_as_floats(self, build):
+        """Scales given as a numpy array or as numpy floats count the rows of
+        a plain list, each recorded as a Python float, so the counts CSV
+        writes the same text."""
+        bundle = build_doubling(grid=256)
+        plain = build(bundle, [0.8, 0.4, 0.2])
+        want_csv = counts_csv_text("doubling", [("euclidean", plain, None)])
+        for eps_list in (np.array([0.8, 0.4, 0.2]), list(np.array([0.8, 0.4, 0.2]))):
+            table = build(bundle, eps_list)
+            assert table == plain
+            assert all(type(row.epsilon) is float for row in table.rows)
+            assert counts_csv_text("doubling", [("euclidean", table, None)]) == want_csv
 
     def test_method_follows_the_table(self):
         """Only lifted tables set ``rho``, so it names the method."""

@@ -309,10 +309,13 @@ class TestFriedlandCounts:
         got = {(r.epsilon, r.n): (r.sep_count, r.span_count) for r in table.rows}
         assert got == want
 
-    def test_tiled_matrices_match_dense_recurrence(self, doubling):
+    @pytest.mark.parametrize("size", [1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 150])
+    def test_tiled_matrices_match_dense_recurrence(self, doubling, size):
         """S held as upper-triangle row tiles gives the matrices and seeds of
-        the recurrence on whole matrices, bit for bit, across tile edges."""
-        theta = np.sort(np.random.default_rng(7).random(150)) * 2.0 * math.pi
+        the recurrence on whole matrices, bit for bit, across tile edges; at
+        TILE_ROWS - 1 points the reference point completes the last band, at
+        TILE_ROWS it is alone in it."""
+        theta = np.sort(np.random.default_rng(7).random(size)) * 2.0 * math.pi
         pts = np.column_stack([np.cos(theta), np.sin(theta)])
         n_max, rho, m = 5, 3.0, 6
         orbits = build_orbit_table(doubling.system, PointCloud(pts, 0.2), m + n_max - 1).orbits
