@@ -71,7 +71,8 @@ def symbol_orbit(alpha, x0, length: int) -> tuple[np.ndarray, int]:
     Returns the symbol array and the number of guard hits.  A guard hit
     (orbit touching the discontinuity set) ends the coding early, so the
     array may be shorter than requested; the count is 0 or 1.  A cut
-    outside (0, 1) is refused.
+    outside (0, 1) is refused, and so is a start outside [0, 1], exact or
+    float (0 and 1 are guard hits).
     """
     if length < 1:
         raise ConfigError("config: length must be >= 1")
@@ -79,6 +80,8 @@ def symbol_orbit(alpha, x0, length: int) -> tuple[np.ndarray, int]:
         raise ConfigError("config: alpha must lie in (0, 1)")
     syms = np.empty(length, dtype=np.uint8)
     if _is_exact(alpha, x0):
+        if not 0 <= x0 <= 1:
+            raise ConfigError(f"config: point {x0} outside (0, 1)")
         q = alpha.denominator
         d = math.lcm(q, x0.denominator)
         a = alpha.numerator * (d // q)

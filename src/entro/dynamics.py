@@ -152,8 +152,8 @@ def bd_count_table(
     ``counts_from_matrix``).  If some orbit escapes at step t < n_max the
     table stops at n = t and ``truncated_at`` is t; a start outside the
     domain escapes at t = 0 and leaves no rows.  A scale that is not a
-    number, is not > 0, or is listed twice is refused before any orbit is
-    built; the rows record each scale as a Python float.
+    number, is not finite and > 0, or is listed twice is refused before any
+    orbit is built; the rows record each scale as a Python float.
     """
     if n_max < 1:
         raise ConfigError("config: n_max must be >= 1")

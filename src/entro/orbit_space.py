@@ -24,13 +24,14 @@ from .metric_core import (
     CountTable,
     MetricSpec,
     PointCloud,
-    _bands,
     _checked_scales,
     _count_table,
+    _distances,
+    _on_workers,
+    _row_bands,
     _running_max,
     _with_centroid,
     counts_from_matrix,
-    distance_tiles,
     last_orbit_matrix,
 )
 
@@ -148,55 +149,62 @@ def _lifted_matrices(orbits: np.ndarray, rho: float, m: int):
     sums S_i = sum_{j<M} rho^(-j) d(x_{i+j}, y_{i+j}), with M = ``m``.  Rather
     than hold M distance matrices, S advances by the identity
     S_{i+1} = rho * (S_i - D_i) + rho^(1-M) * D_{i+M}, in place.  S is
-    symmetric, so it is held as the row tiles of its upper triangle, views
-    into one float64 array (one allocation, returned whole when the stream
-    is dropped), and each per-iterate matrix D_k arrives as the matching
-    ``distance_tiles``; after a tile of S is updated it goes into the running
-    max, which is mirrored below the diagonal.  Each slice carries its
-    centroid as one more point, so the last column of S is each orbit's
-    dhat distance to the centroid orbit, which ``_running_max`` folds into
-    the farthest-point seed.  S_0 is the ``sequence_rho`` distance of the
-    first M iterates, stacked.  Each band takes its outgoing tile D_i and
-    its incoming tile D_{i+M} with ``next`` from their slices' tile streams
-    and drops each once it is added in, so no tile of an earlier band is
-    alive while the next is built.  So the running max and
-    the upper half of S are held, about 1.5 N x N matrices, and beyond them
-    at most two tiles of ``TILE_ROWS`` rows and O(N): no slice matrix or
-    other N x N temporary.  Base metric is euclidean.
+    symmetric, so it is held as the row tiles of its upper triangle, one
+    per band of ``_row_bands`` (the bands ``_running_max`` folds on its
+    threads), views into one float64 array (one allocation, returned whole
+    when the stream is dropped).  Each band computes its own tiles of the
+    per-iterate matrices D_k, and after its tile of S is updated it goes
+    into the running max, which is mirrored below the diagonal.  Each slice
+    carries its centroid as one more point, so the last column of S is each
+    orbit's dhat distance to the centroid orbit, which ``_running_max``
+    folds into the farthest-point seed.  S_0 is the ``sequence_rho``
+    distance of the first M iterates, stacked, computed band by band on the
+    same threads.  A band subtracts its outgoing tile D_i before it makes
+    its incoming tile D_{i+M}, and drops each once it is added in.  So the
+    running max and the upper half of S are held, about 1.5 N x N matrices,
+    and beyond them at most two tiles per thread, whose rows add up to
+    ``TILE_ROWS``, and O(N): no slice matrix or other N x N temporary.  Base
+    metric is euclidean.
     """
     size = orbits.shape[0]
     euclid = MetricSpec.euclidean()
+    groups = _row_bands(size)
 
-    def slice_tiles(k: int):
-        return distance_tiles(_with_centroid(orbits[:, k, :]), euclid)
-
-    # S_0, its tiles views into one array
-    first = np.hstack([_with_centroid(orbits[:, j, :]) for j in range(m)])
-    s_buf = np.empty(sum((r1 - r0) * (size + 1 - r0) for r0, r1 in _bands(size + 1)))
-    s_tiles = []
+    # S, its tiles views into one array; S_0 written band by band
+    bands = sorted(band for group in groups for band in group)
+    s_buf = np.empty(sum((r1 - r0) * (size + 1 - r0) for r0, r1 in bands))
+    s_tiles = {}
     start = 0
-    for r0, r1, tile in distance_tiles(first, MetricSpec.sequence_rho(rho, m)):
-        s_t = s_buf[start:start + tile.size].reshape(tile.shape)
-        np.copyto(s_t, tile)
-        s_tiles.append((r0, r1, s_t))
-        start += tile.size
+    for r0, r1 in bands:
+        s_tiles[r0] = s_buf[start:start + (r1 - r0) * (size + 1 - r0)].reshape(r1 - r0, -1)
+        start += s_tiles[r0].size
+    first = np.hstack([_with_centroid(orbits[:, j, :]) for j in range(m)])
+    window = MetricSpec.sequence_rho(rho, m)
+
+    def s_0(r0: int, r1: int) -> None:
+        s_tiles[r0][...] = _distances(first[r0:r1], first[r0:], window)
+
+    _on_workers(groups, s_0)
     tail_w = rho ** (1 - m)
 
     def advanced(i: int):
-        """S_i tile by tile; for i > 0 each tile of S_{i-1} is advanced first."""
+        """The tiles of S_i; for i > 0 each tile of S_{i-1} is advanced first."""
         if i == 0:
-            yield from s_tiles
-            return
-        outgoing, incoming = slice_tiles(i - 1), slice_tiles(i - 1 + m)
-        for r0, r1, s_t in s_tiles:
-            s_t -= next(outgoing)[2]
+            return lambda r0, r1: s_tiles[r0]
+        out_pts = _with_centroid(orbits[:, i - 1, :])
+        in_pts = _with_centroid(orbits[:, i - 1 + m, :])
+
+        def tile(r0: int, r1: int) -> np.ndarray:
+            s_t = s_tiles[r0]
+            s_t -= _distances(out_pts[r0:r1], out_pts[r0:], euclid)
             s_t *= rho
-            d_in = next(incoming)[2]
+            d_in = _distances(in_pts[r0:r1], in_pts[r0:], euclid)
             d_in *= tail_w
             s_t += d_in
-            del d_in  # freed before the next band's tiles are built
             np.maximum(s_t, 0.0, out=s_t)
-            yield r0, r1, s_t
+            return s_t
+
+        return tile
 
     return _running_max(size, (advanced(i) for i in range(orbits.shape[1] - m + 1)))
 
@@ -218,7 +226,7 @@ def friedland_count_table(
     half of S in one array, which is freed when the table returns, or as
     soon as ``_count_table`` finds every pair separated at the largest
     scale.  Scales are taken as in ``bd_count_table``: a scale that is not
-    a number, is not > 0, or is listed twice is refused before any orbit
+    a number, is not finite and > 0, or is listed twice is refused before any orbit
     is built, and each is recorded as a Python float.
 
     Orbits that leave the domain truncate the table, as in

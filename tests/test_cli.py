@@ -6,11 +6,12 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from entro import cli, semiconj_check
+from entro import cli, metric_core, semiconj_check
 from entro.cli import RunConfig, _checked_bundle, main
 from entro.gallery import ALL_METHODS
 
@@ -529,6 +530,26 @@ class TestRuntimeErrors:
         assert rc == 2
         assert captured.err == "error: memory: Unable to allocate 368. GiB for an array\n"
         assert captured.out == ""
+
+    def test_memory_error_in_a_band_exits_2(self, monkeypatch, capsys):
+        """A band folded on a worker thread that runs out of memory stops the
+        run the same way."""
+        monkeypatch.setattr(metric_core, "PARALLEL_FLOOR", 0)
+        monkeypatch.setattr(metric_core, "WORKERS", 2)
+        calling = threading.current_thread()
+        distances = metric_core._distances
+
+        def out_of_memory(*args):
+            if threading.current_thread() is not calling:
+                raise MemoryError("Unable to allocate 3.6 MiB for an array")
+            return distances(*args)
+
+        monkeypatch.setattr(metric_core, "_distances", out_of_memory)
+        rc = main(["gallery", "doubling", "--grid", "256", "--eps", "0.8,0.4,0.2",
+                   "--methods", "bd"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: memory: Unable to allocate 3.6 MiB for an array\n"
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -124,6 +124,15 @@ class TestSymbolOrbit:
         with pytest.raises(ConfigError):
             symbol_orbit(GOLDEN_ALPHA, Fraction(1, 2), 0)
 
+    @pytest.mark.parametrize("x0", [Fraction(3, 2), Fraction(-1, 2)])
+    def test_start_outside_unit_interval_refused(self, x0):
+        """An exact start is not taken modulo 1: it is refused as the float
+        start is."""
+        with pytest.raises(ConfigError, match=rf"config: point {x0} outside \(0, 1\)"):
+            symbol_orbit(GOLDEN_ALPHA, x0, 10)
+        with pytest.raises(ConfigError, match=rf"config: point {float(x0)} outside \(0, 1\)"):
+            symbol_orbit(float(GOLDEN_ALPHA), float(x0), 10)
+
     def test_code_word_raises_on_guard_hit(self):
         x0 = (2 * GOLDEN_ALPHA) % 1
         with pytest.raises(UndefinedPointError):

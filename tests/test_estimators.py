@@ -159,6 +159,14 @@ class TestEntropyEstimate:
                 build(bundle, [0.16, scale, 0.04])
 
     @pytest.mark.parametrize("build", COUNT_TABLES, ids=TABLE_IDS)
+    def test_builders_refuse_an_infinite_scale(self, build):
+        """An infinite scale holds every pair in one ball at every order, so
+        its rate would read 0; the config reader refuses it too."""
+        bundle = build_doubling(grid=256)
+        with pytest.raises(ConfigError, match="eps values must be > 0 and finite, got inf"):
+            build(bundle, [math.inf, 0.4])
+
+    @pytest.mark.parametrize("build", COUNT_TABLES, ids=TABLE_IDS)
     def test_tables_record_scales_as_floats(self, build):
         """Scales given as a numpy array or as numpy floats count the rows of
         a plain list, each recorded as a Python float, so the counts CSV

@@ -7,6 +7,10 @@ branch-and-bound and greedy code paths they certify.
 import heapq
 import itertools
 import math
+import multiprocessing
+import os
+import sys
+import threading
 import tracemalloc
 from itertools import combinations
 
@@ -772,6 +776,155 @@ class TestTiledOrbitMetricMatrices:
     def test_last_matrix_of_zero_depth_is_refused(self):
         with pytest.raises(ConfigError, match="orbit depth must be >= 1"):
             last_orbit_matrix(np.zeros((5, 0, 2)), MetricSpec.euclidean())
+
+
+def threaded_and_serial(monkeypatch, workers: int, compute):
+    """``compute()`` with its bands on ``workers`` threads, and in the calling
+    thread, both with no size floor."""
+    monkeypatch.setattr(metric_core, "PARALLEL_FLOOR", 0)
+    monkeypatch.setattr(metric_core, "WORKERS", 1)
+    serial = compute()
+    monkeypatch.setattr(metric_core, "WORKERS", workers)
+    return compute(), serial
+
+
+def copied_stream(stream) -> list:
+    """Every ``(n, dmat, seed)`` of a matrix stream, copied out of its buffers."""
+    return [(n, dmat.copy(), seed.copy()) for n, dmat, seed in stream]
+
+
+def assert_same_stream(got: list, want: list) -> None:
+    assert len(got) == len(want) > 0
+    for (n, dmat, seed), (want_n, want_dmat, want_seed) in zip(got, want):
+        assert n == want_n
+        assert np.array_equal(dmat, want_dmat)
+        assert np.array_equal(seed, want_seed)
+
+
+# With W threads a band has TILE_ROWS // W rows: these sizes straddle the
+# bands of 1, 2 and 3 threads.
+THREADED_SIZES = [1, 31, 32, 33, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 150]
+
+
+class TestThreadedBands:
+    """Bands folded on 1, 2 or 3 threads give the serial results bit for bit."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("size", THREADED_SIZES)
+    @pytest.mark.parametrize(
+        "spec",
+        [MetricSpec.euclidean(), MetricSpec.max_product(2), MetricSpec.sequence_rho(3.0, 2)],
+        ids=lambda spec: spec.kind,
+    )
+    def test_direct_stream(self, monkeypatch, workers, size, spec):
+        orbits = np.random.default_rng(size).normal(size=(size, 3, 4))
+        got, want = threaded_and_serial(
+            monkeypatch, workers, lambda: copied_stream(orbit_metric_matrices(orbits, spec))
+        )
+        assert_same_stream(got, want)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("size", THREADED_SIZES)
+    def test_lifted_stream(self, monkeypatch, workers, size):
+        orbits = np.random.default_rng(size).normal(size=(size, 7, 2))
+        got, want = threaded_and_serial(
+            monkeypatch, workers, lambda: copied_stream(_lifted_matrices(orbits, 3.0, 4))
+        )
+        assert [n for n, _, _ in got] == [1, 2, 3, 4]
+        assert_same_stream(got, want)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("size", [1, 7, 31, 33, TILE_ROWS + 1, 200])
+    def test_thresholds(self, monkeypatch, workers, size):
+        """The packed mask, its ball sizes and the tested carried entries."""
+        pts = np.random.default_rng(size).random((size, 2))
+        dmat = distance_matrix(pts, pts, MetricSpec.euclidean())
+        within = np.flatnonzero(dmat < 0.5).astype(_flat_dtype(size))
+
+        def thresholds():
+            return (*_packed_below(dmat, 0.3), _flat_below(dmat, 0.3, within))
+
+        got, want = threaded_and_serial(monkeypatch, workers, thresholds)
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_more_threads_than_cores_switching_often(self, monkeypatch):
+        """A lost or doubled band write would show in S, which every later
+        order reads back."""
+        orbits = np.random.default_rng(3).normal(size=(150, 9, 2))
+        workers = len(os.sched_getaffinity(0)) + 1
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got, want = threaded_and_serial(
+                monkeypatch, workers, lambda: copied_stream(_lifted_matrices(orbits, 2.0, 3))
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_stream(got, want)
+
+    def test_bands_run_on_the_pool_threads(self, monkeypatch):
+        monkeypatch.setattr(metric_core, "PARALLEL_FLOOR", 0)
+        monkeypatch.setattr(metric_core, "WORKERS", 3)
+        distances = metric_core._distances
+        threads = set()
+
+        def spy(*args):
+            threads.add(threading.current_thread().name)
+            return distances(*args)
+
+        monkeypatch.setattr(metric_core, "_distances", spy)
+        copied_stream(orbit_metric_matrices(np.zeros((150, 2, 2)), MetricSpec.euclidean()))
+        assert threads and all(name.startswith("entro-bands") for name in threads)
+
+    def test_small_matrices_stay_in_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(metric_core, "WORKERS", 3)
+        size = metric_core.PARALLEL_FLOOR - 1
+        assert metric_core._row_bands(size) == [metric_core._bands(size)]
+        assert len(metric_core._row_bands(size + 1)) == 3
+
+    def test_a_band_error_reaches_the_caller(self, monkeypatch):
+        """The caller waits for every thread, then raises the band's error;
+        the thread that raised it takes none of its later bands."""
+        monkeypatch.setattr(metric_core, "PARALLEL_FLOOR", 0)
+        monkeypatch.setattr(metric_core, "WORKERS", 2)
+        done = []
+
+        def band(r0, r1):
+            if r0 == 32:
+                raise ValueError("band at row 32")
+            done.append(r0)
+
+        with pytest.raises(ValueError, match="band at row 32"):
+            metric_core._on_workers(metric_core._row_bands(200), band)
+        assert sorted(done) == [0, 64, 128, 192]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_makes_its_own_pool(self, monkeypatch):
+        """A child forked after the pool was made has none of its threads; its
+        bands must not wait for them."""
+        monkeypatch.setattr(metric_core, "PARALLEL_FLOOR", 0)
+        monkeypatch.setattr(metric_core, "WORKERS", 2)
+        want = forked_stream_last()  # makes the pool in this process
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            got = pool.apply_async(forked_stream_last).get(timeout=60)
+        assert np.array_equal(got, want)
+
+    def test_streams_refuse_non_finite_orbits(self):
+        """The tiles skip ``distance_matrix``'s checks, so the streams check
+        each slice themselves."""
+        orbits = np.random.default_rng(0).normal(size=(40, 6, 2))
+        orbits[7, 4, 1] = np.nan
+        with pytest.raises(ConfigError, match="non-finite"):
+            copied_stream(orbit_metric_matrices(orbits, MetricSpec.euclidean()))
+        with pytest.raises(ConfigError, match="non-finite"):
+            copied_stream(_lifted_matrices(orbits, 2.0, 2))
+
+
+def forked_stream_last() -> np.ndarray:
+    """The last matrix of a small lifted stream, run from a forked child."""
+    orbits = np.random.default_rng(5).normal(size=(150, 6, 2))
+    return copied_stream(_lifted_matrices(orbits, 2.0, 3))[-1][1]
 
 
 @settings(max_examples=60, deadline=None)
