@@ -41,9 +41,12 @@ order.  While it counts, a table holds its order-n matrix ``dmat``, the
 packed mask buffer (1/64 of ``dmat``'s bytes) or one carried list (at most
 1/32 of them in int32), and one cell's lists, never a copy of the carried
 list; the lifted table (``orbit_space``) also holds the upper half of its
-weighted sum S, in one array.  Distances arrive in row tiles and the other
-temporaries are at most ``TILE_ROWS`` rows long, so no other N x N array is
-made.
+weighted sum S, in one array.  Both tables' matrices come from one stream,
+``_orbit_stream``: the running max over orders of weighted sums over a
+window of m iterates.  The direct table reads it with m = 1, where no S is
+held, and the lifted table with m its truncation; no other code knows the
+row-tile layout.  Distances arrive in row tiles and the other temporaries
+are at most ``TILE_ROWS`` rows long, so no other N x N array is made.
 
 The band work of a table runs on every core the process may use
 (``WORKERS``, from ``os.sched_getaffinity``): each order's distance tiles
@@ -142,15 +145,22 @@ class MetricSpec:
     truncation: int = 1
 
     def __post_init__(self):
+        """Refuse a setting its kind reads that is not a number of the right sort.
+
+        ``arity`` and ``truncation`` must be ints >= 1 (not bools), and
+        ``rho`` a finite real > 1: an infinite rho would weigh every block
+        after the first by 0, and a NaN one would make every distance NaN.
+        """
         if self.kind not in _KINDS:
             raise ConfigError(f"config: unknown metric kind {self.kind!r}")
-        if self.kind == "max_product" and self.arity < 1:
-            raise ConfigError("config: max_product arity must be >= 1")
+        if self.kind == "max_product" and not _is_count(self.arity):
+            raise ConfigError(f"config: max_product arity must be an int >= 1, got {self.arity!r}")
         if self.kind == "sequence_rho":
-            if self.rho <= 1:
-                raise ConfigError("config: sequence_rho requires rho > 1")
-            if self.truncation < 1:
-                raise ConfigError("config: sequence_rho truncation must be >= 1")
+            if not (isinstance(self.rho, numbers.Real) and 1 < self.rho < math.inf):
+                raise ConfigError(f"config: sequence_rho needs a finite rho > 1, got {self.rho!r}")
+            if not _is_count(self.truncation):
+                raise ConfigError(f"config: sequence_rho truncation must be an int >= 1,"
+                                  f" got {self.truncation!r}")
 
     @classmethod
     def euclidean(cls) -> "MetricSpec":
@@ -178,6 +188,11 @@ class MetricSpec:
         if self.kind == "sequence_rho":
             return f"sequence_rho({self.rho:g},{self.truncation})"
         return "euclidean"
+
+
+def _is_count(value) -> bool:
+    """Whether ``value`` is an int >= 1, a bool excluded."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 1
 
 
 def _as_points(arr, name: str) -> np.ndarray:
@@ -792,23 +807,85 @@ def orbit_metric_matrices(orbits: np.ndarray, spec: MetricSpec):
     distance matrices of slice k, and ``seed`` each orbit's order-n distance
     to the orbit of slice centroids (the farthest-point start).  Both arrays
     are updated in place on the next step, so one N x N matrix is held
-    whatever the depth; copy them to keep an order.  Each slice, with its
-    centroid appended as one more point, is computed in upper-triangle row
-    tiles folded by ``_running_max``, so no slice matrix is held.
+    whatever the depth; copy them to keep an order.  This is the one orbit
+    stream ``_orbit_stream`` with a window of one iterate: each slice tile
+    goes straight into the running max, and no weighted sum is held.
     """
+    return _orbit_stream(orbits, math.inf, 1, spec)
 
-    def order(k: int):
-        pts = _with_centroid(orbits[:, k, :])
+
+def _orbit_stream(orbits: np.ndarray, rho: float, m: int, spec: MetricSpec = MetricSpec()):
+    """Running maxima over windows of ``m`` iterates, yielded as ``(n, dmat, seed)``.
+
+    Order n is the max over i < n of S_i = sum_{j<m} rho^(-j) D_{i+j}, where
+    D_k is the ``spec`` distance matrix of slice k (``orbits[:, k]``) with
+    its centroid appended as one more point, so its last column is each
+    orbit's distance to the centroid orbit, which ``_running_max`` folds
+    into the farthest-point seed.  Order n reads the slices k < n + m - 1,
+    so the stream has depth - m + 1 orders (none when the depth is below
+    ``m``).  The matrices come in upper-triangle row tiles, one per band of
+    ``_row_bands``, so no slice matrix is held.
+
+    With m = 1 (the direct metric; ``rho`` is not read) S_i is D_i, and each
+    tile of D_i goes into ``_running_max`` as it is.  With m > 1 (the lifted
+    metric: the shift on orbit sequences under dhat, truncated at m terms)
+    S advances by S_{i+1} = rho * (S_i - D_i) + rho^(1-m) * D_{i+m}, in
+    place.  S is symmetric, so it is held as the row tiles of its upper
+    triangle, views into one float64 array allocated on the first pull.
+    Each band sums its tile of S_0 from the tiles D_0, ..., D_{m-1}; at
+    each later order it subtracts its outgoing tile D_i before it makes its
+    incoming tile D_{i+m}, and drops each once it is added in.  So the
+    running max and the upper half of S are held, about 1.5 N x N matrices,
+    and beyond them at most two tiles per thread, whose rows add up to
+    ``TILE_ROWS``, and O(m N).
+    """
+    size = orbits.shape[0]
+
+    def slice_tiles(k: int):
+        """Rows r0..r1 of the upper triangle of D_k; a slice with a
+        non-finite coordinate is refused."""
+        pts = _as_points(np.vstack((orbits[:, k, :], orbits[:, k, :].mean(axis=0))), "orbit slice")
         return lambda r0, r1: _distances(pts[r0:r1], pts[r0:], spec)
 
-    return _running_max(orbits.shape[0], (order(k) for k in range(orbits.shape[1])))
+    if m == 1:
+        return _running_max(size, map(slice_tiles, range(orbits.shape[1])))
 
+    def sums():
+        if orbits.shape[1] < m:
+            return
+        bands = sorted(band for group in _row_bands(size) for band in group)
+        cells = [(r1 - r0) * (size + 1 - r0) for r0, r1 in bands]
+        parts = np.split(np.empty(sum(cells)), np.cumsum(cells)[:-1])
+        s_tiles = {r0: part.reshape(r1 - r0, -1) for (r0, r1), part in zip(bands, parts)}
+        window = [slice_tiles(j) for j in range(m)]
 
-def _with_centroid(pts: np.ndarray) -> np.ndarray:
-    """``pts`` with their centroid appended as the last row, the reference
-    point whose distances ``_running_max`` folds into the farthest-point seed.
-    Non-finite coordinates are refused."""
-    return _as_points(np.vstack((pts, pts.mean(axis=0))), "orbit slice")
+        def first(r0: int, r1: int) -> np.ndarray:
+            s_t = s_tiles[r0]
+            s_t[...] = window[0](r0, r1)
+            w = 1.0
+            for d_j in window[1:]:
+                w /= rho
+                s_t += w * d_j(r0, r1)
+            return s_t
+
+        yield first
+        del window, first
+        tail_w = rho ** (1 - m)
+        for i in range(1, orbits.shape[1] - m + 1):
+
+            def advanced(r0: int, r1: int, d_out=slice_tiles(i - 1), d_in=slice_tiles(i - 1 + m)):
+                s_t = s_tiles[r0]
+                s_t -= d_out(r0, r1)
+                s_t *= rho
+                tile = d_in(r0, r1)
+                tile *= tail_w
+                s_t += tile
+                np.maximum(s_t, 0.0, out=s_t)
+                return s_t
+
+            yield advanced
+
+    return _running_max(size, sums())
 
 
 def last_orbit_matrix(orbits: np.ndarray, spec: MetricSpec) -> tuple[np.ndarray, np.ndarray]:

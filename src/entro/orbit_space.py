@@ -26,11 +26,7 @@ from .metric_core import (
     PointCloud,
     _checked_scales,
     _count_table,
-    _distances,
-    _on_workers,
-    _row_bands,
-    _running_max,
-    _with_centroid,
+    _orbit_stream,
     counts_from_matrix,
     last_orbit_matrix,
 )
@@ -138,77 +134,6 @@ def shift_system(system: DynSystem, truncation: int) -> DynSystem:
     )
 
 
-def _lifted_matrices(orbits: np.ndarray, rho: float, m: int):
-    """Order-n shift matrices under dhat for n = 1 .. depth - m + 1, in place.
-
-    Order n reads the slices k < n + m - 1, so the orbit table's depth sets
-    the number of orders, as it does for ``orbit_metric_matrices``; the depth
-    must be at least ``m``.
-
-    The order-n shift distance is the running max over i < n of the weighted
-    sums S_i = sum_{j<M} rho^(-j) d(x_{i+j}, y_{i+j}), with M = ``m``.  Rather
-    than hold M distance matrices, S advances by the identity
-    S_{i+1} = rho * (S_i - D_i) + rho^(1-M) * D_{i+M}, in place.  S is
-    symmetric, so it is held as the row tiles of its upper triangle, one
-    per band of ``_row_bands`` (the bands ``_running_max`` folds on its
-    threads), views into one float64 array (one allocation, returned whole
-    when the stream is dropped).  Each band computes its own tiles of the
-    per-iterate matrices D_k, and after its tile of S is updated it goes
-    into the running max, which is mirrored below the diagonal.  Each slice
-    carries its centroid as one more point, so the last column of S is each
-    orbit's dhat distance to the centroid orbit, which ``_running_max``
-    folds into the farthest-point seed.  S_0 is the ``sequence_rho``
-    distance of the first M iterates, stacked, computed band by band on the
-    same threads.  A band subtracts its outgoing tile D_i before it makes
-    its incoming tile D_{i+M}, and drops each once it is added in.  So the
-    running max and the upper half of S are held, about 1.5 N x N matrices,
-    and beyond them at most two tiles per thread, whose rows add up to
-    ``TILE_ROWS``, and O(N): no slice matrix or other N x N temporary.  Base
-    metric is euclidean.
-    """
-    size = orbits.shape[0]
-    euclid = MetricSpec.euclidean()
-    groups = _row_bands(size)
-
-    # S, its tiles views into one array; S_0 written band by band
-    bands = sorted(band for group in groups for band in group)
-    s_buf = np.empty(sum((r1 - r0) * (size + 1 - r0) for r0, r1 in bands))
-    s_tiles = {}
-    start = 0
-    for r0, r1 in bands:
-        s_tiles[r0] = s_buf[start:start + (r1 - r0) * (size + 1 - r0)].reshape(r1 - r0, -1)
-        start += s_tiles[r0].size
-    first = np.hstack([_with_centroid(orbits[:, j, :]) for j in range(m)])
-    window = MetricSpec.sequence_rho(rho, m)
-
-    def s_0(r0: int, r1: int) -> None:
-        s_tiles[r0][...] = _distances(first[r0:r1], first[r0:], window)
-
-    _on_workers(groups, s_0)
-    tail_w = rho ** (1 - m)
-
-    def advanced(i: int):
-        """The tiles of S_i; for i > 0 each tile of S_{i-1} is advanced first."""
-        if i == 0:
-            return lambda r0, r1: s_tiles[r0]
-        out_pts = _with_centroid(orbits[:, i - 1, :])
-        in_pts = _with_centroid(orbits[:, i - 1 + m, :])
-
-        def tile(r0: int, r1: int) -> np.ndarray:
-            s_t = s_tiles[r0]
-            s_t -= _distances(out_pts[r0:r1], out_pts[r0:], euclid)
-            s_t *= rho
-            d_in = _distances(in_pts[r0:r1], in_pts[r0:], euclid)
-            d_in *= tail_w
-            s_t += d_in
-            np.maximum(s_t, 0.0, out=s_t)
-            return s_t
-
-        return tile
-
-    return _running_max(size, (advanced(i) for i in range(orbits.shape[1] - m + 1)))
-
-
 def friedland_count_table(
     system: DynSystem,
     cloud: PointCloud,
@@ -221,11 +146,13 @@ def friedland_count_table(
     The base metric of dhat is euclidean; there is no spec to pass.
     Sequences keep m blocks, enough that the dropped tail is below 1e-6
     (``choose_truncation`` on ``_iterate_diameter`` of the first
-    min(n_max, 4) iterates); the table's ``truncation`` records m.
-    ``_lifted_matrices`` gives the order-n matrices and holds their running max plus the upper
-    half of S in one array, which is freed when the table returns, or as
-    soon as ``_count_table`` finds every pair separated at the largest
-    scale.  Scales are taken as in ``bd_count_table``: a scale that is not
+    min(n_max, 4) iterates); the table's ``truncation`` records m.  The
+    order-n matrices come from the one orbit stream of ``metric_core``,
+    ``_orbit_stream``, with a window of m iterates (the direct table's
+    window is one iterate).  It holds their running max plus the upper half
+    of S in one array, which is freed when the table returns, or as soon as
+    ``_count_table`` finds every pair separated at the largest scale.
+    Scales are taken as in ``bd_count_table``: a scale that is not
     a number, is not finite and > 0, or is listed twice is refused before any orbit
     is built, and each is recorded as a Python float.
 
@@ -249,9 +176,8 @@ def friedland_count_table(
 
     table = build_orbit_table(system, cloud, m + n_max - 1, allow_truncation=True)
     orders = max(table.depth - m + 1, 0)
-    matrices = _lifted_matrices(table.orbits, rho, m) if orders else iter(())
-    return replace(_count_table(matrices, eps_list, cloud.size, orders, n_max),
-                   rho=rho, truncation=m)
+    return replace(_count_table(_orbit_stream(table.orbits, rho, m), eps_list, cloud.size,
+                                orders, n_max), rho=rho, truncation=m)
 
 
 def friedland_estimate(

@@ -607,3 +607,12 @@ class TestEntryPoint:
         assert {name for name, _ in modules} == {p.name for p in package.glob("*.py")}
         assert total[0] == "total"
         assert int(total[1]) == sum(int(lines) for _, lines in modules) > 0
+
+    def test_escape_word_counts_are_exact(self):
+        """Escape's separated counts at scale 1 are N^n exactly, so every
+        count of the direct stream on its zero-tolerance grid must match."""
+        proc = run_python(
+            str(ROOT / "scripts" / "escape_word_counts.py"), "--alphabets", "2", "--n-max", "5"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "all exact"

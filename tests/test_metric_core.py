@@ -50,6 +50,7 @@ from entro.metric_core import (
     _greedy_separated,
     _mask_cover,
     _mask_separated,
+    _orbit_stream as _lifted_matrices,
     _packed_below,
     _packed_flat,
     _row_lists,
@@ -58,7 +59,7 @@ from entro.metric_core import (
     last_orbit_matrix,
     orbit_metric_matrices,
 )
-from entro.orbit_space import _lifted_matrices, friedland_count_table
+from entro.orbit_space import friedland_count_table
 
 
 def brute_max_separated(dists: np.ndarray, eps: float) -> int:
@@ -522,13 +523,13 @@ class TestSaturatedTables:
         n_max, rho = 8, 4.0
         log: list = []
         streams = []
-        lifted = orbit_space._lifted_matrices
+        lifted = orbit_space._orbit_stream
 
         def spy(*args):
             streams.append(pulled(lifted(*args), log))
             return streams[-1]
 
-        monkeypatch.setattr(orbit_space, "_lifted_matrices", spy)
+        monkeypatch.setattr(orbit_space, "_orbit_stream", spy)
         table = friedland_count_table(system, cloud, self.eps_list, n_max, rho=rho)
         m = table.truncation
         assert log[-1] == "closed"
@@ -773,6 +774,24 @@ class TestTiledOrbitMetricMatrices:
             assert np.array_equal(dmat, dmat.T)
             assert np.array_equal(seed, want_seed)
 
+    def test_stream_holds_two_tiles_beyond_its_matrix(self):
+        """Pulled to its end, the direct stream (a window of one iterate)
+        allocates its running max and, beyond it, at most two distance tiles
+        of ``TILE_ROWS`` rows and O(N): no weighted sum S.  A first pull,
+        not traced, makes the thread pool the bands of a matrix this size
+        may run on."""
+        size = 2000
+        orbits = np.random.default_rng(size).normal(size=(size, 3, 2))
+        copied_stream(orbit_metric_matrices(orbits[:, :1], MetricSpec.euclidean()))
+        tracemalloc.start()
+        try:
+            orders = [n for n, _, _ in orbit_metric_matrices(orbits, MetricSpec.euclidean())]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert orders == [1, 2, 3]
+        assert peak <= 8 * size * size + 2 * 8 * TILE_ROWS * size + 64 * size
+
     def test_last_matrix_of_zero_depth_is_refused(self):
         with pytest.raises(ConfigError, match="orbit depth must be >= 1"):
             last_orbit_matrix(np.zeros((5, 0, 2)), MetricSpec.euclidean())
@@ -988,6 +1007,31 @@ class TestMetricSpecs:
             db = np.linalg.norm(blocks[:, None, b] - blocks[None, :, b], axis=-1)
             want += db / 2.0 ** b
         assert np.allclose(d, want)
+
+    @pytest.mark.parametrize(
+        "kind, settings",
+        [
+            ("sequence_rho", {"rho": math.inf}),
+            ("sequence_rho", {"rho": math.nan}),
+            ("sequence_rho", {"rho": 1.0}),
+            ("sequence_rho", {"rho": "3"}),
+            ("sequence_rho", {"truncation": True}),
+            ("sequence_rho", {"truncation": 2.5}),
+            ("sequence_rho", {"truncation": 0}),
+            ("max_product", {"arity": True}),
+            ("max_product", {"arity": 2.5}),
+            ("max_product", {"arity": 0}),
+        ],
+    )
+    def test_bad_settings_are_refused(self, kind, settings):
+        """An infinite rho would drop every block after the first, and a NaN
+        one or a fractional block count would fail later with another error."""
+        with pytest.raises(ConfigError, match=f"config: {kind} "):
+            MetricSpec(kind=kind, **{"rho": 2.0, "arity": 2, "truncation": 2, **settings})
+
+    def test_numpy_settings_are_taken(self):
+        spec = MetricSpec.sequence_rho(np.float64(3.0), np.int64(2))
+        assert spec.blocks == 2 and MetricSpec.max_product(np.int32(3)).blocks == 3
 
     def test_pairwise_matches_matrix(self):
         rng = np.random.default_rng(11)

@@ -37,11 +37,11 @@ from entro.gallery import build_doubling, build_escape, run_bundle
 from entro.metric_core import (
     TILE_ROWS,
     _bands,
+    _orbit_stream as _lifted_matrices,
     counts_from_matrix,
     farthest_point_order,
     orbit_metric_matrices,
 )
-from entro.orbit_space import _lifted_matrices
 
 
 @pytest.fixture(scope="module")
