@@ -263,37 +263,23 @@ def _crumple_cloud(N: int, lap_indices, mesh: float, label: str) -> PointCloud:
         raise ConfigError("config: mesh must be > 0")
     chunks = []
     for k in lap_indices:
-        right = lap_endpoint(N, k)
-        left = lap_endpoint(N, k + 1)
-        seg = math.hypot(right - left, 2.0)
+        seg = math.hypot(lap_endpoint(N, k) - lap_endpoint(N, k + 1), 2.0)
         m_pts = math.ceil(seg / mesh) + 1
         if m_pts < 3:
             raise MeshError(
                 f"mesh: {mesh:g} leaves lap {k} with {m_pts} samples; need >= 3"
             )
-        u = (np.arange(m_pts) + GRID_OFFSET) / m_pts
-        x = right - u * (right - left)
-        sign = 1.0 if k % 2 == 0 else -1.0
-        y = sign * (1.0 - 2.0 * u)
-        chunks.append(np.column_stack([x, y]))
+        chunks.append(_lap_samples(N, k, m_pts))
     return PointCloud(np.vstack(chunks), mesh, label)
 
 
-def _crumple_lap_reps(N: int, depth: int, label: str) -> PointCloud:
-    """One sample per lap, all at the same within-lap phase.
-
-    Iterating the curve map backward contracts within-lap phase, so extra
-    samples inside a lap never separate; only the lap address matters.  One
-    representative per lap buys maximal address coverage per point.
-    """
-    pts = np.empty((depth + 1, 2))
-    for k in range(depth + 1):
-        right = lap_endpoint(N, k)
-        left = lap_endpoint(N, k + 1)
-        pts[k, 0] = right - GRID_OFFSET * (right - left)
-        sign = 1.0 if k % 2 == 0 else -1.0
-        pts[k, 1] = sign * (1.0 - 2.0 * GRID_OFFSET)
-    return PointCloud(pts, 0.5, label)
+def _lap_samples(N: int, k: int, m_pts: int) -> np.ndarray:
+    """``m_pts`` points along lap k, at phases (i + ``GRID_OFFSET``) / ``m_pts``."""
+    right = lap_endpoint(N, k)
+    left = lap_endpoint(N, k + 1)
+    u = (np.arange(m_pts) + GRID_OFFSET) / m_pts
+    sign = 1.0 if k % 2 == 0 else -1.0
+    return np.column_stack([right - u * (right - left), sign * (1.0 - 2.0 * u)])
 
 
 def build_crumple(
@@ -301,7 +287,6 @@ def build_crumple(
     depth: int | None = None,
     mesh: float | None = None,
     direction: str = "forward",
-    family_mesh: float = 0.02,
 ) -> GalleryBundle:
     """Bundle for the curve homeomorphism.
 
@@ -309,10 +294,11 @@ def build_crumple(
     concentrates its budget on the laps of the second interval, sampled
     finely: forward iteration expands within-lap phase, so per-lap
     resolution is what feeds the counts.  The inverse bundle instead keeps
-    one sample per lap across every lap of the first several intervals:
-    backward iteration contracts phase and only lap addresses separate, so
-    breadth beats density there.  The per-lap sampling deliberately breaks
-    the mesh <= eps/4 rule of thumb, hence ``mesh_exempt``.
+    one sample per lap, at phase ``GRID_OFFSET``, across every lap of the
+    first several intervals: backward iteration contracts phase and only lap
+    addresses separate, so breadth beats density there, and it reads no
+    ``mesh``.  The per-lap sampling deliberately breaks the mesh <= eps/4
+    rule of thumb, hence ``mesh_exempt``.
     """
     system = crumple_system(N, direction)
     if direction == "forward":
@@ -328,6 +314,9 @@ def build_crumple(
             for hi in range(1, depth + 1)
         )
     else:
+        if mesh is not None:
+            raise ConfigError("config: the inverse crumple cloud takes one sample per lap"
+                              " and reads no mesh")
         if depth is None:
             j_deep = 2
             while lap_start_index(N, j_deep + 1) < 2000:
@@ -335,9 +324,10 @@ def build_crumple(
             depth = lap_start_index(N, j_deep + 1) - 1
         if depth < 2:
             raise ConfigError("config: depth must be >= 2")
-        cloud = _crumple_lap_reps(N, depth, f"crumple{N}-inverse|laps0..{depth}")
+        cloud = PointCloud(np.vstack([_lap_samples(N, k, 1) for k in range(depth + 1)]), 0.5,
+                           f"crumple{N}-inverse|laps0..{depth}")
         members = tuple(
-            _crumple_cloud(N, range(hi + 1), family_mesh, f"crumple{N}|laps0..{hi}")
+            _crumple_cloud(N, range(hi + 1), 0.02, f"crumple{N}|laps0..{hi}")
             for hi in (0, N)
         )
     return GalleryBundle(
@@ -380,7 +370,6 @@ def build_escape(
     N: int = 2,
     L_max: int = 6,
     orbit_len: int | None = None,
-    mesh: float = 1e-3,
 ) -> GalleryBundle:
     """Bundle for the decorated escaping orbit.
 
@@ -427,7 +416,7 @@ def build_escape(
     system = DynSystem(name=f"escape{N}", dim=2, step=step, domain=domain, inverse=inverse)
     idx = np.arange(concat_len)
     pts = np.column_stack([1.0 / (1.0 + idx), heights[:concat_len]])
-    cloud = PointCloud(pts, mesh, f"escape{N}|orbit0..{concat_len - 1}")
+    cloud = PointCloud(pts, 1e-3, f"escape{N}|orbit0..{concat_len - 1}")
 
     member_cuts = [concat_len // 4, concat_len // 2, concat_len]
     members = tuple(
@@ -508,7 +497,6 @@ def _square_step(pts: np.ndarray) -> np.ndarray:
 def build_annulus(
     variant: str = "disc",
     mesh: float | None = None,
-    family_spacing: float = 0.035,
 ) -> GalleryBundle:
     """Bundle for the squaring map under one of three embeddings.
 
@@ -521,9 +509,8 @@ def build_annulus(
     """
     if variant not in ("disc", "inverted", "sphere"):
         raise ConfigError(f"config: unknown annulus variant {variant!r}")
-    for key, value in (("mesh", mesh), ("family_spacing", family_spacing)):
-        if value is not None and not 0 < value < math.inf:
-            raise ConfigError(f"config: annulus {key} must be a finite number > 0")
+    if mesh is not None and not 0 < mesh < math.inf:
+        raise ConfigError("config: annulus mesh must be a finite number > 0")
 
     if variant in ("disc", "inverted"):
         mesh = 0.05 if mesh is None else mesh
@@ -555,13 +542,13 @@ def build_annulus(
 
         system = DynSystem(name=f"annulus-{variant}", dim=2, step=step, domain=domain)
         cloud = PointCloud(pts, mesh, f"annulus-{variant}|polar")
-        radii = (0.5, 0.6, 0.7)
-        member_pts = _polar_points(family_spacing, 0.3, max(radii), 2.0, 1)
+        radii, member_spacing = (0.5, 0.6, 0.7), 0.035
+        member_pts = _polar_points(member_spacing, 0.3, max(radii), 2.0, 1)
         rr = np.hypot(member_pts[:, 0], member_pts[:, 1])
         members = tuple(
             PointCloud(
                 member_pts[rr <= hi + 1e-12].copy(),
-                family_spacing,
+                member_spacing,
                 f"annulus-{variant}|0.3<=r<={hi}",
             )
             for hi in radii

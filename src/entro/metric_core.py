@@ -23,17 +23,20 @@ walked one step at a time (``_farthest_points``), each step reading one
 matrix row, so a scan reads only as many rows as it needs.  A cell holds
 its balls either as the mask ``dmat < eps`` packed one bit per pair, with
 each ball's size, or as intp row lists of the pairs below eps (eight
-bytes per such pair), and both give the same witnesses.  Every matrix
-counted is a symmetric distance matrix, so the balls holding a point are
-the points of its own ball: the cover keeps every ball's uncovered count
+bytes per such pair), and both give the same witnesses.  One scan
+(``_greedy_separated``) reads either store: it marks a pick's ball, a row
+list or an unpacked mask row, with one assignment.  Every matrix counted
+is a symmetric distance matrix, so the balls holding a point are the
+points of its own ball: the cover keeps every ball's uncovered count
 exact, lowering it through each covered point's own ball, and takes the
-balls that add one point each in one step.  Separation uses the closed condition ``d >= eps``; spanning uses
-the strict ``d < eps``.  Every count table is built by the private
-``_count_table``: its dense cells count from one packed mask buffer, until
-the largest scale's cell turns sparse; that cell's pairs are then carried
-across scales and orders as flat indices of four bytes each (int32, or
-intp on a matrix too large for it), and every later cell counts from intp
-row lists of its entries.  Its stream of order-n matrices is
+balls that add one point each in one step.  Separation uses the closed
+condition ``d >= eps``; spanning uses the strict ``d < eps``.  Every count
+table is built by the private ``_count_table``: its dense cells count from
+one packed mask buffer, until the largest scale's cell turns sparse; that
+cell's pairs are then carried across scales and orders as flat indices of
+four bytes each (int32, or intp on a matrix too large for it), and every
+later cell counts from intp row lists of its entries, whether the table
+counts exactly or greedily.  Its stream of order-n matrices is
 non-decreasing in n, so once that cell holds only the diagonal (every pair
 at least the largest scale apart) every later cell counts the whole cloud:
 the table fills those rows and closes the stream, which builds no later
@@ -71,7 +74,7 @@ import itertools
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -132,7 +135,8 @@ _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 # take at most 1/16 of the matrix's bytes.
 CARRY_DENSITY = 1 / 16
 
-_KINDS = ("euclidean", "max_product", "sequence_rho")
+# The settings each metric kind reads.
+_KINDS = {"euclidean": (), "max_product": ("arity",), "sequence_rho": ("rho", "truncation")}
 
 
 @dataclass(frozen=True)
@@ -145,14 +149,22 @@ class MetricSpec:
     truncation: int = 1
 
     def __post_init__(self):
-        """Refuse a setting its kind reads that is not a number of the right sort.
+        """Refuse a setting its kind reads that is not a number of the right sort,
+        and one it does not read that differs from its default.
 
         ``arity`` and ``truncation`` must be ints >= 1 (not bools), and
         ``rho`` a finite real > 1: an infinite rho would weigh every block
         after the first by 0, and a NaN one would make every distance NaN.
+        A setting the kind ignores would still make the spec compare unequal
+        to the one it describes itself as.
         """
         if self.kind not in _KINDS:
             raise ConfigError(f"config: unknown metric kind {self.kind!r}")
+        for setting in fields(self)[1:]:  # every field after ``kind``
+            value = getattr(self, setting.name)
+            if setting.name not in _KINDS[self.kind] and value != setting.default:
+                raise ConfigError(f"config: {self.kind} does not read {setting.name},"
+                                  f" got {value!r}")
         if self.kind == "max_product" and not _is_count(self.arity):
             raise ConfigError(f"config: max_product arity must be an int >= 1, got {self.arity!r}")
         if self.kind == "sequence_rho":
@@ -501,40 +513,28 @@ def _row_lists(flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return ptr, cols
 
 
-def _greedy_separated(ptr: np.ndarray, cols: np.ndarray, order) -> list[int]:
-    """Greedy separated witness: each point of ``order`` not in the ball of
-    an earlier pick is picked.  The scan stops once every point is blocked,
-    as no later point can be picked, so ``order`` is read no further."""
-    flags = bytearray(len(ptr) - 1)
+def _greedy_separated(ptr: np.ndarray, members: np.ndarray, order) -> list[int]:
+    """Greedy separated witness over the eps-balls ``(ptr, members)``: each
+    point of ``order`` not in the ball of an earlier pick is picked.
+
+    ``members`` holds row lists (ball i is ``members[ptr[i]:ptr[i+1]]``) or
+    the packed mask (ball i is row i unpacked), and either marks a pick's
+    ball blocked with one assignment.  The blocked flags are the bytes of a
+    bytearray, tested as Python ints (faster than indexing numpy).  The scan
+    stops once every point is blocked, as no later point can be picked, so
+    ``order`` is read no further.
+    """
+    size = len(ptr) - 1
+    ball = ((lambda i: _unpacked(members[i], size)) if members.ndim == 2
+            else (lambda i: members[ptr[i]:ptr[i + 1]]))
+    flags = bytearray(size)
     blocked = np.frombuffer(flags, dtype=bool)
-    full = b"\x01" * len(flags)
+    full = b"\x01" * size
     chosen: list[int] = []
     for i in order:
         if not flags[i]:
             chosen.append(i)
-            blocked[cols[ptr[i]:ptr[i + 1]]] = True
-            if flags == full:
-                break
-    return chosen
-
-
-def _mask_separated(bits: np.ndarray, order) -> list[int]:
-    """``_greedy_separated`` over the eps-balls held as the packed rows ``bits``.
-
-    The blocked points are packed like the rows, in a bytearray whose bytes
-    are tested as Python ints (faster than indexing numpy) and ORed through
-    a numpy view of them.  After each pick they are compared with the bytes
-    of a cloud with every point blocked, and the scan stops on a match.
-    """
-    size = len(bits)
-    flags = bytearray(bits.shape[1])
-    blocked = np.frombuffer(flags, dtype=np.uint8)
-    full = bytes(np.packbits(np.ones(size, dtype=bool), bitorder="little"))
-    chosen: list[int] = []
-    for i in order:
-        if not flags[i >> 3] >> (i & 7) & 1:
-            chosen.append(i)
-            blocked |= bits[i]
+            blocked[ball(i)] = True
             if flags == full:
                 break
     return chosen
@@ -722,10 +722,13 @@ def counts_from_matrix(
 ) -> tuple[list[int], list[int]]:
     """Separated and spanning witnesses of one cell, as index lists, from its distance matrix.
 
-    ``dmat`` must be a symmetric distance matrix; a non-square, asymmetric
-    or NaN-holding one is refused, and so is a diagonal entry >= eps (a
-    point outside its own ball).  Within ``EXACT_CAP`` points both witnesses
-    are exact (branch and bound; ``order`` is not read).  Above it the
+    ``eps`` must be a finite number > 0, as every scale of a table
+    (``_checked_scales``).  ``dmat`` must be a symmetric distance matrix; a
+    non-square, asymmetric or NaN-holding one is refused, and so is a
+    diagonal entry >= eps (a point outside its own ball).  This is the one
+    place that decides how a cell is counted.  Within ``EXACT_CAP`` points
+    both witnesses are exact (branch and bound, from either store of the
+    balls; ``order`` is not read).  Above it the
     separated witness is a greedy scan in ``order``, by default the
     farthest-point order from the row means, and the spanning witness is the
     smaller of the greedy cover and that separated witness (which always
@@ -748,8 +751,7 @@ def counts_from_matrix(
     construction, and symmetry is then not tested again: balls of an
     asymmetric matrix are refused only where the cover meets a mismatch.
     """
-    if not eps > 0:
-        raise ConfigError("config: eps must be > 0")
+    (eps,) = _checked_scales([eps])
     if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
         raise ConfigError(f"config: distance matrix of shape {dmat.shape} is not square")
     if not (np.diagonal(dmat) < eps).all():
@@ -776,7 +778,7 @@ def counts_from_matrix(
         return _exact_max_separated(balls), _exact_min_spanning(balls, span)
     if order is None:
         order = _farthest_points(dmat, dmat.mean(axis=1))
-    sep = _mask_separated(members, order) if packed else _greedy_separated(ptr, members, order)
+    sep = _greedy_separated(ptr, members, order)
     if len(span) > len(sep):
         span = sep
     return sep, span
@@ -1006,15 +1008,16 @@ def _count_table(
     one buffer.  The stream must be entrywise non-decreasing in n, as every
     running max of orbit distances is, and symmetric bit for bit, as the
     mirror in ``_running_max`` makes it (``counts_from_matrix`` does not
-    test it again for the balls passed in).  Above ``EXACT_CAP`` points all
-    eps share one farthest-point walk per n, started from ``seed`` (each
-    point's order-n distance to the centroid orbit): each cell's scan reads
-    its own copy of the walk (``itertools.tee``), and the walk steps,
-    reading a row of ``dmat`` each time, only as far as the scan that reads
-    furthest, since a scan stops once every point is blocked.  The walk is
-    closed before the stream's next order overwrites ``dmat``.  Exact counts
-    do not read one, so none is built.  Rows run over eps in list order, n
-    ascending within each.
+    test it again for the balls passed in).  All eps share one
+    farthest-point walk per n, started from ``seed`` (each point's order-n
+    distance to the centroid orbit): each cell's scan reads its own copy of
+    the walk (``itertools.tee``), and the walk steps, reading a row of
+    ``dmat`` each time, only as far as the scan that reads furthest, since a
+    scan stops once every point is blocked.  The walk is closed before the
+    stream's next order overwrites ``dmat``.  ``counts_from_matrix`` alone
+    decides how a cell is counted; exact counts read no order, so a table
+    within ``EXACT_CAP`` points never steps its walk.  Rows run over eps in
+    list order, n ascending within each.
 
     ``n_max`` is the number of orders the caller asked for.  A stream with
     fewer ``orders`` comes from orbits that left the domain, and the table
@@ -1047,7 +1050,7 @@ def _count_table(
     indices take four bytes each (``_flat_dtype``), and at each later n the
     largest eps's tested entries become the carried list as they are, with
     no copy.  A cell's row lists are intp, which numpy indexes with without
-    a cast.  Exact-size tables always count from the mask.  Besides the
+    a cast.  Every table, of any size, takes the same rule.  Besides the
     stream's matrix, the mask buffer or one carried list, and one cell's
     lists are held at a time (the mask and the list both while the cell
     that starts the carry is counted, and the old and the new list while
@@ -1062,12 +1065,10 @@ def _count_table(
         n = 0
         for n, dmat, seed in matrices:
             size = dmat.shape[0]
-            greedy = _count_mode(size) == "greedy"
             # one farthest-point walk per order, shared by its cells and closed
             # before the stream overwrites ``dmat``
-            walk = _farthest_points(dmat, seed) if greedy else None
-            walks = itertools.tee(walk, len(cells)) if greedy else [None] * len(cells)
-            for k, order in zip(cells, walks):
+            walk = _farthest_points(dmat, seed)
+            for k, order in zip(cells, itertools.tee(walk, len(cells))):
                 eps = eps_list[k]
                 flat = None if carried is None else _flat_below(dmat, eps, carried)
                 if flat is None:
@@ -1076,7 +1077,7 @@ def _count_table(
                 if k == top:
                     carried = None  # a cell too dense to carry keeps no list
                     top_count = pairs
-                    if greedy and top_count <= CARRY_DENSITY * dmat.size:
+                    if top_count <= CARRY_DENSITY * dmat.size:
                         carried = _packed_flat(ptr, bits) if flat is None else flat
                 if pairs == size:  # every ball holds only its centre
                     counts = size, size
@@ -1089,8 +1090,7 @@ def _count_table(
                 if carried is not None:
                     bits = None  # no later cell of the table counts from a mask
                 columns[k].append(CountRow(eps, n, *counts))
-            if walk is not None:
-                walk.close()
+            walk.close()
             if top_count == size and n < orders:
                 if hasattr(matrices, "close"):
                     matrices.close()  # frees a generator's buffers; no later order is built
@@ -1170,8 +1170,7 @@ def subsample_count_check(
         raise TooLargeError(
             f"too-large: subsample check needs exact counts, cap {EXACT_CAP}, got {cloud.size}"
         )
-    if not eps > 0:
-        raise ConfigError("config: eps must be > 0")
+    (eps,) = _checked_scales([eps])
     radius = sub.mesh - cloud.mesh
     if radius < 0:
         raise ConfigError(

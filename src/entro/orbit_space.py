@@ -26,6 +26,7 @@ from .metric_core import (
     PointCloud,
     _checked_scales,
     _count_table,
+    _is_count,
     _orbit_stream,
     counts_from_matrix,
     last_orbit_matrix,
@@ -94,8 +95,8 @@ def _iterate_diameter(system: DynSystem, cloud: PointCloud, depth: int = 4) -> f
 
 def lift_orbit(system: DynSystem, cloud: PointCloud, truncation: int) -> PointCloud:
     """Lift every cloud point to its stacked length-M orbit vector."""
-    if truncation < 1:
-        raise ConfigError("config: truncation must be >= 1")
+    if not _is_count(truncation):
+        raise ConfigError(f"config: truncation must be an int >= 1, got {truncation!r}")
     table = build_orbit_table(system, cloud, truncation)
     flat = table.orbits.reshape(cloud.size, truncation * cloud.dim)
     return PointCloud(flat.copy(), cloud.mesh, f"{cloud.label}|lift({truncation})")
@@ -109,8 +110,8 @@ def shift_system(system: DynSystem, truncation: int) -> DynSystem:
     lifting intertwines the base map with this shift.  A stacked vector is
     in the domain when every block is in the base domain.
     """
-    if truncation < 1:
-        raise ConfigError("config: truncation must be >= 1")
+    if not _is_count(truncation):
+        raise ConfigError(f"config: truncation must be an int >= 1, got {truncation!r}")
     d = system.dim
 
     def domain(pts: np.ndarray) -> np.ndarray:

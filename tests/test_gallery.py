@@ -22,6 +22,7 @@ from entro import (
 )
 from entro.dynamics import DynSystem, build_orbit_table, pointwise
 from entro.gallery import (
+    GRID_OFFSET,
     _crumple_heights,
     crumple_height,
     crumple_system,
@@ -269,6 +270,26 @@ class TestCrumpleBundles:
         with pytest.raises(ConfigError, match="mesh"):
             build_crumple(2, mesh=math.nan)
 
+    def test_settings_no_cloud_reads_are_refused(self):
+        """The inverse cloud is one sample per lap and the escape cloud one
+        orbit, so neither takes a mesh: it would change no point."""
+        with pytest.raises(ConfigError, match="mesh"):
+            build_crumple(2, direction="inverse", mesh=0.01)
+        for name, params in (("escape", {"mesh": 0.01}), ("crumple", {"family_mesh": 0.01}),
+                             ("annulus", {"family_spacing": 0.01})):
+            with pytest.raises(ConfigError, match=next(iter(params))):
+                build_bundle(name, **params)
+
+    def test_inverse_cloud_is_one_sample_per_lap_at_the_grid_offset(self):
+        bundle = build_crumple(2, direction="inverse")
+        pts = bundle.cloud.points
+        for k in (0, 1, len(pts) - 1):
+            right, left = lap_endpoint(2, k), lap_endpoint(2, k + 1)
+            sign = 1.0 if k % 2 == 0 else -1.0
+            assert pts[k].tolist() == [right - GRID_OFFSET * (right - left),
+                                       sign * (1.0 - 2.0 * GRID_OFFSET)]
+        assert bundle.cloud.mesh == 0.5
+
     def test_depth_guard(self):
         with pytest.raises(ConfigError):
             build_crumple(2, depth=1)
@@ -418,7 +439,7 @@ class TestAnnulusEmbeddings:
     @pytest.mark.parametrize("variant", ["disc", "inverted", "sphere"])
     @pytest.mark.parametrize(
         "params",
-        [{"mesh": -0.5}, {"mesh": 0.0}, {"mesh": math.nan}, {"family_spacing": 0.0}],
+        [{"mesh": -0.5}, {"mesh": 0.0}, {"mesh": math.nan}],
     )
     def test_non_positive_spacing_is_refused(self, variant, params):
         """Refused before any sampling loop: a negative spacing would never

@@ -35,8 +35,8 @@ from entro import (
     subsample_count_check,
 )
 from entro import metric_core, orbit_space
-from entro.dynamics import DynSystem, bd_count_table, build_orbit_table
-from entro.gallery import build_doubling
+from entro.dynamics import DynSystem, bd_count_table, build_orbit_table, inverse_transport_check
+from entro.gallery import build_doubling, build_interval_homeo
 from entro.metric_core import (
     CARRY_DENSITY,
     TILE_ROWS,
@@ -49,7 +49,6 @@ from entro.metric_core import (
     _greedy_cover,
     _greedy_separated,
     _mask_cover,
-    _mask_separated,
     _orbit_stream as _lifted_matrices,
     _packed_below,
     _packed_flat,
@@ -59,7 +58,7 @@ from entro.metric_core import (
     last_orbit_matrix,
     orbit_metric_matrices,
 )
-from entro.orbit_space import friedland_count_table
+from entro.orbit_space import friedland_count_table, semiconj_check
 
 
 def brute_max_separated(dists: np.ndarray, eps: float) -> int:
@@ -208,7 +207,7 @@ class TestGreedyCountsMatchDenseScans:
             packed = _packed_below(dmat, eps)
             want_sep = dense_greedy_separated(dmat, order, eps)
             want_span = dense_greedy_cover(dmat, eps)
-            assert _greedy_separated(*lists, order) == _mask_separated(packed[1], order) == want_sep
+            assert _greedy_separated(*lists, order) == _greedy_separated(*packed, order) == want_sep
             # the cover itself, even where the separated witness is smaller
             assert _greedy_cover(*lists) == _mask_cover(*packed) == want_span
             got = counts_from_matrix(dmat, eps, order=order)  # from the mask it builds
@@ -302,6 +301,28 @@ class TestGreedyCountsMatchDenseScans:
         assert len(_greedy_separated(*lists, order)) == len(_greedy_cover(*lists)) == len(dmat)
         lists = eps_lists(dmat, 2 * dmat.max() + 1)
         assert len(_greedy_separated(*lists, order)) == len(_greedy_cover(*lists)) == 1
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -1.0, True])
+    def test_scale_takes_the_table_rule(self, eps):
+        """A cell's scale is a finite number > 0, as every scale of a table:
+        at eps = inf one ball holds the cloud, and the checks counted from
+        one cell would pass with nothing checked."""
+        dmat = oracle_matrix("symmetric", 0)
+        with pytest.raises(ConfigError, match="eps values must be > 0 and finite|not a number"):
+            counts_from_matrix(dmat, eps)
+        small = PointCloud(np.random.default_rng(1).random((12, 2)), 0.05)
+        bundle = build_interval_homeo()
+        checks = [
+            lambda: subsample_count_check(small, dense_subsample(small, 0.5, 0),
+                                          MetricSpec.euclidean(), eps),
+            lambda: semiconj_check(bundle.system, bundle.system, lambda p: p,
+                                   bundle.cloud.subset(range(12)), eps, 3),
+            lambda: inverse_transport_check(bundle.system, bundle.cloud.subset(range(12)),
+                                            MetricSpec.euclidean(), eps, 3),
+        ]
+        for check in checks:
+            with pytest.raises(ConfigError):
+                check()
 
 
 def dense_recount(matrices, eps_list: list[float]) -> list[tuple]:
@@ -429,13 +450,24 @@ class TestCarriedNeighbourLists:
         assert cell_balls == kinds
         assert row_tuples(table) == dense_recount(orbit_metric_matrices(orbits, spec), eps_list)
 
-    def test_exact_table_counts_from_masks(self, cell_balls):
+    @pytest.mark.parametrize(
+        "eps_list, kinds",
+        # 0.5's and 1.0's balls are singletons at order 3
+        [([0.5, 3.0, 1.0], ["mask"] * 7),
+         # 0.85 holds 36 of the 576 entries at order 2, so it is carried from
+         # there; 0.3's balls are singletons at order 2, and order 3 holds
+         # only the diagonal, where the table stops
+         ([0.5, 0.85, 0.3], ["mask"] * 4 + ["carried"])],
+        ids=["dense", "sparse-at-order-2"],
+    )
+    def test_exact_table_follows_the_carry_rule(self, eps_list, kinds, cell_balls):
+        """An exact-size table holds its balls as a greedy one does, and
+        counts exactly from either store."""
         orbits = np.random.default_rng(2).random((EXACT_CAP, 3, 2)) * 4.0
-        eps_list = [0.5, 3.0, 1.0]
         table = _count_table(orbit_metric_matrices(orbits, MetricSpec.euclidean()), eps_list,
                              EXACT_CAP, 3, 3)
         assert table.mode == "exact"
-        assert cell_balls == ["mask"] * 7  # 0.5's and 1.0's balls are singletons at order 3
+        assert cell_balls == kinds
         assert row_tuples(table) == dense_recount(
             orbit_metric_matrices(orbits, MetricSpec.euclidean()), eps_list
         )
@@ -588,6 +620,12 @@ class TestLazyFarthestWalk:
         for k in range(size + 1):
             assert list(itertools.islice(_farthest_points(dmat, seed_dists), k)) == order[:k].tolist()
         assert list(_farthest_points(dmat, seed_dists)) == order.tolist()
+        # the scan over either store reads a prefix of the walk and keeps the
+        # witness of a dense scan of the whole order
+        eps = float(np.median(dmat)) + 0.5
+        want = dense_greedy_separated(dmat, order, eps)
+        for balls in (_packed_below(dmat, eps), eps_lists(dmat, eps)):
+            assert _greedy_separated(*balls, _farthest_points(dmat, seed_dists)) == want
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("kind", ["symmetric", "integer"])
@@ -607,10 +645,9 @@ class TestLazyFarthestWalk:
                 assert want == order and stop == len(dmat)
             if eps > dmat.max():
                 assert want == order[:1] and stop == 1
-            for scan in (lambda it: _mask_separated(_packed_below(dmat, eps)[1], it),
-                         lambda it: _greedy_separated(*eps_lists(dmat, eps), it)):
+            for balls in (_packed_below(dmat, eps), eps_lists(dmat, eps)):
                 it = iter(order)
-                assert scan(it) == want
+                assert _greedy_separated(*balls, it) == want
                 assert len(dmat) - len(list(it)) == stop
 
     def test_two_clusters_take_two_steps_per_order(self, monkeypatch, cell_balls):
@@ -700,7 +737,7 @@ class TestBandedThreshold:
                     assert np.array_equal(got, want)
             lists = eps_lists(dmat, eps)
             want_sep = dense_greedy_separated(dmat, order, eps)
-            assert _mask_separated(bits, order) == _greedy_separated(*lists, order) == want_sep
+            assert _greedy_separated(ptr, bits, order) == _greedy_separated(*lists, order) == want_sep
             assert _mask_cover(ptr, bits) == _greedy_cover(*lists) == dense_greedy_cover(dmat, eps)
             assert (counts_from_matrix(dmat, eps, order=order, neighbours=(ptr, bits))
                     == counts_from_matrix(dmat, eps, order=order, neighbours=lists))
@@ -1021,17 +1058,28 @@ class TestMetricSpecs:
             ("max_product", {"arity": True}),
             ("max_product", {"arity": 2.5}),
             ("max_product", {"arity": 0}),
+            ("euclidean", {"arity": 5}),
+            ("euclidean", {"rho": 3.0}),
+            ("euclidean", {"truncation": 2}),
+            ("euclidean", {"rho": math.nan}),
+            ("max_product", {"arity": 2, "rho": 3.0}),
+            ("max_product", {"arity": 2, "truncation": 2}),
+            ("sequence_rho", {"arity": 2}),
         ],
     )
     def test_bad_settings_are_refused(self, kind, settings):
         """An infinite rho would drop every block after the first, and a NaN
-        one or a fractional block count would fail later with another error."""
+        one or a fractional block count would fail later with another error.
+        A setting the kind does not read is refused unless it is the default:
+        ``euclidean`` with arity 5 would compare unequal to ``euclidean()``."""
         with pytest.raises(ConfigError, match=f"config: {kind} "):
-            MetricSpec(kind=kind, **{"rho": 2.0, "arity": 2, "truncation": 2, **settings})
+            MetricSpec(kind=kind, **settings)
 
     def test_numpy_settings_are_taken(self):
         spec = MetricSpec.sequence_rho(np.float64(3.0), np.int64(2))
         assert spec.blocks == 2 and MetricSpec.max_product(np.int32(3)).blocks == 3
+        # an unread setting equal to its default is taken
+        assert MetricSpec(kind="euclidean", rho=np.float64(2.0)) == MetricSpec.euclidean()
 
     def test_pairwise_matches_matrix(self):
         rng = np.random.default_rng(11)

@@ -127,6 +127,15 @@ class TestLiftAndShift:
         with pytest.raises(ConfigError):
             lift_orbit(doubling.system, circle_cloud(4), 0)
 
+    @pytest.mark.parametrize("truncation", [0, -1, 2.5, 2.0, True, "3"])
+    def test_truncation_must_be_a_count(self, doubling, truncation):
+        """The rule ``MetricSpec`` applies: an int >= 1, a bool excluded; a
+        float would give a shift of fractional dimension."""
+        with pytest.raises(ConfigError, match="truncation must be an int >= 1"):
+            shift_system(doubling.system, truncation)
+        with pytest.raises(ConfigError, match="truncation must be an int >= 1"):
+            lift_orbit(doubling.system, circle_cloud(4), truncation)
+
     def test_shift_intertwines_base_step(self, doubling):
         cloud = circle_cloud(10)
         m = 5
