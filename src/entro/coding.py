@@ -21,6 +21,7 @@ import numpy as np
 
 from .dynamics import DynSystem, pointwise
 from .errors import ConfigError, UndefinedPointError
+from .estimators import growth_rate
 
 __all__ = [
     "GOLDEN_ALPHA",
@@ -158,19 +159,16 @@ def word_complexity(alpha, L_max: int, orbit_len: int) -> WordComplexity:
 def coded_entropy(alpha, L_max: int = 80) -> float:
     """Growth rate of log p(L) fitted over the upper half of 1..L_max.
 
-    The coded orbit has max(10 * L_max, 20000) symbols.  Linear complexity
-    makes this tend to zero like 1/L; exponential word growth would make it
-    level off at the per-symbol entropy.  The fit needs three lengths, so
-    ``L_max`` below 3 is refused.
+    The rate is ``estimators.growth_rate`` over L = max(1, L_max // 2) ..
+    L_max, clamped at 0.  The coded orbit has max(10 * L_max, 20000)
+    symbols.  Linear complexity makes this tend to zero like 1/L;
+    exponential word growth would make it level off at the per-symbol
+    entropy.  The fit needs three lengths, so ``L_max`` below 3 is refused.
     """
     if L_max < 3:
         raise ConfigError(f"config: L_max must be >= 3 to fit a rate, got {L_max}")
     wc = word_complexity(alpha, L_max, max(10 * L_max, 20_000))
-    lo = max(1, L_max // 2)
-    xs = np.arange(lo, L_max + 1, dtype=float)
-    ys = np.log([wc.of(int(L)) for L in xs])
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return max(0.0, slope)
+    return max(0.0, growth_rate(wc.counts, (max(1, L_max // 2), L_max)))
 
 
 def symbol_frequency(alpha) -> float:

@@ -31,6 +31,7 @@ from .metric_core import (
     _count_table,
     _checked_scales,
     _farthest_points,
+    _is_count,
     counts_from_matrix,
     last_orbit_matrix,
     orbit_metric_matrices,
@@ -109,9 +110,10 @@ def build_orbit_table(
     orbit survives instead of raising; the returned depth says how far it got,
     and is 0 when some start point lies outside the domain.  A step rule that
     raises ``UndefinedPointError`` at step k counts as an escape at step k.
+    A depth that is not an int >= 1 (a bool included) is refused.
     """
-    if depth < 1:
-        raise ConfigError("config: orbit depth must be >= 1")
+    if not _is_count(depth):
+        raise ConfigError(f"config: orbit depth must be >= 1 and an int, got {depth!r}")
     orbits = np.empty((cloud.size, depth, cloud.dim))
     cur = cloud.points
     for k in range(depth):
@@ -151,12 +153,13 @@ def bd_count_table(
     The table's ``mode`` says whether its counts are exact or greedy (see
     ``counts_from_matrix``).  If some orbit escapes at step t < n_max the
     table stops at n = t and ``truncated_at`` is t; a start outside the
-    domain escapes at t = 0 and leaves no rows.  A scale that is not a
-    number, is not finite and > 0, or is listed twice is refused before any
-    orbit is built; the rows record each scale as a Python float.
+    domain escapes at t = 0 and leaves no rows.  An ``n_max`` that is not an
+    int >= 1, or a scale that is not a number, is not finite and > 0, or is
+    listed twice, is refused before any orbit is built; the rows record each
+    scale as a Python float.
     """
-    if n_max < 1:
-        raise ConfigError("config: n_max must be >= 1")
+    if not _is_count(n_max):
+        raise ConfigError(f"config: n_max must be an int >= 1, got {n_max!r}")
     eps_list = _checked_scales(eps_list)
     table = build_orbit_table(system, cloud, n_max, allow_truncation=True)
     matrices = orbit_metric_matrices(table.orbits, spec)
@@ -194,8 +197,10 @@ def inverse_transport_check(
     n-1 steps, rebuilds backward orbits with the inverse rule, and verifies
     every pair clears eps at some backward step.
     Index reversal makes this an identity on the set of step distances, so
-    it must pass with no slack.
+    it must pass with no slack.  An ``n`` that is not an int >= 1 is refused.
     """
+    if not _is_count(n):
+        raise ConfigError(f"config: n must be >= 1 and an int, got {n!r}")
     if system.inverse is None:
         raise ConfigError(f"config: system {system.name!r} has no inverse")
     table = build_orbit_table(system, cloud, n)

@@ -234,10 +234,10 @@ def compacta_estimate(
 ) -> EntropyEstimate:
     """Entropy as a supremum over compact subsets.
 
-    The members are counted one after another, each by ``bd_count_table``
-    (orbits run in the full space; only the separated subsets are drawn from
-    the member), and the headline is the max over member headlines; a member
-    whose points equal an earlier one's, bit for bit, shares its table.
+    The members are counted one after another, each by its own
+    ``bd_count_table`` (orbits run in the full space; only the separated
+    subsets are drawn from the member), so bad settings are refused before
+    any orbit is built; the headline is the max over member headlines.
     Members whose orbits escape are skipped: a truncated table escapes at
     its ``truncated_at``, which is 0 for a start outside the domain.
     ``members`` of the result holds each member's table and headline.
@@ -245,10 +245,7 @@ def compacta_estimate(
     results: list[EntropyEstimate] = []
     outcomes: list[MemberOutcome] = []
     for member in family.members:
-        table = next((m.table for c, m in zip(family.members, outcomes)
-                      if np.array_equal(c.points, member.points)), None)
-        if table is None:
-            table = _dyn.bd_count_table(system, member, spec, eps_list, n_max)
+        table = _dyn.bd_count_table(system, member, spec, eps_list, n_max)
         headline = None
         if table.truncated_at is None:
             results.append(entropy_estimate(table))

@@ -477,14 +477,18 @@ def akm_cover_demo(N: int, n: int, L_max: int) -> AkmCoverRecord:
 # annulus trio: one map, three embeddings
 
 
+def _ring(r: float, count: int) -> np.ndarray:
+    """``count`` points evenly spaced on the circle of radius ``r``, the first at angle 0."""
+    theta = np.arange(count) * (2.0 * math.pi / count)
+    return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+
+
 def _polar_points(spacing: float, r_lo: float, r_hi: float, boost_from: float, boost: int):
     rows = []
     r = r_lo
     while r <= r_hi + 1e-12:
         factor = boost if r >= boost_from else 1
-        count = max(8, math.ceil(2.0 * math.pi * r * factor / spacing))
-        theta = np.arange(count) * (2.0 * math.pi / count)
-        rows.append(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
+        rows.append(_ring(r, max(8, math.ceil(2.0 * math.pi * r * factor / spacing))))
         r += spacing
     return np.vstack(rows)
 
@@ -520,13 +524,9 @@ def build_annulus(
             # a ring at 1 - delta feeds angle doubling for about log2(1/delta)
             # steps before its radius collapses.  Rim rings at geometric
             # depths carry the growth; a sparse polar grid covers the rest.
-            rings = []
-            for delta, count in ((0.001, 3600), (0.004, 900), (0.016, 225)):
-                theta = np.arange(count) * (2.0 * math.pi / count)
-                r = 1.0 - delta
-                rings.append(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
-            rings.append(_polar_points(spacing, spacing / 2, 0.95, 2.0, 1))
-            pts = np.vstack(rings)
+            rings = [_ring(1.0 - delta, count)
+                     for delta, count in ((0.001, 3600), (0.004, 900), (0.016, 225))]
+            pts = np.vstack(rings + [_polar_points(spacing, spacing / 2, 0.95, 2.0, 1)])
             step = _square_step
         else:
             pts = _polar_points(spacing, spacing / 2, 1.0 - spacing / 2, 0.85, 3)
@@ -577,30 +577,21 @@ def build_annulus(
         s = math.sin(phi)
         return np.array([s * math.cos(2 * theta), s * math.sin(2 * theta), math.cos(phi)])
 
-    def sphere_domain(p: np.ndarray) -> bool:
-        return abs(float(np.dot(p, p)) - 1.0) < 1e-6
+    def sphere_domain(pts_: np.ndarray) -> np.ndarray:
+        return np.abs((pts_ * pts_).sum(axis=1) - 1.0) < 1e-6
 
     rows = []
     n_lat = math.ceil(math.pi / spacing)
     for a in range(1, n_lat):
         phi = a * math.pi / n_lat
         count = max(6, math.ceil(2.0 * math.pi * math.sin(phi) / spacing))
-        theta = np.arange(count) * (2.0 * math.pi / count)
-        rows.append(
-            np.column_stack(
-                [
-                    math.sin(phi) * np.cos(theta),
-                    math.sin(phi) * np.sin(theta),
-                    np.full(count, math.cos(phi)),
-                ]
-            )
-        )
+        rows.append(np.column_stack([_ring(math.sin(phi), count), np.full(count, math.cos(phi))]))
     pts = np.vstack(rows)
     system = DynSystem(
         name="annulus-sphere",
         dim=3,
         step=pointwise(sphere_step),
-        domain=pointwise(sphere_domain),
+        domain=sphere_domain,
     )
     cloud = PointCloud(pts, mesh, "annulus-sphere|latlong")
     lat = np.arccos(np.clip(pts[:, 2], -1, 1))
@@ -631,8 +622,7 @@ def build_doubling(grid: int = 4096) -> GalleryBundle:
     """Angle doubling on a circle grid: the compact sanity baseline."""
     if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 16:
         raise ConfigError("config: doubling grid must be an integer >= 16")
-    theta = np.arange(grid) * (2.0 * math.pi / grid)
-    pts = np.column_stack([np.cos(theta), np.sin(theta)])
+    pts = _ring(1.0, grid)
 
     def domain(pts_: np.ndarray) -> np.ndarray:
         return np.abs(pts_[:, 0] ** 2 + pts_[:, 1] ** 2 - 1.0) < 1e-6

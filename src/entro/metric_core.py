@@ -207,6 +207,11 @@ def _is_count(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 1
 
 
+def _is_seed(value) -> bool:
+    """Whether ``value`` is an int >= 0, a bool excluded: a seed ``default_rng`` takes."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 0
+
+
 def _as_points(arr, name: str) -> np.ndarray:
     pts = np.asarray(arr, dtype=float)
     if pts.ndim == 1:
@@ -1116,10 +1121,13 @@ def dense_subsample(cloud: PointCloud, keep_fraction: float, seed: int) -> Point
 
     The returned mesh is the parent mesh plus the covering radius of the kept
     set within the parent, i.e. an honest density claim for the underlying
-    space.  ``keep_fraction=1`` returns the cloud unchanged.
+    space.  ``keep_fraction=1`` returns the cloud unchanged.  A seed that is
+    not an int >= 0 (a bool included) is refused.
     """
     if not 0 < keep_fraction <= 1:
         raise ConfigError("config: keep_fraction must be in (0, 1]")
+    if not _is_seed(seed):
+        raise ConfigError(f"config: seed must be an int >= 0, got {seed!r}")
     if keep_fraction == 1:
         return cloud
     rng = np.random.default_rng(seed)

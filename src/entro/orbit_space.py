@@ -12,6 +12,7 @@ tolerance, so lifted points are ordinary finite vectors of stacked blocks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from .metric_core import (
     _checked_scales,
     _count_table,
     _is_count,
+    _is_seed,
     _orbit_stream,
     counts_from_matrix,
     last_orbit_matrix,
@@ -162,10 +164,11 @@ def friedland_count_table(
     an orbit table that stops at depth D < m + n_max - 1 gives the orders
     n <= D - m + 1, and ``truncated_at`` counts those lifted orders (0 when
     D < m).  A start outside the domain leaves no rows, ``truncated_at`` 0
-    and ``truncation`` None, as no iterate is there to take m from.
+    and ``truncation`` None, as no iterate is there to take m from.  An
+    ``n_max`` that is not an int >= 1 is refused before any orbit is built.
     """
-    if n_max < 1:
-        raise ConfigError("config: n_max must be >= 1")
+    if not _is_count(n_max):
+        raise ConfigError(f"config: n_max must be an int >= 1, got {n_max!r}")
     if not 1 < rho < math.inf:
         raise ConfigError("config: rho must be a finite number > 1")
     eps_list = _checked_scales(eps_list)
@@ -248,16 +251,20 @@ def metric_comparison_check(
 
     ``n_tail`` and the pairs' orbit length m come from ``_iterate_diameter``
     of the cloud's first four iterates, so m is the lifted table's m
-    whenever that table has n_max >= 4 and eps is above its 1e-6 tail.  A
-    cloud of fewer than two points has no pair to sample and is refused
-    before any orbit is built.
+    whenever that table has n_max >= 4 and eps is above its 1e-6 tail.  An
+    eps that is not a finite number > 0 (a bool included), a rho outside
+    (1, inf), a ``sample_pairs`` that is not an int >= 1, a seed that is not
+    an int >= 0, and a cloud of fewer than two points, which has no pair to
+    sample, are refused before any orbit is built.
     """
-    if not 0 < eps < math.inf:
+    if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0 < eps < math.inf:
         raise ConfigError("config: eps must be a finite number > 0")
-    if rho <= 1:
-        raise ConfigError("config: rho must be > 1")
-    if sample_pairs < 1:
-        raise ConfigError("config: sample_pairs must be >= 1")
+    if not 1 < rho < math.inf:
+        raise ConfigError("config: rho must be a finite number > 1")
+    if not _is_count(sample_pairs):
+        raise ConfigError(f"config: sample_pairs must be an int >= 1, got {sample_pairs!r}")
+    if not _is_seed(seed):
+        raise ConfigError(f"config: seed must be an int >= 0, got {seed!r}")
     if cloud.size < 2:
         raise ConfigError(f"config: metric comparison needs >= 2 points, got {cloud.size}")
     # no start in the domain leaves diam 0, and the strict table below raises at step 0
@@ -351,9 +358,10 @@ def semiconj_check(
     ``eps_down`` (default eps_down itself).  Upstairs distances are
     euclidean, and h must intertwine the two steps within 1e-9.  The cloud
     must fit the exact counter; greedy counts cannot certify an inequality.
+    An ``n`` that is not an int >= 1 is refused before any orbit is built.
     """
-    if n < 1:
-        raise ConfigError("config: n must be >= 1")
+    if not _is_count(n):
+        raise ConfigError(f"config: n must be >= 1 and an int, got {n!r}")
     if cloud.size > EXACT_CAP:
         raise TooLargeError(
             f"too-large: factor check needs exact counts, cap {EXACT_CAP}, got {cloud.size}"

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from entro import dynamics, orbit_space
 from entro.gallery import default_suite, run_bundle
 
 ACCEPTANCE_LINES: list[str] = []
@@ -31,6 +32,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def suite_results():
     """Three-estimator results for every gallery bundle, computed once."""
     return {b.name: run_bundle(b) for b in default_suite()}
+
+
+def spy_orbit_tables(monkeypatch) -> list[int]:
+    """A list that records the cloud size of every orbit table ``dynamics``
+    and ``orbit_space`` build; a build that is refused records nothing."""
+    built = []
+    build = dynamics.build_orbit_table
+
+    def spy(*args, **kwargs):
+        table = build(*args, **kwargs)
+        built.append(args[1].size)
+        return table
+
+    monkeypatch.setattr(dynamics, "build_orbit_table", spy)
+    monkeypatch.setattr(orbit_space, "build_orbit_table", spy)
+    return built
 
 
 @pytest.fixture()

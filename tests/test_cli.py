@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, file outputs, determinism."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 
 from entro import cli, metric_core, semiconj_check
 from entro.cli import RunConfig, _checked_bundle, main
-from entro.gallery import ALL_METHODS
+from entro.gallery import ALL_METHODS, build_interval_homeo, run_bundle
 
 FAST_DOUBLING = {
     "system": "doubling",
@@ -590,6 +591,20 @@ class TestEntryPoint:
         assert header.split()[6] == "peak"
         assert line.startswith("escape2")
         assert line.split()[6].endswith("MiB")
+
+    def test_bundle_digest_prints_one_line_per_bundle(self):
+        """The digest line holds the headlines and a sha256 of the run's
+        tables, estimates and verdict, as ``run_bundle`` gives them here."""
+        proc = run_python(str(ROOT / "scripts" / "bundle_digest.py"), "--only", "interval-homeo")
+        assert proc.returncode == 0, proc.stderr
+        (line,) = proc.stdout.splitlines()
+        run = run_bundle(build_interval_homeo())
+        record = repr((run.bd_table, run.fr_table, run.bd, run.bc, run.fr, run.verdict))
+        assert line.startswith(f"interval-homeo N=80 bd={run.bd.headline!r}")
+        assert line.endswith(f"sha256={hashlib.sha256(record.encode()).hexdigest()}")
+        proc = run_python(str(ROOT / "scripts" / "bundle_digest.py"), "--only", "torus")
+        assert proc.returncode == 1
+        assert "no bundle named 'torus'" in proc.stderr
 
     def test_eps_refinement_sweep_runs(self):
         proc = run_python(

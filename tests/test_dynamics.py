@@ -20,8 +20,11 @@ from entro import (
     inverse_transport_check,
     iterate_orbit,
 )
-from entro.gallery import build_doubling, crumple_system, interval_step
+from entro import ConfigError, dynamics
+from entro.gallery import build_doubling, build_interval_homeo, crumple_system, interval_step
 from entro.metric_core import orbit_metric_matrices
+
+from conftest import spy_orbit_tables
 
 
 @pytest.fixture(scope="module")
@@ -188,3 +191,28 @@ class TestInverseTransport:
             inverse_transport_check(
                 doubling.system, cloud, MetricSpec.euclidean(), eps=0.3, n=3
             )
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda b: dynamics.bd_count_table(b.system, b.cloud, b.metric, [0.4, 0.2], 2.5),
+         "n_max must be an int >= 1"),
+        (lambda b: dynamics.bd_count_table(b.system, b.cloud, b.metric, [0.4, 0.2], True),
+         "n_max must be an int >= 1"),
+        (lambda b: dynamics.build_orbit_table(b.system, b.cloud, 2.5), "orbit depth must be >= 1"),
+        (lambda b: dynamics.iterate_orbit(b.system, b.cloud.points[0], True),
+         "orbit depth must be >= 1"),
+        (lambda b: dynamics.inverse_transport_check(b.system, b.cloud, b.metric, 0.1, 2.5),
+         "n must be >= 1"),
+    ],
+    ids=["bd-n_max-float", "bd-n_max-bool", "depth-float", "iterate-bool", "transport-n-float"],
+)
+def test_counts_that_are_not_ints_are_refused(call, match, monkeypatch):
+    """Orders and depths must be ints >= 1, a bool excluded; each is refused
+    with ``ConfigError`` before any orbit table is built."""
+    bundle = build_interval_homeo()
+    built = spy_orbit_tables(monkeypatch)
+    with pytest.raises(ConfigError, match=match):
+        call(bundle)
+    assert built == []

@@ -25,6 +25,8 @@ from entro import (
 from entro import dynamics, estimators, orbit_space
 from entro.gallery import GalleryBundle, build_doubling, build_escape, run_bundle
 
+from conftest import spy_orbit_tables
+
 # the two count tables, each made from a bundle and a scale list at n_max = 6
 COUNT_TABLES = [
     lambda b, eps: dynamics.bd_count_table(b.system, b.cloud, b.metric, eps, 6),
@@ -256,23 +258,10 @@ def times4() -> DynSystem:
     return DynSystem("times4", 1, lambda x: 4.0 * x, lambda x: np.abs(x[:, 0]) < 1000.0)
 
 
-def spy_orbit_tables(monkeypatch) -> list[int]:
-    """A list that records the size of every orbit table ``dynamics`` builds."""
-    built = []
-    build = dynamics.build_orbit_table
-
-    def spy(*args, **kwargs):
-        built.append(args[1].size)
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(dynamics, "build_orbit_table", spy)
-    return built
-
-
 class TestMembersCountedInTurn:
     """``compacta_estimate``: each member's table equals its own
-    ``bd_count_table``, a member equal to an earlier one is not counted
-    again, and ``run_bundle`` takes its direct table from the member equal to
+    ``bd_count_table``, a member equal to an earlier one included, and
+    ``run_bundle`` takes its direct table from the member equal to
     the bundle cloud."""
 
     spec = MetricSpec.euclidean()
@@ -303,14 +292,13 @@ class TestMembersCountedInTurn:
         return [bd_count_table(system, c, self.spec, eps_list, n_max) for c in clouds]
 
     @pytest.mark.parametrize("eps_list", [[0.4, 0.2, 0.1], []], ids=["scales", "no-scales"])
-    def test_repeated_member_is_counted_once(self, doubling, monkeypatch, eps_list):
+    def test_repeated_member_keeps_its_own_table(self, doubling, monkeypatch, eps_list):
         pts = doubling.cloud.points[::2]
         members = [PointCloud(pts[:20].copy(), 0.05), PointCloud(pts.copy(), 0.05),
                    PointCloud(pts.copy(), 0.05)]
         n_max = 5
         _, tables, built = self.supremum(doubling.system, members, eps_list, n_max, monkeypatch)
-        assert built == [20, 128]
-        assert tables[1] is tables[2]
+        assert built == [20, 128, 128]
         assert tables == self.separate(doubling.system, members, eps_list, n_max)
         assert [t.mode for t in tables] == ["exact", "greedy", "greedy"]
 
@@ -389,6 +377,17 @@ class TestMembersCountedInTurn:
         direct = bd_count_table(doubling.system, doubling.cloud, self.spec, eps_list, n_max)
         assert run.bd_table == direct
         assert run.bd == entropy_estimate(direct)
+
+
+@pytest.mark.parametrize("n_max", [2.5, True, 0], ids=["float", "bool", "zero"])
+def test_compacta_refuses_a_bad_order_count(n_max, monkeypatch):
+    """``compacta_estimate`` refuses an ``n_max`` that is not an int >= 1
+    with ``ConfigError`` before any member's orbit table is built."""
+    bundle = build_doubling(grid=64)
+    built = spy_orbit_tables(monkeypatch)
+    with pytest.raises(ConfigError, match="n_max must be an int >= 1"):
+        compacta_estimate(bundle.system, bundle.metric, bundle.family, [0.4, 0.2, 0.1], n_max)
+    assert built == []
 
 
 def flat_estimate(base):

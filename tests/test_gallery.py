@@ -620,6 +620,24 @@ class TestArrayRulesMatchScalarRules:
         pts = bundle.cloud.points[1:]  # the escape inverse is undefined at the first point
         assert np.array_equal(bundle.system.inverse(pts), reference.inverse(pts))
 
+    def test_sphere_domain(self):
+        """The sphere's array domain gives the scalar rule's answer,
+        ``abs(float(np.dot(p, p)) - 1.0) < 1e-6``, on every iterate of the
+        lifted orbit table and on those iterates scaled off the sphere, where
+        both answers occur; the iterates sit far inside the tolerance."""
+        bundle = build_annulus("sphere")
+        n_max = bundle.n_max
+        m = choose_truncation(bundle.rho, _iterate_diameter(bundle.system, bundle.cloud, n_max))
+        table = build_orbit_table(bundle.system, bundle.cloud, m + n_max - 1)
+        iterates = table.orbits.reshape(-1, 3)
+        assert np.abs(np.einsum("ij,ij->i", iterates, iterates) - 1.0).max() < 1e-12
+        scalar = pointwise(lambda p: abs(float(np.dot(p, p)) - 1.0) < 1e-6)
+        for k in (0, -20, -6, -4, 4, 6, 20):
+            pts = iterates * (1.0 + k * 1e-7)
+            want = scalar(pts)
+            assert want.all() == (abs(k) < 5) and want.any() == (abs(k) < 5)
+            assert np.array_equal(bundle.system.domain(pts), want)
+
 
 class TestRunBundle:
     @pytest.mark.parametrize("methods", [("bd",), ("bowen_dinaburg", "lifted")],

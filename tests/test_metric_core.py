@@ -1175,6 +1175,15 @@ class TestDenseSubsample:
         cloud = PointCloud(rng.random((10, 2)), 0.01)
         assert dense_subsample(cloud, 1.0, seed=0) is cloud
 
+    @pytest.mark.parametrize("keep", [0.5, 1.0])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+    def test_bad_seed_is_refused(self, rng, keep, seed):
+        """A seed must be an int >= 0, a bool excluded, even when every point
+        is kept; it is refused with ``ConfigError``."""
+        cloud = PointCloud(rng.random((10, 2)), 0.01)
+        with pytest.raises(ConfigError, match="seed must be an int >= 0"):
+            dense_subsample(cloud, keep, seed=seed)
+
 
 class TestSubsampleCheck:
     def test_passes_on_random_cloud(self, rng):

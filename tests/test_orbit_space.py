@@ -43,6 +43,8 @@ from entro.metric_core import (
     orbit_metric_matrices,
 )
 
+from conftest import spy_orbit_tables
+
 
 @pytest.fixture(scope="module")
 def doubling():
@@ -550,3 +552,45 @@ class TestSemiconjCheck:
                 doubling.system, doubling.system, lambda p: p,
                 circle_cloud(30), 0.4, 3,
             )
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda b: friedland_count_table(b.system, b.cloud, [0.4, 0.2], 2.5),
+         "n_max must be an int >= 1"),
+        (lambda b: friedland_count_table(b.system, b.cloud, [0.4, 0.2], True),
+         "n_max must be an int >= 1"),
+        (lambda b: semiconj_check(b.system, b.system, lambda p: p, circle_cloud(8), 0.4, 2.5),
+         "n must be >= 1"),
+        (lambda b: metric_comparison_check(b.system, b.cloud, eps=True),
+         "eps must be a finite number"),
+        (lambda b: metric_comparison_check(b.system, b.cloud, eps="0.1"),
+         "eps must be a finite number"),
+        (lambda b: metric_comparison_check(b.system, b.cloud, rho=math.nan), "rho must be"),
+        (lambda b: metric_comparison_check(b.system, b.cloud, rho=math.inf), "rho must be"),
+        (lambda b: metric_comparison_check(b.system, b.cloud, sample_pairs=True),
+         "sample_pairs must be an int >= 1"),
+        (lambda b: metric_comparison_check(b.system, b.cloud, sample_pairs=2.5),
+         "sample_pairs must be an int >= 1"),
+        (lambda b: metric_comparison_check(b.system, b.cloud, seed=-1),
+         "seed must be an int >= 0"),
+        (lambda b: metric_comparison_check(b.system, b.cloud, seed=1.5),
+         "seed must be an int >= 0"),
+        (lambda b: metric_comparison_check(b.system, b.cloud, seed=True),
+         "seed must be an int >= 0"),
+    ],
+    ids=["lifted-n_max-float", "lifted-n_max-bool", "semiconj-n-float", "comparison-eps-bool",
+         "comparison-eps-str", "comparison-rho-nan", "comparison-rho-inf",
+         "comparison-pairs-bool", "comparison-pairs-float", "comparison-seed-negative",
+         "comparison-seed-float", "comparison-seed-bool"],
+)
+def test_bad_counts_and_seeds_are_refused(call, match, monkeypatch):
+    """Orders, pair counts and seeds must be ints (>= 1, a seed >= 0), eps a
+    finite number > 0 and rho in (1, inf), none of them a bool; each is
+    refused with ``ConfigError`` before any orbit table is built."""
+    bundle = build_doubling(grid=64)
+    built = spy_orbit_tables(monkeypatch)
+    with pytest.raises(ConfigError, match=match):
+        call(bundle)
+    assert built == []
